@@ -368,6 +368,8 @@ def _cmd_scan(cfg: RunConfig):
     n = opts["n"]
     if n < 1:
         raise _UsageError("--n must be at least 1")
+    if opts["max_edges"] < 0:
+        raise _UsageError("--max-edges must be non-negative")
     graphs = [g for g in all_connected_graphs(n) if g.edge_count > 0]
     records = conjecture_scan(graphs, max_edges=opts["max_edges"], jobs=cfg.jobs)
     lines = []
@@ -498,7 +500,11 @@ def _cmd_export_dot(cfg: RunConfig):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("vertex", "color"):
+            if (
+                len(parts) != 3
+                or parts[0] not in ("vertex", "color")
+                or not parts[1].isdecimal()
+            ):
                 raise _UsageError(f"bad roles line {lineno}: {raw!r}")
             table = vertex_labels if parts[0] == "vertex" else color_labels
             table[int(parts[1])] = parts[2]

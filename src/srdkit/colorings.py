@@ -13,6 +13,8 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    SubgraphView,
+    _bfs,
     blocks,
     complete_graph,
     complete_multipartite_graph,
@@ -141,6 +143,29 @@ def _smallest_free(used_at: set, limit: int) -> int:
     raise AssertionError("no free color within the palette")
 
 
+def _invert_kempe_chain(g: Graph, ecol: list, used: list, start: int, a: int, b: int):
+    """Swap colors a and b along the maximal path from ``start`` whose edges
+    alternate a, b, a, ..., then refresh ``used`` at every vertex it touched."""
+    path = []
+    x, want, prev = start, a, -1
+    while True:
+        step = None
+        for w, eid in g.adj[x]:
+            if eid != prev and ecol[eid] == want:
+                step = (w, eid)
+                break
+        if step is None:
+            break
+        path.append(step[1])
+        x, prev = step
+        want = b if want == a else a
+    touched = {start}
+    for eid in path:
+        ecol[eid] = b if ecol[eid] == a else a
+        touched.update(g.edges[eid])
+    _rebuild_used(g, ecol, used, touched)
+
+
 def greedy_fan_coloring(g: Graph) -> EdgeColoring:
     """Proper coloring of a simple graph with at most ``max_degree + 1``
     colors, built by fan rotation and alternating-path inversion.
@@ -188,24 +213,7 @@ def greedy_fan_coloring(g: Graph) -> EdgeColoring:
             # free d at u: invert the maximal path from u whose edges
             # alternate d, c, d, ...  It cannot loop back to u (u has no
             # c-edge), so afterwards d is free at u and c is not.
-            path = []
-            x, want, prev = u, d, -1
-            while True:
-                step = None
-                for w, eid in g.adj[x]:
-                    if eid != prev and ecol[eid] == want:
-                        step = (w, eid)
-                        break
-                if step is None:
-                    break
-                path.append(step[1])
-                x, prev = step
-                want = c if want == d else d
-            touched = {u}
-            for eid in path:
-                ecol[eid] = c if ecol[eid] == d else d
-                touched.update(g.edges[eid])
-            _rebuild_used(g, ecol, used, touched)
+            _invert_kempe_chain(g, ecol, used, u, d, c)
 
         # first fan vertex with d free whose prefix is still a fan
         w_idx = None
@@ -291,24 +299,7 @@ def bipartite_proper_coloring(g: Graph) -> EdgeColoring:
                 start, lo, hi = v, a, b
             else:
                 start, lo, hi = u, b, a
-            path = []
-            x, want, prev = start, lo, -1
-            while True:
-                step = None
-                for w, eid in g.adj[x]:
-                    if eid != prev and ecol[eid] == want:
-                        step = (w, eid)
-                        break
-                if step is None:
-                    break
-                path.append(step[1])
-                x, prev = step
-                want = hi if want == lo else lo
-            touched = {start}
-            for eid in path:
-                ecol[eid] = hi if ecol[eid] == lo else lo
-                touched.update(g.edges[eid])
-            _rebuild_used(g, ecol, used, touched)
+            _invert_kempe_chain(g, ecol, used, start, lo, hi)
             a = lo
         ecol[e] = a
         used[u].add(a)
@@ -492,6 +483,28 @@ def _proper_with_exactly_delta(g: Graph, budget: int) -> EdgeColoring:
     return c
 
 
+def _reattach_vertex(
+    g: Graph, x0: int, rest: SubgraphView, sub: EdgeColoring, palette: int
+) -> EdgeColoring:
+    """Extend ``sub``, a coloring of ``rest`` = g minus vertex x0, to g:
+    each edge at x0 takes the smallest color of 1..palette not yet used at
+    its other endpoint."""
+    colors = [0] * g.edge_count
+    for local_eid, parent_eid in enumerate(rest.edge_map):
+        colors[parent_eid] = sub[local_eid]
+    used_at = [set() for _ in range(rest.graph.vertex_count)]
+    for local_eid, (a, b) in enumerate(rest.graph.edges):
+        used_at[a].add(sub[local_eid])
+        used_at[b].add(sub[local_eid])
+    for eid, (a, b) in enumerate(g.edges):
+        if colors[eid]:
+            continue
+        used = used_at[rest.vertex_map[a if b == x0 else b]]
+        colors[eid] = _smallest_free(used, palette)
+        used.add(colors[eid])
+    return EdgeColoring(tuple(colors))
+
+
 def color_complete_multipartite(
     sizes, budget: int = 5_000_000
 ) -> tuple[Graph, EdgeColoring]:
@@ -520,18 +533,7 @@ def color_complete_multipartite(
         sub = _proper_with_exactly_delta(h, budget)
         palette = h.max_degree()  # = n - n_1
 
-    colors = [0] * g.edge_count
-    for local_eid, parent_eid in enumerate(rest.edge_map):
-        colors[parent_eid] = sub[local_eid]
-    used_at = [set() for _ in range(h.vertex_count)]
-    for local_eid, (a, b) in enumerate(h.edges):
-        used_at[a].add(sub[local_eid])
-        used_at[b].add(sub[local_eid])
-    for eid, (a, b) in enumerate(g.edges):
-        if a == 0:
-            other = rest.vertex_map[b]
-            colors[eid] = _smallest_free(used_at[other], palette)
-    return g, EdgeColoring(tuple(colors))
+    return g, _reattach_vertex(g, 0, rest, sub, palette)
 
 
 def color_grid(m: int, n: int) -> tuple[Graph, EdgeColoring]:
@@ -622,7 +624,7 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
                 "refusing to classify the graph"
             )
         for cert in certs:
-            side = _component_of(g, p[0], cert.cut)
+            side = frozenset(_bfs(g, p[0], cert.cut))
             if 2 <= len(side) <= n - 2:
                 key = (cert.value, tuple(sorted(cert.cut)), p, side)
                 if best is None or key[:3] < best[:3]:
@@ -641,35 +643,8 @@ def _spare_one_star(g: Graph, budget: int) -> EdgeColoring:
         g, [v for v in range(g.vertex_count) if v != x0]
     )
     _, sub = exact_chromatic_index(rest.graph, budget=budget)
-    colors = [0] * g.edge_count
-    for local_eid, parent_eid in enumerate(rest.edge_map):
-        colors[parent_eid] = sub[local_eid]
-    used_at = [set() for _ in range(rest.graph.vertex_count)]
-    for local_eid, (a, b) in enumerate(rest.graph.edges):
-        used_at[a].add(sub[local_eid])
-        used_at[b].add(sub[local_eid])
     palette = max(g.max_degree(), sub.num_colors)
-    for eid, (a, b) in enumerate(g.edges):
-        if colors[eid]:
-            continue
-        other = rest.vertex_map[a if b == x0 else b]
-        c = _smallest_free(used_at[other], palette)
-        used_at[other].add(c)
-        colors[eid] = c
-    return normalize_colors(EdgeColoring(tuple(colors)))
-
-
-def _component_of(g: Graph, start: int, removed) -> frozenset:
-    removed = frozenset(removed)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for w, eid in g.adj[x]:
-            if eid not in removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return normalize_colors(_reattach_vertex(g, x0, rest, sub, palette))
 
 
 def color_general_upper(g: Graph, budget: int = 5_000_000) -> EdgeColoring:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphStructureError
-from .graph import Graph, components, is_connected
+from .graph import Graph, _bfs, components, is_connected
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,11 @@ class CutCertificate:
 def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
     """Edmonds-Karp on the paired-arc network.
 
-    Returns (value, residual) where residual[a] is the leftover capacity of
-    arc a (removed edges get capacity 0 in both directions).
+    Returns (value, residual, parent_arc) where residual[a] is the leftover
+    capacity of arc a (removed edges get capacity 0 in both directions) and
+    parent_arc[x] != -1 exactly for the vertices that the last augmenting
+    BFS, the one that fails to reach t, reached from s: the source side of a
+    minimum cut.
     """
     m = g.edge_count
     residual = bytearray(b"\x01" * (2 * m))
@@ -59,7 +62,7 @@ def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
                         break
                     queue.append(w)
         if not found:
-            return value, residual
+            return value, residual, parent_arc
         # augment by one unit
         v = t
         while v != s:
@@ -70,23 +73,6 @@ def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
             u0, v0 = g.edges[eid]
             v = u0 if (arc % 2 == 0) else v0
         value += 1
-
-
-def _residual_source_side(g: Graph, s: int, residual) -> frozenset[int]:
-    seen = [False] * g.vertex_count
-    seen[s] = True
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for w, eid in g.adj[v]:
-            if seen[w]:
-                continue
-            u0, _ = g.edges[eid]
-            arc = 2 * eid if v == u0 else 2 * eid + 1
-            if residual[arc]:
-                seen[w] = True
-                queue.append(w)
-    return frozenset(i for i, f in enumerate(seen) if f)
 
 
 def _crossing_edges(g: Graph, side: frozenset[int]) -> frozenset[int]:
@@ -105,15 +91,15 @@ def _check_pair(g: Graph, u: int, v: int):
 def local_edge_connectivity(g: Graph, u: int, v: int, removed=frozenset()) -> int:
     """lambda(u, v): maximum number of pairwise edge-disjoint u-v paths."""
     _check_pair(g, u, v)
-    value, _ = _max_flow(g, u, v, removed)
+    value, _, _ = _max_flow(g, u, v, removed)
     return value
 
 
 def min_edge_cut(g: Graph, u: int, v: int) -> CutCertificate:
     """One minimum u-v cut, taken from the source side of a maximum flow."""
     _check_pair(g, u, v)
-    value, residual = _max_flow(g, u, v)
-    side = _residual_source_side(g, u, residual)
+    value, _, parent_arc = _max_flow(g, u, v)
+    side = frozenset(x for x, arc in enumerate(parent_arc) if arc != -1)
     cut = _crossing_edges(g, side)
     assert len(cut) == value, "max-flow/min-cut certificate mismatch"
     return CutCertificate((u, v), cut, value)
@@ -178,7 +164,7 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     ``limit`` (truncation keeps determinism but not completeness).
     """
     _check_pair(g, u, v)
-    value, residual = _max_flow(g, u, v)
+    value, residual, _ = _max_flow(g, u, v)
     n = g.vertex_count
 
     succ: list[set[int]] = [set() for _ in range(n)]
@@ -240,29 +226,26 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
             verts.update(comp_vertices[c])
         sides.append(frozenset(verts))
 
-    def rec(i: int) -> bool:
-        """Enumerate successor-closed subsets of free[i:]; False = hit limit."""
-        if len(sides) > limit:
-            return False
-        if i == len(free):
-            emit()
-            return len(sides) <= limit
-        c = free[i]
-        if not rec(i + 1):
-            return False
-        if all(d in chosen for d in free_succ[c]):
-            chosen.add(c)
-            ok = rec(i + 1)
-            chosen.discard(c)
-            if not ok:
-                return False
-        return True
-
     # process sinks first so the closure test only looks at already-decided
     # components
-    order = _topo_reverse(free, free_succ)
-    free[:] = order
-    rec(0)
+    free[:] = _topo_reverse(free, free_succ)
+    # Depth-first over the include/exclude decisions for free[0], free[1],
+    # ...: "visit i" decides free[i], leaving it out before putting it in,
+    # and stops after limit + 1 sides.  An explicit stack keeps long chains
+    # of free components clear of the recursion limit.
+    stack = [("visit", 0)]
+    while stack and len(sides) <= limit:
+        action, i = stack.pop()
+        if action == "drop":
+            chosen.discard(free[i])
+        elif action == "include":
+            if all(d in chosen for d in free_succ[free[i]]):
+                chosen.add(free[i])
+                stack += [("drop", i), ("visit", i + 1)]
+        elif i == len(free):
+            emit()
+        else:
+            stack += [("include", i), ("visit", i + 1)]
 
     cuts = sorted(
         {tuple(sorted(_crossing_edges(g, side))) for side in sides}
@@ -327,20 +310,7 @@ def upper_edge_connectivity(g: Graph) -> int:
 def separates(g: Graph, cut, u: int, v: int) -> bool:
     """Does removing the EdgeId set ``cut`` disconnect u from v?"""
     _check_pair(g, u, v)
-    cut = frozenset(cut)
-    seen = [False] * g.vertex_count
-    seen[u] = True
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        for b, eid in g.adj[a]:
-            if eid in cut or seen[b]:
-                continue
-            if b == v:
-                return False
-            seen[b] = True
-            queue.append(b)
-    return True
+    return v not in _bfs(g, u, frozenset(cut), target=v)
 
 
 def is_edge_cut(g: Graph, cut) -> bool:

@@ -146,6 +146,28 @@ def serialize_graph(g: Graph) -> str:
 # connectivity structure
 
 
+def _bfs(g: Graph, start: int, removed=(), target=None) -> dict:
+    """Breadth-first walk from ``start`` that skips the EdgeIds in ``removed``.
+
+    Returns {vertex: (parent, EdgeId)} for every vertex reached, with
+    (-1, -1) for ``start``.  Each vertex keeps the first parent that
+    discovered it, and the walk stops as soon as ``target`` is discovered,
+    so following parents back from the target gives a shortest path.
+    """
+    tree = {start: (-1, -1)}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for w, eid in g.adj[x]:
+            if w in tree or eid in removed:
+                continue
+            tree[w] = (x, eid)
+            if w == target:
+                return tree
+            queue.append(w)
+    return tree
+
+
 def components(g: Graph) -> tuple[frozenset[int], ...]:
     """Connected components as vertex sets, ordered by smallest member."""
     seen = [False] * g.vertex_count
@@ -153,17 +175,10 @@ def components(g: Graph) -> tuple[frozenset[int], ...]:
     for start in range(g.vertex_count):
         if seen[start]:
             continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, _ in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+        comp = frozenset(_bfs(g, start))
+        for v in comp:
+            seen[v] = True
+        out.append(comp)
     return tuple(out)
 
 
@@ -426,7 +441,8 @@ def export_dot(g: Graph, coloring=None, vertex_labels=None, color_labels=None) -
     """Render the graph as Graphviz DOT, optionally labelling edge colors.
 
     ``coloring`` is an EdgeColoring (or anything indexable by EdgeId);
-    ``vertex_labels``/``color_labels`` replace raw ids in labels.
+    ``vertex_labels``/``color_labels`` map raw ids to the labels that
+    replace them, and an id they leave out keeps its raw id as its label.
     """
     if coloring is not None and len(coloring) != g.edge_count:
         from .errors import ColoringError
@@ -436,14 +452,14 @@ def export_dot(g: Graph, coloring=None, vertex_labels=None, color_labels=None) -
         )
     out = ["graph srdkit {"]
     for v in range(g.vertex_count):
-        label = vertex_labels[v] if vertex_labels else str(v)
+        label = vertex_labels.get(v, v) if vertex_labels else v
         out.append(f'  {v} [label="{label}"];')
     for eid, (u, v) in enumerate(g.edges):
         if coloring is None:
             out.append(f"  {u} -- {v};")
         else:
             c = coloring[eid]
-            label = color_labels[c] if color_labels else str(c)
+            label = color_labels.get(c, c) if color_labels else c
             paint = _DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]
             out.append(f'  {u} -- {v} [label="{label}", color="{paint}"];')
     out.append("}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .colorings import EdgeColoring
 from .connectivity import local_edge_connectivity
 from .errors import BudgetExceededError, ExtractionError, ReductionError
-from .graph import Graph
+from .graph import Graph, _bfs
 from .verifier import find_rainbow_min_cut, is_rainbow
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -325,20 +325,12 @@ def extract_assignment(inst: ReductionInstance, cut) -> tuple:
     """
     cut = frozenset(cut)
     lay = _Layout(inst.formula)
-    g = inst.graph
     if len(cut) != 6 * inst.m:
         raise ExtractionError(f"cut has {len(cut)} edges, expected {6 * inst.m}")
     if not is_rainbow(inst.coloring, cut):
         raise ExtractionError("cut repeats a color")
 
-    reachable = {inst.s}
-    stack = [inst.s]
-    while stack:
-        u = stack.pop()
-        for w, eid in g.adj[u]:
-            if eid not in cut and w not in reachable:
-                reachable.add(w)
-                stack.append(w)
+    reachable = _bfs(inst.graph, inst.s, cut)
     if inst.t in reachable:
         raise ExtractionError("edge set does not separate s from t")
 

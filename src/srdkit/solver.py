@@ -28,7 +28,7 @@ from .connectivity import (
 )
 from .errors import ColoringError, GraphStructureError
 from .graph import Graph, blocks, is_connected
-from .verifier import DEFAULT_THRESHOLD, is_rd_coloring, is_srd_coloring
+from .verifier import DEFAULT_THRESHOLD, is_rainbow, is_rd_coloring, is_srd_coloring
 
 DEFAULT_MAX_EDGES = 12
 _CHUNK = 1024
@@ -101,20 +101,10 @@ def _pair_cut_tables(g: Graph, threshold: int):
     return tables
 
 
-def _rainbow_tuple(colors, cut) -> bool:
-    seen = set()
-    for eid in cut:
-        c = colors[eid]
-        if c in seen:
-            return False
-        seen.add(c)
-    return True
-
-
 def _passes(g: Graph, tables, mode: str, colors, threshold: int) -> bool:
     if mode == "srd" and tables is not None:
         return all(
-            any(_rainbow_tuple(colors, cut) for cut in cuts) for cuts in tables
+            any(is_rainbow(colors, cut) for cut in cuts) for cuts in tables
         )
     c = EdgeColoring(colors)
     if mode == "srd":

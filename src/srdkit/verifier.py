@@ -1,11 +1,14 @@
 """Decide whether an edge-colored graph has rainbow (minimum) cuts for
 every vertex pair.
 
-Two search strategies per pair: enumerate all minimum cuts and test each
-for rainbowness while their number stays below a threshold, otherwise a
-color-class DFS that picks at most one edge per color along live shortest
-paths.  The DFS visits each rainbow edge subset at most once, so with k
-colors and classes of sizes s_1..s_k it explores at most
+One color-class DFS answers both questions: it picks at most one edge per
+color along live shortest paths and prunes any state that cannot be
+completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
+(srd) and the number of colors for a rainbow cut of any size (rd).  For
+minimum cuts the verifier first enumerates all of them and tests each for
+rainbowness while their number stays below a threshold, and runs the DFS
+only beyond it.  The DFS visits each rainbow edge subset at most once, so
+with k colors and classes of sizes s_1..s_k it explores at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
 """
 
@@ -21,7 +24,7 @@ from .connectivity import (
     local_edge_connectivity,
 )
 from .errors import BudgetExceededError, GraphStructureError
-from .graph import Graph, is_connected
+from .graph import Graph, _bfs, is_connected
 
 
 @dataclass
@@ -43,7 +46,8 @@ DEFAULT_THRESHOLD = 10_000
 
 
 def is_rainbow(c: EdgeColoring, edge_set) -> bool:
-    """True when no color repeats on the given edges."""
+    """True when no color repeats on the given edges.  ``c`` may also be a
+    plain tuple of colors indexed by EdgeId."""
     seen = set()
     for eid in edge_set:
         col = c[eid]
@@ -55,35 +59,30 @@ def is_rainbow(c: EdgeColoring, edge_set) -> bool:
 
 def _shortest_path_edges(g: Graph, u: int, v: int, removed) -> list | None:
     """Edge ids of one BFS-shortest u-v path avoiding ``removed``."""
-    prev = {u: (-1, -1)}
-    queue = [u]
-    while queue:
-        nxt = []
-        for x in queue:
-            for w, eid in g.adj[x]:
-                if eid in removed or w in prev:
-                    continue
-                prev[w] = (x, eid)
-                if w == v:
-                    path = []
-                    while w != u:
-                        x0, e0 = prev[w]
-                        path.append(e0)
-                        w = x0
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        queue = nxt
-    return None
+    tree = _bfs(g, u, removed, target=v)
+    if v not in tree:
+        return None
+    path = []
+    x = v
+    while x != u:
+        x, eid = tree[x]
+        path.append(eid)
+    path.reverse()
+    return path
 
 
-def _dfs_rainbow_min_cut(g, c, u, v, lam, stats, node_budget=None):
-    """Complete search for a rainbow u-v cut of size exactly ``lam``.
+def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
+    """Complete search for a rainbow u-v cut of at most ``cap`` edges.
 
     Branches over the edges of a live shortest path whose colors are still
-    unused; exclusion sets keep the visited rainbow subsets distinct.
-    Prunes when the residual connectivity no longer matches the remaining
-    budget (a completion would overshoot the target size).
+    unused; exclusion sets keep the visited rainbow subsets distinct.  Any
+    rainbow cut contains an inclusion-minimal one, and every edge of a
+    minimal cut lies on a live path, so path branching stays complete.
+    Removing an edge lowers the residual connectivity by at most one, so a
+    state whose residual exceeds the edges still allowed has no completion
+    and is pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
+    cut; with ``cap`` = the number of colors, any rainbow cut fits.
+    ``node_budget`` bounds the states, raising BudgetExceededError.
     """
 
     def rec(chosen, excluded, used_colors):
@@ -94,9 +93,8 @@ def _dfs_rainbow_min_cut(g, c, u, v, lam, stats, node_budget=None):
             )
         residual = local_edge_connectivity(g, u, v, removed=chosen)
         if residual == 0:
-            assert len(chosen) == lam
             return frozenset(chosen)
-        if residual != lam - len(chosen):
+        if residual > cap - len(chosen):
             return None
         path = _shortest_path_edges(g, u, v, chosen)
         branch = [e for e in path if e not in excluded and c[e] not in used_colors]
@@ -111,32 +109,15 @@ def _dfs_rainbow_min_cut(g, c, u, v, lam, stats, node_budget=None):
     return rec(frozenset(), frozenset(), frozenset())
 
 
-def _dfs_rainbow_cut(g, c, u, v, stats):
-    """Complete search for a rainbow u-v cut of any size.
-
-    Any rainbow cut contains an inclusion-minimal one, and every edge of a
-    minimal cut lies on a live path, so path branching stays complete.
-    """
-    palette = len(c.distinct_colors())
-
-    def rec(chosen, excluded, used_colors):
-        stats.nodes += 1
-        residual = local_edge_connectivity(g, u, v, removed=chosen)
-        if residual == 0:
-            return frozenset(chosen)
-        if residual > palette - len(used_colors):
-            return None
-        path = _shortest_path_edges(g, u, v, chosen)
-        branch = [e for e in path if e not in excluded and c[e] not in used_colors]
-        grown = set(excluded)
-        for e in branch:
-            hit = rec(chosen | {e}, frozenset(grown), used_colors | {c[e]})
-            if hit is not None:
-                return hit
-            grown.add(e)
-        return None
-
-    return rec(frozenset(), frozenset(), frozenset())
+def _pair_connectivity(g, c, u, v, stats):
+    """Checks shared by both pair searches: the stats object to count
+    into and λ(u, v), which must be positive."""
+    check_coloring_fits(g, c)
+    _check_pair(g, u, v)
+    lam = local_edge_connectivity(g, u, v)
+    if lam == 0:
+        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
+    return stats if stats is not None else SearchStats(), lam
 
 
 def find_rainbow_min_cut(
@@ -152,13 +133,7 @@ def find_rainbow_min_cut(
     search.  ``threshold`` caps the enumeration phase; beyond it (or when
     it is 0) the color-class DFS takes over.  ``node_budget`` bounds the
     DFS states, raising BudgetExceededError instead of answering."""
-    check_coloring_fits(g, c)
-    _check_pair(g, u, v)
-    if stats is None:
-        stats = SearchStats()
-    lam = local_edge_connectivity(g, u, v)
-    if lam == 0:
-        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
+    stats, lam = _pair_connectivity(g, c, u, v, stats)
 
     if threshold > 0:
         certs = enumerate_min_cuts(g, u, v, limit=threshold + 1)
@@ -169,7 +144,7 @@ def find_rainbow_min_cut(
                     return cert
             return None
 
-    cut = _dfs_rainbow_min_cut(g, c, u, v, lam, stats, node_budget=node_budget)
+    cut = _dfs_rainbow_cut(g, c, u, v, lam, stats, node_budget=node_budget)
     if cut is None:
         return None
     return CutCertificate(pair=(u, v), cut=cut, value=lam)
@@ -183,13 +158,27 @@ def find_rainbow_cut(
     stats: SearchStats | None = None,
 ) -> frozenset | None:
     """A rainbow u-v cut of any size, or None after a complete search."""
+    stats, _ = _pair_connectivity(g, c, u, v, stats)
+    return _dfs_rainbow_cut(g, c, u, v, len(c.distinct_colors()), stats)
+
+
+def _verify_pairs(g: Graph, c: EdgeColoring, find) -> VerificationReport:
+    """Run ``find(u, v)`` on every pair in lexicographic order and report
+    the first pair it returns None for; on success every pair carries the
+    certificate it returned."""
     check_coloring_fits(g, c)
-    _check_pair(g, u, v)
-    if stats is None:
-        stats = SearchStats()
-    if local_edge_connectivity(g, u, v) == 0:
-        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
-    return _dfs_rainbow_cut(g, c, u, v, stats)
+    if not is_connected(g):
+        raise GraphStructureError("graph must be connected")
+    witnesses = {}
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            cert = find(u, v)
+            if cert is None:
+                return VerificationReport(
+                    verdict=False, witnesses=witnesses, failing_pair=(u, v)
+                )
+            witnesses[(u, v)] = cert
+    return VerificationReport(verdict=True, witnesses=witnesses)
 
 
 def is_srd_coloring(
@@ -203,19 +192,13 @@ def is_srd_coloring(
     Pairs are scanned in lexicographic order and the first failing pair is
     reported; on success every pair carries its witness certificate.
     """
-    check_coloring_fits(g, c)
-    if not is_connected(g):
-        raise GraphStructureError("graph must be connected")
-    witnesses = {}
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            cert = find_rainbow_min_cut(g, c, u, v, threshold=threshold, stats=stats)
-            if cert is None:
-                return VerificationReport(
-                    verdict=False, witnesses=witnesses, failing_pair=(u, v)
-                )
-            witnesses[(u, v)] = cert
-    return VerificationReport(verdict=True, witnesses=witnesses)
+    return _verify_pairs(
+        g,
+        c,
+        lambda u, v: find_rainbow_min_cut(
+            g, c, u, v, threshold=threshold, stats=stats
+        ),
+    )
 
 
 def is_rd_coloring(
@@ -224,16 +207,11 @@ def is_rd_coloring(
     stats: SearchStats | None = None,
 ) -> VerificationReport:
     """Does every vertex pair have a rainbow cut of some size?"""
-    check_coloring_fits(g, c)
-    if not is_connected(g):
-        raise GraphStructureError("graph must be connected")
-    witnesses = {}
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            cut = find_rainbow_cut(g, c, u, v, stats=stats)
-            if cut is None:
-                return VerificationReport(
-                    verdict=False, witnesses=witnesses, failing_pair=(u, v)
-                )
-            witnesses[(u, v)] = CutCertificate(pair=(u, v), cut=cut, value=len(cut))
-    return VerificationReport(verdict=True, witnesses=witnesses)
+
+    def find(u, v):
+        cut = find_rainbow_cut(g, c, u, v, stats=stats)
+        if cut is None:
+            return None
+        return CutCertificate(pair=(u, v), cut=cut, value=len(cut))
+
+    return _verify_pairs(g, c, find)

@@ -242,6 +242,11 @@ class TestScan:
         _, text = run(["scan", "--n", "3", "--out", str(out)])
         assert out.read_text() == text
 
+    def test_negative_max_edges_is_usage_error(self):
+        code, text = run(["scan", "--n", "3", "--max-edges", "-1"])
+        assert code == 2
+        assert text == "error: --max-edges must be non-negative\n"
+
 
 class TestReduce:
     def test_emits_three_files_and_verify_parses_them(self, tmp_path):
@@ -347,6 +352,27 @@ class TestExportDot:
         roles.write_text("vertex zero oops extra\n")
         code, _ = run(["export-dot", k4_file, "--roles", str(roles)])
         assert code == 2
+
+    def test_non_integer_roles_id_is_usage_error(self, k4_file, tmp_path):
+        roles = tmp_path / "r.txt"
+        roles.write_text("vertex 0 a\nvertex x foo\n")
+        code, text = run(["export-dot", k4_file, "--roles", str(roles)])
+        assert code == 2
+        assert text == "error: bad roles line 2: 'vertex x foo'\n"
+
+    def test_ids_missing_from_roles_keep_raw_labels(self, k4_file, tmp_path):
+        colors = tmp_path / "c.txt"
+        colors.write_text("1\n2\n3\n3\n2\n1\n")
+        roles = tmp_path / "r.txt"
+        roles.write_text("vertex 0 hub\ncolor 2 blue\n")
+        code, text = run(
+            ["export-dot", k4_file, "--coloring", str(colors), "--roles", str(roles)]
+        )
+        assert code == 0
+        assert '  0 [label="hub"];' in text
+        assert '  3 [label="3"];' in text
+        assert '  0 -- 1 [label="1", color="#e41a1c"];' in text
+        assert '  0 -- 2 [label="blue", color="#377eb8"];' in text
 
 
 class TestJsonMirror:

@@ -103,6 +103,11 @@ class TestEnumerateMinCuts:
         cuts = enumerate_min_cuts(path_graph(4), 0, 3)
         assert [sorted(c.cut) for c in cuts] == [[0], [1], [2]]
 
+    def test_long_path_beyond_the_recursion_limit(self):
+        # one free residual component per inner vertex: 1,498 of them
+        cuts = enumerate_min_cuts(path_graph(1500), 0, 1499)
+        assert [sorted(c.cut) for c in cuts] == [[e] for e in range(1499)]
+
     def test_sorted_lexicographically(self):
         cuts = enumerate_min_cuts(cycle_graph(4), 0, 2)
         keys = [tuple(sorted(c.cut)) for c in cuts]
@@ -113,6 +118,17 @@ class TestEnumerateMinCuts:
         b = enumerate_min_cuts(cycle_graph(4), 0, 2, limit=2)
         assert len(a) == 2
         assert [c.cut for c in a] == [c.cut for c in b]
+
+    def test_limit_keeps_the_emission_order(self):
+        # the first limit + 1 vertex sides found are sorted and cut to
+        # limit: not the lexicographically first cuts of all 36
+        cuts = enumerate_min_cuts(cycle_graph(12), 0, 6, limit=20)
+        assert [tuple(sorted(c.cut)) for c in cuts] == [
+            (0, 6), (0, 7), (0, 8), (0, 9), (0, 10), (0, 11),
+            (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11),
+            (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (2, 11),
+            (3, 9), (3, 10),
+        ]
 
     def test_count_min_cuts_cap(self):
         assert count_min_cuts(cycle_graph(4), 0, 2, cap=10) == 4

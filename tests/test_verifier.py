@@ -15,6 +15,8 @@ from srdkit import (
     Graph,
     GraphStructureError,
     SearchStats,
+    build_reduction,
+    color_general_upper,
     color_grid,
     color_regular,
     complete_graph,
@@ -26,6 +28,8 @@ from srdkit import (
     is_rd_coloring,
     is_srd_coloring,
     local_edge_connectivity,
+    normalize_colors,
+    parse_dimacs_cnf,
     path_graph,
     petersen_graph,
     separates,
@@ -111,6 +115,53 @@ class TestFindRainbowMinCut:
         st = SearchStats()
         find_rainbow_min_cut(g, c, 0, 2, stats=st)
         assert st.nodes == 0 and st.enumerated > 0
+
+
+    def test_long_path_single_color(self):
+        g = path_graph(1200)
+        cert = find_rainbow_min_cut(g, EdgeColoring((1,) * 1199), 0, 1199)
+        assert cert is not None and cert.value == 1 and len(cert.cut) == 1
+
+
+class TestSearchOrder:
+    """DFS node counts and witnesses that pin the order of the search."""
+
+    def test_reduction_witness_and_nodes(self):
+        phi = parse_dimacs_cnf(
+            "p cnf 3 4\n1 2 3 0\n-1 -2 -3 0\n1 -2 3 0\n-1 2 -3 0\n"
+        )
+        inst = build_reduction(phi)
+        st = SearchStats()
+        cert = find_rainbow_min_cut(
+            inst.graph, inst.coloring, inst.s, inst.t, threshold=0, stats=st
+        )
+        assert st.nodes == 683
+        assert sorted(cert.cut) == [
+            0, 4, 8, 12, 16, 20, 24, 28, 34, 38, 42, 46,
+            50, 52, 54, 57, 60, 65, 68, 69, 72, 75, 80, 82,
+        ]
+
+    @staticmethod
+    def _rd_and_srd(g, c):
+        """(verdict, failing pair, DFS nodes) of is_rd_coloring and of
+        is_srd_coloring with the enumeration phase off."""
+        out = []
+        for verify, kwargs in ((is_rd_coloring, {}), (is_srd_coloring, {"threshold": 0})):
+            st = SearchStats()
+            report = verify(g, c, stats=st, **kwargs)
+            out.append((report.verdict, report.failing_pair, st.nodes))
+        return out
+
+    def test_petersen_three_colors_fail_at_first_pair(self):
+        g = petersen_graph()
+        c = EdgeColoring(tuple(i % 3 + 1 for i in range(g.edge_count)))
+        assert self._rd_and_srd(g, c) == [(False, (0, 5), 43)] * 2
+
+    def test_petersen_general_upper_passes(self):
+        g = petersen_graph()
+        c = normalize_colors(color_general_upper(g))
+        assert c.num_colors == 4
+        assert self._rd_and_srd(g, c) == [(True, None, 180)] * 2
 
 
 class TestReports:
