@@ -32,7 +32,7 @@ from .connectivity import (
     local_edge_connectivity,
     upper_edge_connectivity,
 )
-from .errors import BudgetExceededError, SrdKitError
+from .errors import BudgetExceededError, GraphParseError, SrdKitError
 from .graph import blocks, export_dot, parse_graph, serialize_graph
 from .reduction import (
     DEFAULT_NODE_BUDGET,
@@ -50,7 +50,6 @@ class RunConfig:
 
     command: str
     seed: int
-    jobs: int
     as_json: bool
     options: dict
 
@@ -69,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: SRD_KIT_JOBS or 1)",
+        help="unused; the search is serial (default: SRD_KIT_JOBS or 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -145,7 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_graph(path: str):
@@ -329,7 +331,6 @@ def _cmd_solve(cfg: RunConfig):
         results[mode] = solve(
             g,
             max_edges=opts["max_edges"],
-            jobs=cfg.jobs,
             threshold=opts["threshold"],
         )
     lines = [f"graph {opts['graph']} n={g.vertex_count} m={g.edge_count}"]
@@ -371,7 +372,7 @@ def _cmd_scan(cfg: RunConfig):
     if opts["max_edges"] < 0:
         raise _UsageError("--max-edges must be non-negative")
     graphs = [g for g in all_connected_graphs(n) if g.edge_count > 0]
-    records = conjecture_scan(graphs, max_edges=opts["max_edges"], jobs=cfg.jobs)
+    records = conjecture_scan(graphs, max_edges=opts["max_edges"])
     lines = []
     payload_records = []
     budget = counterexamples = equal = 0
@@ -547,7 +548,6 @@ def run(argv) -> tuple:
     cfg = RunConfig(
         command=ns.command,
         seed=ns.seed,
-        jobs=jobs,
         as_json=ns.json,
         options=vars(ns),
     )

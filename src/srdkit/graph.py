@@ -437,12 +437,16 @@ _DOT_PALETTE = (
 )
 
 
+def _dot_escape(label) -> str:
+    return str(label).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(g: Graph, coloring=None, vertex_labels=None, color_labels=None) -> str:
     """Render the graph as Graphviz DOT, optionally labelling edge colors.
 
     ``coloring`` is an EdgeColoring (or anything indexable by EdgeId);
     ``vertex_labels``/``color_labels`` map raw ids to the labels that
-    replace them, and an id they leave out keeps its raw id as its label.
+    replace them, escaped for DOT; an id they leave out keeps its raw id.
     """
     if coloring is not None and len(coloring) != g.edge_count:
         from .errors import ColoringError
@@ -452,14 +456,14 @@ def export_dot(g: Graph, coloring=None, vertex_labels=None, color_labels=None) -
         )
     out = ["graph srdkit {"]
     for v in range(g.vertex_count):
-        label = vertex_labels.get(v, v) if vertex_labels else v
+        label = _dot_escape(vertex_labels.get(v, v) if vertex_labels else v)
         out.append(f'  {v} [label="{label}"];')
     for eid, (u, v) in enumerate(g.edges):
         if coloring is None:
             out.append(f"  {u} -- {v};")
         else:
             c = coloring[eid]
-            label = color_labels.get(c, c) if color_labels else c
+            label = _dot_escape(color_labels.get(c, c) if color_labels else c)
             paint = _DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]
             out.append(f'  {u} -- {v} [label="{label}", color="{paint}"];')
     out.append("}")

@@ -4,15 +4,13 @@ bounds, plus block-accelerated solving and the rd-vs-srd scan.
 The search ascends k from the upper local connectivity λ+ (no coloring
 with fewer classes can work) toward a verified constructive upper bound,
 trying one representative per color-permutation orbit at each level; the
-first hit is therefore optimal.  Candidate checking uses per-pair minimum
-cut tables when those are small and the full verifier otherwise.
+first hit is therefore optimal.  One pruned search serves srd and rd, on
+per-pair cut tables when those are small and the full verifier otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .colorings import (
@@ -22,16 +20,16 @@ from .colorings import (
     normalize_colors,
 )
 from .connectivity import (
+    _crossing_edges,
     edge_connectivity,
     enumerate_min_cuts,
     upper_edge_connectivity,
 )
 from .errors import ColoringError, GraphStructureError
-from .graph import Graph, blocks, is_connected
-from .verifier import DEFAULT_THRESHOLD, is_rainbow, is_rd_coloring, is_srd_coloring
+from .graph import Graph, _bfs, blocks, is_connected
+from .verifier import DEFAULT_THRESHOLD, is_rd_coloring, is_srd_coloring
 
 DEFAULT_MAX_EDGES = 12
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class SolveResult:
 
     ``value``/``witness`` are None when the edge budget stopped the search;
     the bounds are always valid.  ``colorings_tested`` counts candidates as
-    a sequential scan would, so it is independent of worker count.
+    a sequential scan would, pruned ones included.
     """
 
     value: int | None
@@ -55,9 +53,6 @@ class SolveResult:
 def canonical_colorings(m: int, k: int):
     """All colorings of m edges with at most k classes, one per
     color-renaming orbit: restricted-growth strings, lexicographic."""
-    if m == 0:
-        yield EdgeColoring(())
-        return
 
     def rec(prefix: list, mx: int):
         if len(prefix) == m:
@@ -71,101 +66,101 @@ def canonical_colorings(m: int, k: int):
     yield from rec([], 0)
 
 
-def _exact_color_tuples(m: int, k: int):
-    """Restricted-growth tuples using exactly k classes."""
-
-    def rec(prefix: list, mx: int):
-        if k - mx > m - len(prefix):
-            return  # not enough positions left to reach k classes
-        if len(prefix) == m:
-            yield tuple(prefix)
-            return
-        for c in range(1, min(mx + 1, k) + 1):
-            prefix.append(c)
-            yield from rec(prefix, max(mx, c))
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
-def _pair_cut_tables(g: Graph, threshold: int):
-    """Every pair's minimum cuts as color-index tuples, or None when some
-    pair has too many cuts to tabulate."""
-    tables = []
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
+def _pair_cut_tables(g: Graph, mode: str, threshold: int):
+    """Each pair's cuts (sorted EdgeId tuples) one rainbow member of which
+    settles it, or None when a pair has more than ``threshold``: minimum cuts
+    for srd; for rd the bonds δ(S) with G[S] and G[V∖S] connected, enough as
+    every cut contains one.  Bonds come from walking the 2^(n-1) sides that
+    hold vertex 0, done only when that many fit in ``threshold``."""
+    n = g.vertex_count
+    pairs = list(itertools.combinations(range(n), 2))
+    if mode == "srd":
+        tables = []
+        for u, v in pairs:
             certs = enumerate_min_cuts(g, u, v, limit=threshold + 1)
             if len(certs) > threshold:
                 return None
             tables.append(tuple(tuple(sorted(cert.cut)) for cert in certs))
+        return tables
+    if 2 ** (n - 1) > threshold:
+        return None
+    tables = [[] for _ in pairs]
+    for bits in range(2 ** (n - 1) - 1):
+        side = {0} | {v for v in range(1, n) if bits >> (v - 1) & 1}
+        cut = tuple(sorted(_crossing_edges(g, side)))
+        other = min(set(range(n)) - side)
+        if len(_bfs(g, 0, cut)) + len(_bfs(g, other, cut)) == n:  # a bond
+            for i, (u, v) in enumerate(pairs):
+                if (u in side) != (v in side):
+                    tables[i].append(cut)
     return tables
 
 
-def _passes(g: Graph, tables, mode: str, colors, threshold: int) -> bool:
-    if mode == "srd" and tables is not None:
-        return all(
-            any(is_rainbow(colors, cut) for cut in cuts) for cuts in tables
-        )
-    c = EdgeColoring(colors)
-    if mode == "srd":
-        return is_srd_coloring(g, c, threshold=threshold).verdict
-    return is_rd_coloring(g, c).verdict
+def _search_level(g, tables, mode, k, threshold):
+    """First canonical exactly-k coloring that passes, and the candidates a
+    sequential scan would have consumed.  A DFS over restricted-growth
+    prefixes kills a cut once two of its edges share a color and skips a
+    prefix leaving some pair no live cut, counting its exactly-k completions
+    as tested; without tables each leaf goes to the verifier."""
+    m = g.edge_count
+    ways = [[0] * (k + 2) for _ in range(m + 1)]  # [r][mx]: completions to k
+    ways[0][k] = 1
+    for r in range(1, m + 1):
+        for mx in range(k + 1):
+            ways[r][mx] = mx * ways[r - 1][mx] + ways[r - 1][mx + 1]
+    cut_pairs: dict = {}  # cut -> indices of the pairs it serves
+    for i, cuts in enumerate(tables or ()):
+        for cut in cuts:
+            cut_pairs.setdefault(cut, []).append(i)
+    touching = [[] for _ in range(m)]  # edge -> (cut id, pairs, earlier edges)
+    for cid, (cut, pairs) in enumerate(cut_pairs.items()):
+        for j, e in enumerate(cut):
+            touching[e].append((cid, pairs, cut[:j]))
+    alive = [len(cuts) for cuts in tables or ()]
+    dead = [False] * len(cut_pairs)
+    colors = [0] * m
+    tested = 0
 
+    def verified() -> bool:
+        c = EdgeColoring(tuple(colors))
+        if mode == "srd":
+            return is_srd_coloring(g, c, threshold=threshold).verdict
+        return is_rd_coloring(g, c).verdict
 
-def _chunk_worker(args):
-    g, tables, mode, threshold, chunk = args
-    for idx, colors in chunk:
-        if _passes(g, tables, mode, colors, threshold):
-            return len(chunk), (idx, colors)
-    return len(chunk), None
+    def rec(p, mx) -> bool:
+        nonlocal tested
+        for c in range(1, min(mx + 1, k) + 1):
+            top = max(mx, c)
+            if k - top > m - p - 1:
+                continue  # not enough positions left to reach k classes
+            colors[p] = c
+            killed = [
+                (cid, pairs)
+                for cid, pairs, earlier in touching[p]
+                if not dead[cid] and any(colors[q] == c for q in earlier)
+            ]
+            for cid, pairs in killed:
+                dead[cid] = True
+                for i in pairs:
+                    alive[i] -= 1
+            if killed and 0 in alive:
+                tested += ways[m - p - 1][top]
+            elif p + 1 < m:
+                if rec(p + 1, top):
+                    return True
+            else:
+                tested += 1
+                if tables is not None or verified():
+                    return True
+            for cid, pairs in killed:
+                dead[cid] = False
+                for i in pairs:
+                    alive[i] += 1
+        return False
 
-
-def _search_level(g, tables, mode, k, jobs, threshold):
-    """First canonical exactly-k coloring that passes, with the number of
-    candidates a sequential scan would have consumed."""
-    candidates = enumerate(_exact_color_tuples(g.edge_count, k))
-    if jobs <= 1:
-        tested = 0
-        for idx, colors in candidates:
-            tested += 1
-            if _passes(g, tables, mode, colors, threshold):
-                return EdgeColoring(colors), tested
-        return None, tested
-
-    # Chunks are collected in submission order, so the first one reporting
-    # a hit holds the globally smallest passing index: same answer as a
-    # serial scan.  Only a small window of chunks is in flight at a time;
-    # on a hit the remaining futures are left to finish (each is bounded
-    # work), letting the executor shut down cleanly without terminating
-    # workers mid-task.
-    total = 0
-    found = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-
-        def submit_one() -> bool:
-            block = list(itertools.islice(candidates, _CHUNK))
-            if not block:
-                return False
-            pending.append(
-                pool.submit(_chunk_worker, (g, tables, mode, threshold, block))
-            )
-            return True
-
-        for _ in range(2 * jobs):
-            if not submit_one():
-                break
-        while pending:
-            size, hit = pending.popleft().result()
-            if hit is not None:
-                idx, colors = hit
-                found = EdgeColoring(colors), idx + 1
-                break
-            total += size
-            submit_one()
-    if found is not None:
-        return found
-    return None, total
+    if rec(0, 0):
+        return EdgeColoring(tuple(colors)), tested
+    return None, tested
 
 
 def _upper_bound_witness(g: Graph, threshold: int) -> EdgeColoring:
@@ -181,7 +176,7 @@ def _upper_bound_witness(g: Graph, threshold: int) -> EdgeColoring:
     return EdgeColoring(tuple(range(1, g.edge_count + 1)))
 
 
-def _solve(g, mode, max_edges, jobs, threshold) -> SolveResult:
+def _solve(g, mode, max_edges, threshold) -> SolveResult:
     if g.vertex_count < 2:
         raise GraphStructureError("need at least two vertices")
     if not is_connected(g):
@@ -197,10 +192,10 @@ def _solve(g, mode, max_edges, jobs, threshold) -> SolveResult:
     if g.edge_count > max_edges:
         return SolveResult(None, None, 0, lower, upper, source, False)
 
-    tables = _pair_cut_tables(g, threshold) if mode == "srd" else None
+    tables = _pair_cut_tables(g, mode, threshold)
     tested = 0
     for k in range(lower, upper):
-        witness, used = _search_level(g, tables, mode, k, jobs, threshold)
+        witness, used = _search_level(g, tables, mode, k, threshold)
         tested += used
         if witness is not None:
             return SolveResult(k, witness, tested, lower, upper, source, True)
@@ -213,8 +208,9 @@ def srd_number(
     jobs: int = 1,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> SolveResult:
-    """Exact srd(G): fewest colors so every pair has a rainbow minimum cut."""
-    return _solve(g, "srd", max_edges, jobs, threshold)
+    """Exact srd(G): fewest colors so every pair has a rainbow minimum cut.
+    ``jobs`` is accepted for compatibility and unused."""
+    return _solve(g, "srd", max_edges, threshold)
 
 
 def rd_number(
@@ -223,8 +219,9 @@ def rd_number(
     jobs: int = 1,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> SolveResult:
-    """Exact rd(G): fewest colors so every pair has a rainbow cut."""
-    return _solve(g, "rd", max_edges, jobs, threshold)
+    """Exact rd(G): fewest colors so every pair has a rainbow cut.
+    ``jobs`` is accepted for compatibility and unused."""
+    return _solve(g, "rd", max_edges, threshold)
 
 
 def srd_by_blocks(
@@ -238,13 +235,13 @@ def srd_by_blocks(
 
     Any two vertices have all their minimum cuts inside a single block, so
     the block maximum is exact and usually far cheaper than the direct
-    search.
+    search.  ``jobs`` is accepted for compatibility and unused.
     """
     decomposition = blocks(g)
     if not decomposition.blocks:
         raise GraphStructureError("graph has no edges")
     results = [
-        srd_number(blk.subgraph.graph, max_edges, jobs, threshold)
+        srd_number(blk.subgraph.graph, max_edges, threshold=threshold)
         for blk in decomposition.blocks
     ]
     tested = sum(r.colorings_tested for r in results)
@@ -297,10 +294,8 @@ def all_connected_graphs(n: int):
                 x = parent[x]
             return x
 
-        seen_edges = 0
         for i, (a, b) in enumerate(pairs):
             if mask >> i & 1:
-                seen_edges += 1
                 parent[find(a)] = find(b)
         if len({find(v) for v in range(n)}) != 1:
             continue
@@ -326,11 +321,12 @@ def conjecture_scan(
 ) -> list:
     """rd vs srd for each graph; any inequality is double-checked and
     flagged, never silently dropped, and the bound chain
-    λ ≤ λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph."""
+    λ ≤ λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph.
+    ``jobs`` is accepted for compatibility and unused."""
     records = []
     for g in graphs:
-        rd = rd_number(g, max_edges, jobs, threshold)
-        srd = srd_number(g, max_edges, jobs, threshold)
+        rd = rd_number(g, max_edges, threshold=threshold)
+        srd = srd_number(g, max_edges, threshold=threshold)
         if rd.value is None or srd.value is None:
             records.append(ScanRecord(g, rd, srd, None, "budget"))
             continue

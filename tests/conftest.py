@@ -9,26 +9,6 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 from srdkit.graph import Graph
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--slow",
-        "--runslow",
-        action="store_true",
-        default=False,
-        dest="slow",
-        help="run exhaustive searches marked slow",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--slow"):
-        return
-    skip = pytest.mark.skip(reason="needs --slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @st.composite
 def small_graphs(draw, min_vertices=2, max_vertices=5, connected=True,
                  max_extra_edges=4):

@@ -254,7 +254,6 @@ def test_criterion_08_regular_graphs():
     )
 
 
-@pytest.mark.slow
 def test_criterion_08_slow_petersen_three_color_refutation():
     """No 3-coloring of the Petersen graph's 15 edges is an srd-coloring.
 

@@ -52,6 +52,22 @@ class TestPlumbing:
         assert code == 2
         assert text.startswith("error:")
 
+    def test_non_utf8_graph_is_exit_2(self, tmp_path):
+        p = tmp_path / "bin.txt"
+        p.write_bytes(b"\xff\xfe\x00")
+        code, text = run(["lambda", str(p)])
+        assert code == 2
+        assert text.startswith("error:")
+        assert "UTF-8" in text
+
+    def test_non_utf8_coloring_is_exit_2(self, k4_file, tmp_path):
+        p = tmp_path / "bin.txt"
+        p.write_bytes(b"\xff\xfe\x00")
+        code, text = run(["verify", k4_file, str(p)])
+        assert code == 2
+        assert text.startswith("error:")
+        assert "UTF-8" in text
+
     def test_malformed_graph_is_exit_2(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2 1\n0 0\n")  # self-loop
@@ -237,6 +253,14 @@ class TestScan:
         assert code == 3
         assert "budget" in text
 
+    def test_order_six_completes_with_no_budget_stop(self):
+        code, text = run(["scan", "--n", "6", "--max-edges", "15"])
+        assert code == 0
+        assert (
+            text.splitlines()[-1]
+            == "summary graphs=112 equal=112 budget=0 counterexamples=0"
+        )
+
     def test_out_file_matches_stdout(self, tmp_path):
         out = tmp_path / "report.txt"
         _, text = run(["scan", "--n", "3", "--out", str(out)])
@@ -359,6 +383,18 @@ class TestExportDot:
         code, text = run(["export-dot", k4_file, "--roles", str(roles)])
         assert code == 2
         assert text == "error: bad roles line 2: 'vertex x foo'\n"
+
+    def test_quotes_and_backslashes_in_labels_are_escaped(self, k4_file, tmp_path):
+        colors = tmp_path / "c.txt"
+        colors.write_text("1\n2\n3\n3\n2\n1\n")
+        roles = tmp_path / "r.txt"
+        roles.write_text('vertex 0 a"b\ncolor 1 c\\d\n')
+        code, text = run(
+            ["export-dot", k4_file, "--coloring", str(colors), "--roles", str(roles)]
+        )
+        assert code == 0
+        assert '0 [label="a\\"b"];' in text
+        assert 'label="c\\\\d"' in text
 
     def test_ids_missing_from_roles_keep_raw_labels(self, k4_file, tmp_path):
         colors = tmp_path / "c.txt"

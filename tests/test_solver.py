@@ -29,6 +29,7 @@ from srdkit import (
     star_graph,
     upper_edge_connectivity,
 )
+from srdkit.solver import _pair_cut_tables
 from oracles import oracle_is_rd, oracle_is_srd
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -277,3 +278,48 @@ class TestParallelism:
             pooled.colorings_tested,
         )
         assert serial.witness == pooled.witness
+
+
+class TestPrunedSearch:
+    """Values recorded with the generate-and-test scan that preceded the
+    pruned search: both searches count every candidate before the hit."""
+
+    @pytest.mark.parametrize(
+        "edges, tested",
+        [
+            (
+                [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
+                 (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)],
+                592_256,
+            ),
+            (
+                [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3),
+                 (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)],
+                96_325,
+            ),
+        ],
+    )
+    def test_six_vertex_counts_in_both_modes(self, edges, tested):
+        g = Graph(6, edges)
+        for solve, oracle in ((rd_number, oracle_is_rd), (srd_number, oracle_is_srd)):
+            res = solve(g)
+            assert (res.value, res.colorings_tested, res.complete) == (4, tested, True)
+            assert oracle(6, g.edges, res.witness.colors)
+
+    @pytest.mark.parametrize(
+        "solve, g", [(srd_number, complete_graph(4)), (rd_number, grid_graph(2, 4))]
+    )
+    def test_verifier_fallback_matches_tables(self, solve, g):
+        tabled, fallback = solve(g), solve(g, threshold=0)
+        assert (fallback.value, fallback.witness, fallback.colorings_tested) == (
+            tabled.value,
+            tabled.witness,
+            tabled.colorings_tested,
+        )
+
+    def test_rd_tables_hold_only_bonds(self):
+        # side {0, 2} of the path 0-1-2 is disconnected, so δ({0, 2}) is
+        # a cut of pair (0, 2) but not a bond
+        g = path_graph(3)
+        assert _pair_cut_tables(g, "rd", 4) == [[(0,)], [(0,), (1,)], [(1,)]]
+        assert _pair_cut_tables(g, "rd", 3) is None  # 2^(n-1) sides > 3
