@@ -4,15 +4,17 @@ One executable, eight subcommands (lambda, blocks, color, verify, solve,
 scan, reduce-3sat, export-dot), deterministic plain-text reports with a
 ``--json`` mirror, and exit codes with fixed meaning: 0 success or
 verdict-true, 1 verdict-false or counterexample, 2 usage or parse error,
-3 budget exhausted.
+3 budget exhausted, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +60,7 @@ class _UsageError(Exception):
     """Bad flag combination; reported on exit code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -559,6 +562,10 @@ def run(argv) -> tuple:
         return 3, f"error: {exc}\n"
     except (SrdKitError, OSError) as exc:
         return 2, f"error: {exc}\n"
+    except Exception as exc:
+        # a crash is not a verdict: exit 4, traceback on stderr
+        traceback.print_exc()
+        return 4, f"error: internal error: {type(exc).__name__}: {exc}\n"
 
     if cfg.as_json:
         body = {"command": cfg.command, "seed": cfg.seed, **payload}

@@ -341,11 +341,8 @@ def exact_chromatic_index(
         ecol = [0] * m
         uncolored = m
 
-        def popcount(x: int) -> int:
-            return bin(x).count("1")
-
         def feasible_at(v: int) -> bool:
-            return popcount(full & ~vmask[v]) >= unc_deg[v]
+            return (full & ~vmask[v]).bit_count() >= unc_deg[v]
 
         def rec(max_used: int):
             nonlocal nodes, uncolored
@@ -357,7 +354,7 @@ def exact_chromatic_index(
                     continue
                 a, b = g.edges[e]
                 avail = full & ~(vmask[a] | vmask[b])
-                p = popcount(avail)
+                p = avail.bit_count()
                 if p == 0:
                     return False
                 if p < best_pop:

@@ -27,11 +27,14 @@ class CutCertificate:
 def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
     """Edmonds-Karp on the paired-arc network.
 
-    Returns (value, residual, parent_arc) where residual[a] is the leftover
-    capacity of arc a (removed edges get capacity 0 in both directions) and
-    parent_arc[x] != -1 exactly for the vertices that the last augmenting
-    BFS, the one that fails to reach t, reached from s: the source side of a
-    minimum cut.
+    Returns (value, residual, parent_arc, path) where residual[a] is the
+    leftover capacity of arc a (removed edges get capacity 0 in both
+    directions) and parent_arc[x] != -1 exactly for the vertices that the
+    last augmenting BFS, the one that fails to reach t, reached from s: the
+    source side of a minimum cut.  ``path`` holds the EdgeIds of the first
+    augmenting path, s to t, or is None when t is unreachable.  That BFS
+    runs on unused capacity, visits ``g.adj`` in order and keeps the first
+    parent, so ``path`` is the shortest path ``graph._bfs`` would trace.
     """
     m = g.edge_count
     residual = bytearray(b"\x01" * (2 * m))
@@ -40,6 +43,7 @@ def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
         residual[2 * e + 1] = 0
     adj = g.adj
     value = 0
+    path = None
     parent_arc = [-1] * g.vertex_count
     while True:
         # BFS for a shortest augmenting path
@@ -62,16 +66,20 @@ def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
                         break
                     queue.append(w)
         if not found:
-            return value, residual, parent_arc
+            return value, residual, parent_arc, path
         # augment by one unit
+        eids = []
         v = t
         while v != s:
             arc = parent_arc[v]
             residual[arc] -= 1
             residual[arc ^ 1] += 1
             eid = arc // 2
+            eids.append(eid)
             u0, v0 = g.edges[eid]
             v = u0 if (arc % 2 == 0) else v0
+        if path is None:
+            path = eids[::-1]
         value += 1
 
 
@@ -91,14 +99,14 @@ def _check_pair(g: Graph, u: int, v: int):
 def local_edge_connectivity(g: Graph, u: int, v: int, removed=frozenset()) -> int:
     """lambda(u, v): maximum number of pairwise edge-disjoint u-v paths."""
     _check_pair(g, u, v)
-    value, _, _ = _max_flow(g, u, v, removed)
+    value, _, _, _ = _max_flow(g, u, v, removed)
     return value
 
 
 def min_edge_cut(g: Graph, u: int, v: int) -> CutCertificate:
     """One minimum u-v cut, taken from the source side of a maximum flow."""
     _check_pair(g, u, v)
-    value, _, parent_arc = _max_flow(g, u, v)
+    value, _, parent_arc, _ = _max_flow(g, u, v)
     side = frozenset(x for x, arc in enumerate(parent_arc) if arc != -1)
     cut = _crossing_edges(g, side)
     assert len(cut) == value, "max-flow/min-cut certificate mismatch"
@@ -164,7 +172,7 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     ``limit`` (truncation keeps determinism but not completeness).
     """
     _check_pair(g, u, v)
-    value, residual, _ = _max_flow(g, u, v)
+    value, residual, _, _ = _max_flow(g, u, v)
     n = g.vertex_count
 
     succ: list[set[int]] = [set() for _ in range(n)]
@@ -206,6 +214,7 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
         stack.extend(cpred[c])
     assert not (must_in & must_out), "residual u->v path left after max flow"
 
+    # Tarjan gives successors lower ids, so ascending ids decide sinks first
     free = sorted(set(range(ncomp)) - must_in - must_out)
     free_succ = {c: [d for d in csucc[c] if d not in must_in] for c in free}
     # all free successors of a free comp are free (a successor in must_out
@@ -226,9 +235,6 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
             verts.update(comp_vertices[c])
         sides.append(frozenset(verts))
 
-    # process sinks first so the closure test only looks at already-decided
-    # components
-    free[:] = _topo_reverse(free, free_succ)
     # Depth-first over the include/exclude decisions for free[0], free[1],
     # ...: "visit i" decides free[i], leaving it out before putting it in,
     # and stops after limit + 1 sides.  An explicit stack keeps long chains
@@ -253,33 +259,6 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     return [
         CutCertificate((u, v), frozenset(cut), value) for cut in cuts
     ]
-
-
-def _topo_reverse(nodes, succ_map):
-    """Nodes ordered so that each one's successors appear before it."""
-    seen = set()
-    out = []
-
-    def visit(c):
-        stack = [(c, iter(succ_map[c]))]
-        seen.add(c)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for d in it:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append((d, iter(succ_map[d])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                out.append(node)
-
-    for c in nodes:
-        if c not in seen:
-            visit(c)
-    return out
 
 
 def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:

@@ -331,7 +331,7 @@ def conjecture_scan(
             records.append(ScanRecord(g, rd, srd, None, "budget"))
             continue
         lam = edge_connectivity(g)
-        lam_plus = upper_edge_connectivity(g)
+        lam_plus = rd.lower_bound  # _solve's upper_edge_connectivity(g)
         chain = lam <= lam_plus <= rd.value <= srd.value <= g.edge_count
         if not chain:
             raise AssertionError(

@@ -20,11 +20,12 @@ from .colorings import EdgeColoring, check_coloring_fits
 from .connectivity import (
     CutCertificate,
     _check_pair,
+    _max_flow,
     enumerate_min_cuts,
     local_edge_connectivity,
 )
 from .errors import BudgetExceededError, GraphStructureError
-from .graph import Graph, _bfs, is_connected
+from .graph import Graph, is_connected
 
 
 @dataclass
@@ -57,20 +58,6 @@ def is_rainbow(c: EdgeColoring, edge_set) -> bool:
     return True
 
 
-def _shortest_path_edges(g: Graph, u: int, v: int, removed) -> list | None:
-    """Edge ids of one BFS-shortest u-v path avoiding ``removed``."""
-    tree = _bfs(g, u, removed, target=v)
-    if v not in tree:
-        return None
-    path = []
-    x = v
-    while x != u:
-        x, eid = tree[x]
-        path.append(eid)
-    path.reverse()
-    return path
-
-
 def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
     """Complete search for a rainbow u-v cut of at most ``cap`` edges.
 
@@ -82,7 +69,9 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
     state whose residual exceeds the edges still allowed has no completion
     and is pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
     cut; with ``cap`` = the number of colors, any rainbow cut fits.
-    ``node_budget`` bounds the states, raising BudgetExceededError.
+    ``node_budget`` bounds the states, raising BudgetExceededError.  One
+    max flow per state gives its residual and the path to branch on; a
+    root with residual 0 raises GraphStructureError (u, v disconnected).
     """
 
     def rec(chosen, excluded, used_colors):
@@ -91,12 +80,13 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
             raise BudgetExceededError(
                 f"rainbow min-cut search exceeded {node_budget} states"
             )
-        residual = local_edge_connectivity(g, u, v, removed=chosen)
+        residual, _, _, path = _max_flow(g, u, v, chosen)
         if residual == 0:
+            if not chosen:
+                raise GraphStructureError(f"vertices {u} and {v} are disconnected")
             return frozenset(chosen)
         if residual > cap - len(chosen):
             return None
-        path = _shortest_path_edges(g, u, v, chosen)
         branch = [e for e in path if e not in excluded and c[e] not in used_colors]
         grown = set(excluded)
         for e in branch:
@@ -109,15 +99,12 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
     return rec(frozenset(), frozenset(), frozenset())
 
 
-def _pair_connectivity(g, c, u, v, stats):
-    """Checks shared by both pair searches: the stats object to count
-    into and λ(u, v), which must be positive."""
+def _check_pair_search(g, c, u, v, stats):
+    """Checks shared by both pair searches; returns the stats object to
+    count into."""
     check_coloring_fits(g, c)
     _check_pair(g, u, v)
-    lam = local_edge_connectivity(g, u, v)
-    if lam == 0:
-        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
-    return stats if stats is not None else SearchStats(), lam
+    return stats if stats is not None else SearchStats()
 
 
 def find_rainbow_min_cut(
@@ -133,16 +120,20 @@ def find_rainbow_min_cut(
     search.  ``threshold`` caps the enumeration phase; beyond it (or when
     it is 0) the color-class DFS takes over.  ``node_budget`` bounds the
     DFS states, raising BudgetExceededError instead of answering."""
-    stats, lam = _pair_connectivity(g, c, u, v, stats)
+    stats = _check_pair_search(g, c, u, v, stats)
 
     if threshold > 0:
         certs = enumerate_min_cuts(g, u, v, limit=threshold + 1)
-        if len(certs) <= threshold:
+        lam = certs[0].value
+        # λ = 0 goes on to the DFS, whose root rejects a disconnected pair
+        if len(certs) <= threshold and lam > 0:
             stats.enumerated += len(certs)
             for cert in certs:
                 if is_rainbow(c, cert.cut):
                     return cert
             return None
+    else:
+        lam = local_edge_connectivity(g, u, v)
 
     cut = _dfs_rainbow_cut(g, c, u, v, lam, stats, node_budget=node_budget)
     if cut is None:
@@ -158,7 +149,7 @@ def find_rainbow_cut(
     stats: SearchStats | None = None,
 ) -> frozenset | None:
     """A rainbow u-v cut of any size, or None after a complete search."""
-    stats, _ = _pair_connectivity(g, c, u, v, stats)
+    stats = _check_pair_search(g, c, u, v, stats)
     return _dfs_rainbow_cut(g, c, u, v, len(c.distinct_colors()), stats)
 
 

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from srdkit import parse_coloring, parse_graph
+from srdkit import cli
 from srdkit.cli import main, run
 from srdkit.verifier import is_srd_coloring
 
@@ -105,6 +106,24 @@ class TestPlumbing:
     def test_jobs_must_be_positive(self, k4_file):
         code, _ = run(["solve", "--jobs", "0", k4_file])
         assert code == 2
+
+    def test_no_parsed_state_leaks_between_runs(self, k4_file):
+        code, text = run(["solve", "--json", "--seed", "7", k4_file])
+        assert code == 0 and json.loads(text)["seed"] == 7
+        code, text = run(["lambda", k4_file])
+        assert code == 0
+        assert text.splitlines()[0] == "# srdkit lambda seed=0"
+        assert "lambda=3 lambda+=3" in text
+
+    def test_handler_crash_is_exit_4(self, k4_file, monkeypatch, capsys):
+        def crash(cfg):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._HANDLERS, "lambda", crash)
+        code, text = run(["lambda", k4_file])
+        assert code == 4
+        assert text == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+        assert "Traceback" in capsys.readouterr().err
 
 
 class TestLambdaAndBlocks:

@@ -1,5 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import networkx as nx
+except ImportError:
+    nx = None
 
 from srdkit.connectivity import (
     count_min_cuts,
@@ -227,6 +233,49 @@ class TestContractionInteraction:
                                 ) == local_edge_connectivity(g, u, v), (
                                     edges, (x, y), sorted(cert.cut), (u, v),
                                 )
+
+
+@st.composite
+def multigraph_pairs(draw):
+    """A multigraph on 10-40 vertices (parallel edges, maybe disconnected)
+    and a vertex pair of it."""
+    n = draw(st.integers(10, 40))
+    vertex = st.integers(0, n - 1)
+    edges = []
+    if draw(st.booleans()):
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(edge, max_size=2 * n))
+    u = draw(vertex)
+    v = draw(vertex.filter(lambda x: x != u))
+    return Graph(n, edges), u, v
+
+
+@pytest.mark.skipif(nx is None, reason="networkx is not installed")
+class TestAgainstNetworkx:
+    """Beyond the oracles' reach: λ against networkx max flow with parallel
+    edges merged into capacities, and every certificate re-checked."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(multigraph_pairs())
+    def test_flow_cut_and_enumeration(self, case):
+        g, u, v = case
+        net = nx.Graph()
+        net.add_nodes_from(range(g.vertex_count))
+        for a, b in g.edges:
+            if net.has_edge(a, b):
+                net[a][b]["capacity"] += 1
+            else:
+                net.add_edge(a, b, capacity=1)
+        lam = nx.maximum_flow_value(net, u, v)
+        assert local_edge_connectivity(g, u, v) == lam
+        cert = min_edge_cut(g, u, v)
+        assert cert.value == len(cert.cut) == lam and separates(g, cert.cut, u, v)
+        certs = enumerate_min_cuts(g, u, v, limit=50)
+        assert 1 <= len(certs) <= 50
+        for cert in certs:
+            assert cert.value == len(cert.cut) == lam
+            assert separates(g, cert.cut, u, v)
 
 
 def _side_of(g, cut, start):

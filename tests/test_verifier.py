@@ -35,6 +35,8 @@ from srdkit import (
     separates,
 )
 
+from srdkit import connectivity, verifier
+
 from oracles import all_labeled_graphs, oracle_is_rd, oracle_is_srd
 
 
@@ -164,6 +166,47 @@ class TestSearchOrder:
         assert self._rd_and_srd(g, c) == [(True, None, 180)] * 2
 
 
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """Counts every max flow, whichever module calls it."""
+    calls = []
+    real = connectivity._max_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_max_flow", counted)
+    monkeypatch.setattr(verifier, "_max_flow", counted)
+    return calls
+
+
+class TestFlowsPerSearch:
+    """Each DFS state runs one max flow, and λ is never computed twice."""
+
+    def test_enumeration_path_runs_one_flow(self, flow_calls):
+        proper = EdgeColoring((1, 2, 3, 3, 2, 1))
+        cert = find_rainbow_min_cut(complete_graph(4), proper, 0, 1)
+        assert cert is not None and cert.value == 3
+        assert len(flow_calls) == 1
+
+    def test_threshold_zero_adds_at_most_one_flow(self, flow_calls):
+        g = complete_graph(4)
+        st = SearchStats()
+        c = EdgeColoring((1, 1, 2, 2, 3, 3))
+        find_rainbow_min_cut(g, c, 0, 1, threshold=0, stats=st)
+        assert st.nodes > 1
+        assert len(flow_calls) <= st.nodes + 1
+
+    def test_any_size_search_runs_one_flow_per_state(self, flow_calls):
+        g = cycle_graph(6)
+        st = SearchStats()
+        cut = find_rainbow_cut(g, EdgeColoring((1, 2) * 3), 0, 3, stats=st)
+        assert cut is not None and separates(g, cut, 0, 3)
+        assert st.nodes > 1
+        assert len(flow_calls) == st.nodes
+
+
 class TestReports:
     def test_tree_single_color(self):
         g = path_graph(5)
@@ -188,6 +231,16 @@ class TestReports:
             is_srd_coloring(g, EdgeColoring((1, 2)))
         with pytest.raises(GraphStructureError):
             is_rd_coloring(g, EdgeColoring((1, 2)))
+
+    def test_disconnected_pair_rejected(self):
+        g, c = Graph(4, [(0, 1), (2, 3)]), EdgeColoring((1, 2))
+        for search in (
+            lambda: find_rainbow_min_cut(g, c, 0, 2),
+            lambda: find_rainbow_min_cut(g, c, 0, 2, threshold=0),
+            lambda: find_rainbow_cut(g, c, 0, 2),
+        ):
+            with pytest.raises(GraphStructureError, match="disconnected"):
+                search()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ColoringError):
