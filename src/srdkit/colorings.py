@@ -65,9 +65,12 @@ def parse_coloring(text: str, edge_count: int | None = None) -> EdgeColoring:
             continue
         if line.startswith("colors"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise GraphParseError("bad 'colors k' header", lineno)
-            declared = int(parts[1])
+            try:
+                declared = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise GraphParseError("bad 'colors k' header", lineno) from None
             continue
         try:
             c = int(line)

@@ -24,63 +24,104 @@ class CutCertificate:
     value: int
 
 
+def _residual_bfs(g: Graph, residual, s: int, t: int) -> list[int]:
+    """Breadth-first walk from s over the arcs with residual capacity.
+
+    Returns parent_arc: the arc that first reached each vertex, -2 for s and
+    -1 for the vertices not reached.  The walk stops as soon as it reaches
+    t, so the tree path to t is a shortest augmenting path; when t is not
+    reached, the walk has reached every vertex reachable from s.
+    """
+    adj = g.adj
+    edges = g.edges
+    parent_arc = [-1] * g.vertex_count
+    parent_arc[s] = -2
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for w, eid in adj[x]:
+            if parent_arc[w] != -1:
+                continue
+            arc = 2 * eid if x == edges[eid][0] else 2 * eid + 1
+            if residual[arc]:
+                parent_arc[w] = arc
+                if w == t:
+                    return parent_arc
+                queue.append(w)
+    return parent_arc
+
+
+def _push(g: Graph, residual, s: int, t: int, parent_arc):
+    """Send one unit from s to t along the tree path of ``parent_arc``."""
+    edges = g.edges
+    while t != s:
+        arc = parent_arc[t]
+        residual[arc] -= 1
+        residual[arc ^ 1] += 1
+        t = edges[arc >> 1][arc & 1]
+
+
 def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
     """Edmonds-Karp on the paired-arc network.
 
-    Returns (value, residual, parent_arc, path) where residual[a] is the
-    leftover capacity of arc a (removed edges get capacity 0 in both
-    directions) and parent_arc[x] != -1 exactly for the vertices that the
-    last augmenting BFS, the one that fails to reach t, reached from s: the
-    source side of a minimum cut.  ``path`` holds the EdgeIds of the first
-    augmenting path, s to t, or is None when t is unreachable.  That BFS
-    runs on unused capacity, visits ``g.adj`` in order and keeps the first
-    parent, so ``path`` is the shortest path ``graph._bfs`` would trace.
+    Returns (value, residual, parent_arc) where residual[a] is the leftover
+    capacity of arc a (removed edges get capacity 0 in both directions, the
+    others 0, 1 or 2) and parent_arc[x] != -1 exactly for the vertices that
+    the last augmenting BFS, the one that fails to reach t, reached from s:
+    the source side of a minimum cut.
     """
-    m = g.edge_count
-    residual = bytearray(b"\x01" * (2 * m))
+    residual = bytearray(b"\x01" * (2 * g.edge_count))
     for e in removed:
         residual[2 * e] = 0
         residual[2 * e + 1] = 0
-    adj = g.adj
     value = 0
-    path = None
-    parent_arc = [-1] * g.vertex_count
     while True:
-        # BFS for a shortest augmenting path
-        for i in range(g.vertex_count):
-            parent_arc[i] = -1
-        parent_arc[s] = -2
-        queue = deque([s])
-        found = False
-        while queue and not found:
-            v = queue.popleft()
-            for w, eid in adj[v]:
-                if parent_arc[w] != -1:
-                    continue
-                u0, _ = g.edges[eid]
-                arc = 2 * eid if v == u0 else 2 * eid + 1
-                if residual[arc]:
-                    parent_arc[w] = arc
-                    if w == t:
-                        found = True
-                        break
-                    queue.append(w)
-        if not found:
-            return value, residual, parent_arc, path
-        # augment by one unit
-        eids = []
-        v = t
-        while v != s:
-            arc = parent_arc[v]
-            residual[arc] -= 1
-            residual[arc ^ 1] += 1
-            eid = arc // 2
-            eids.append(eid)
-            u0, v0 = g.edges[eid]
-            v = u0 if (arc % 2 == 0) else v0
-        if path is None:
-            path = eids[::-1]
+        parent_arc = _residual_bfs(g, residual, s, t)
+        if parent_arc[t] == -1:
+            return value, residual, parent_arc
+        _push(g, residual, s, t, parent_arc)
         value += 1
+
+
+def _max_flow_without(g: Graph, s: int, t: int, residual, value: int, e: int):
+    """Repair a maximum s-t flow after removing edge ``e``.
+
+    ``residual`` and ``value`` describe a maximum flow f of a network that
+    still has e; returns (value', residual') for a maximum flow of the
+    network without it, on a copy.  With no net flow on e, f stays maximum.
+    If f sends its unit over e from x to y, the copy first tries to reroute
+    that unit along a residual x-y path, keeping the value.  Failing that,
+    it cancels the unit by pushing it from x back to s, along the tree of
+    the failed walk, and from t to y, and the value drops by one.
+
+    That flow is maximum: if a flow f' of the same value avoided e, then
+    f' - f would be a circulation in f's residual network sending one unit
+    over e from y to x, and the cycle through that arc would close with a
+    residual x-y path avoiding e, which the reroute would have found.  The
+    cancel paths exist: closing f with an arc t -> s gives a circulation,
+    and its cycle through e, having no residual x-y path to close it, runs
+    y ~> t -> s ~> x along flow, whose reverse is a residual x-s path.
+    After that push, y lacks one unit of inflow and t has one unit too
+    many, so a flow path y ~> t remains, and its reverse is the t-y path.
+    """
+    residual = bytearray(residual)
+    forward = residual[2 * e]
+    residual[2 * e] = residual[2 * e + 1] = 0
+    if forward == 1:
+        return value, residual
+    x, y = g.edges[e] if forward == 0 else g.edges[e][::-1]
+    tree = _residual_bfs(g, residual, x, y)
+    if tree[y] != -1:
+        _push(g, residual, x, y, tree)
+        return value, residual
+    if x != s:
+        assert tree[s] != -1, "no residual path back to the source"
+        _push(g, residual, x, s, tree)
+    if y != t:
+        tree = _residual_bfs(g, residual, t, y)
+        assert tree[y] != -1, "no residual path from the sink"
+        _push(g, residual, t, y, tree)
+    return value - 1, residual
 
 
 def _crossing_edges(g: Graph, side: frozenset[int]) -> frozenset[int]:
@@ -99,14 +140,14 @@ def _check_pair(g: Graph, u: int, v: int):
 def local_edge_connectivity(g: Graph, u: int, v: int, removed=frozenset()) -> int:
     """lambda(u, v): maximum number of pairwise edge-disjoint u-v paths."""
     _check_pair(g, u, v)
-    value, _, _, _ = _max_flow(g, u, v, removed)
+    value, _, _ = _max_flow(g, u, v, removed)
     return value
 
 
 def min_edge_cut(g: Graph, u: int, v: int) -> CutCertificate:
     """One minimum u-v cut, taken from the source side of a maximum flow."""
     _check_pair(g, u, v)
-    value, _, parent_arc, _ = _max_flow(g, u, v)
+    value, _, parent_arc = _max_flow(g, u, v)
     side = frozenset(x for x, arc in enumerate(parent_arc) if arc != -1)
     cut = _crossing_edges(g, side)
     assert len(cut) == value, "max-flow/min-cut certificate mismatch"
@@ -172,7 +213,7 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     ``limit`` (truncation keeps determinism but not completeness).
     """
     _check_pair(g, u, v)
-    value, residual, _, _ = _max_flow(g, u, v)
+    value, residual, _ = _max_flow(g, u, v)
     n = g.vertex_count
 
     succ: list[set[int]] = [set() for _ in range(n)]

@@ -7,9 +7,11 @@ completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
 (srd) and the number of colors for a rainbow cut of any size (rd).  For
 minimum cuts the verifier first enumerates all of them and tests each for
 rainbowness while their number stays below a threshold, and runs the DFS
-only beyond it.  The DFS visits each rainbow edge subset at most once, so
-with k colors and classes of sizes s_1..s_k it explores at most
-prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
+only beyond it.  The DFS runs one max flow, at its root; every other state
+repairs a copy of its parent's flow for the edge it adds, which costs a few
+graph walks instead of a flow from zero.  It visits each rainbow edge subset
+at most once, so with k colors and classes of sizes s_1..s_k it explores at
+most prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .connectivity import (
     CutCertificate,
     _check_pair,
     _max_flow,
+    _max_flow_without,
     enumerate_min_cuts,
-    local_edge_connectivity,
 )
 from .errors import BudgetExceededError, GraphStructureError
-from .graph import Graph, is_connected
+from .graph import Graph, _bfs, is_connected
 
 
 @dataclass
@@ -68,35 +70,69 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
     Removing an edge lowers the residual connectivity by at most one, so a
     state whose residual exceeds the edges still allowed has no completion
     and is pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
-    cut; with ``cap`` = the number of colors, any rainbow cut fits.
-    ``node_budget`` bounds the states, raising BudgetExceededError.  One
-    max flow per state gives its residual and the path to branch on; a
-    root with residual 0 raises GraphStructureError (u, v disconnected).
-    """
+    cut; with ``cap`` = the number of colors, any rainbow cut fits;
+    ``cap`` = None takes λ(u, v) from the root's flow.  ``node_budget``
+    bounds the states, raising BudgetExceededError.  Only the root runs a
+    max flow: each child repairs a copy of its parent's, and only states
+    that branch walk the graph for their path.  A root with residual 0
+    raises GraphStructureError (u, v disconnected).
 
-    def rec(chosen, excluded, used_colors):
+    The states are visited depth first with an explicit stack that holds
+    one frame per branching state on the current path, each with its own
+    flow, so no recursion limit applies.  ``chosen``, ``used`` and
+    ``excluded`` are shared sets that a frame extends while its children
+    run and restores when it is popped.
+    """
+    chosen, used, excluded = set(), set(), set()
+    stack = []  # [flow residual, flow value, branch edges, next index]
+
+    def enter(value, residual):
+        """Count a state; return its cut, or push a frame if it branches."""
         stats.nodes += 1
         if node_budget is not None and stats.nodes > node_budget:
             raise BudgetExceededError(
                 f"rainbow min-cut search exceeded {node_budget} states"
             )
-        residual, _, _, path = _max_flow(g, u, v, chosen)
-        if residual == 0:
+        if value == 0:
             if not chosen:
                 raise GraphStructureError(f"vertices {u} and {v} are disconnected")
             return frozenset(chosen)
-        if residual > cap - len(chosen):
+        if value > cap - len(chosen):
             return None
-        branch = [e for e in path if e not in excluded and c[e] not in used_colors]
-        grown = set(excluded)
-        for e in branch:
-            hit = rec(chosen | {e}, frozenset(grown), used_colors | {c[e]})
-            if hit is not None:
-                return hit
-            grown.add(e)
+        tree = _bfs(g, u, chosen, target=v)
+        branch = []
+        x = v
+        while x != u:
+            x, e = tree[x]
+            if e not in excluded and c[e] not in used:
+                branch.append(e)
+        branch.reverse()
+        stack.append([residual, value, branch, 0])
         return None
 
-    return rec(frozenset(), frozenset(), frozenset())
+    value, residual, _ = _max_flow(g, u, v)
+    if cap is None:
+        cap = value
+    hit = enter(value, residual)
+    while hit is None and stack:
+        frame = stack[-1]
+        residual, value, branch, i = frame
+        if i:
+            # the previous child is done: drop it and exclude it
+            prev = branch[i - 1]
+            chosen.discard(prev)
+            used.discard(c[prev])
+            excluded.add(prev)
+        if i == len(branch):
+            stack.pop()
+            excluded.difference_update(branch)
+            continue
+        e = branch[i]
+        frame[3] = i + 1
+        chosen.add(e)
+        used.add(c[e])
+        hit = enter(*_max_flow_without(g, u, v, residual, value, e))
+    return hit
 
 
 def _check_pair_search(g, c, u, v, stats):
@@ -122,6 +158,7 @@ def find_rainbow_min_cut(
     DFS states, raising BudgetExceededError instead of answering."""
     stats = _check_pair_search(g, c, u, v, stats)
 
+    lam = None  # the DFS takes λ from its root's flow
     if threshold > 0:
         certs = enumerate_min_cuts(g, u, v, limit=threshold + 1)
         lam = certs[0].value
@@ -132,13 +169,12 @@ def find_rainbow_min_cut(
                 if is_rainbow(c, cert.cut):
                     return cert
             return None
-    else:
-        lam = local_edge_connectivity(g, u, v)
 
     cut = _dfs_rainbow_cut(g, c, u, v, lam, stats, node_budget=node_budget)
     if cut is None:
         return None
-    return CutCertificate(pair=(u, v), cut=cut, value=lam)
+    # a cut within the cap λ has exactly λ edges
+    return CutCertificate(pair=(u, v), cut=cut, value=len(cut))
 
 
 def find_rainbow_cut(

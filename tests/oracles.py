@@ -2,10 +2,16 @@
 
 Everything here works from raw (vertex_count, edge list, color tuple) data
 and uses only subset enumeration plus union-find, so it shares no logic with
-the package under test.
+the package under test.  The one exception is ``reference_rainbow_cut_dfs``,
+a differential reference for the verifier's rainbow-cut DFS that runs the
+package's max flow from zero at every state.
 """
 
+from collections import deque
 from itertools import combinations
+
+from srdkit.connectivity import _max_flow
+from srdkit.errors import BudgetExceededError, GraphStructureError
 
 
 def _component_labels(n, edges, excluded=frozenset()):
@@ -172,3 +178,56 @@ def all_labeled_graphs(n, connected_only=True):
             continue
         out.append((n, edges))
     return out
+
+
+def reference_rainbow_cut_dfs(g, colors, u, v, cap, stats, node_budget=None):
+    """The rainbow cut (or None) of the verifier's rainbow-cut DFS, found
+    the slow way: recursive, with a fresh max flow of G - chosen at every
+    state.  Each state adds one to ``stats.nodes``.
+
+    States branch over the edges of the BFS-shortest u-v path of G - chosen
+    (first parent kept, ``g.adj`` order) that are not excluded and whose
+    colors are unused; a state whose flow exceeds ``cap`` - |chosen| is
+    pruned.  Errors carry the verifier's messages.
+    """
+
+    def shortest_path(chosen):
+        parent = {u: None}
+        queue = deque([u])
+        while queue and v not in parent:
+            x = queue.popleft()
+            for w, eid in g.adj[x]:
+                if w not in parent and eid not in chosen:
+                    parent[w] = (x, eid)
+                    queue.append(w)
+        path = []
+        x = v
+        while parent[x] is not None:
+            x, eid = parent[x]
+            path.append(eid)
+        return path[::-1]
+
+    def rec(chosen, excluded, used):
+        stats.nodes += 1
+        if node_budget is not None and stats.nodes > node_budget:
+            raise BudgetExceededError(
+                f"rainbow min-cut search exceeded {node_budget} states"
+            )
+        residual = _max_flow(g, u, v, chosen)[0]
+        if residual == 0:
+            if not chosen:
+                raise GraphStructureError(f"vertices {u} and {v} are disconnected")
+            return frozenset(chosen)
+        if residual > cap - len(chosen):
+            return None
+        grown = set(excluded)
+        for e in shortest_path(chosen):
+            if e in excluded or colors[e] in used:
+                continue
+            hit = rec(chosen | {e}, frozenset(grown), used | {colors[e]})
+            if hit is not None:
+                return hit
+            grown.add(e)
+        return None
+
+    return rec(frozenset(), frozenset(), frozenset())

@@ -9,8 +9,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from srdkit import parse_coloring, parse_graph
+from srdkit import SrdKitError, parse_coloring, parse_dimacs_cnf, parse_graph
 from srdkit import cli
 from srdkit.cli import main, run
 from srdkit.verifier import is_srd_coloring
@@ -466,3 +468,39 @@ class TestJsonMirror:
 
     def test_json_is_deterministic(self, k4_file):
         assert run(["lambda", "--json", k4_file]) == run(["lambda", "--json", k4_file])
+
+
+# Text without decimal digits, and lines of a keyword and a few words that
+# keep every integer small (a header may declare as many vertices as it
+# likes, and the graph then holds that many adjacency lists), apart from one
+# number too long for int() to convert.
+_NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
+_WORD = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "+2", "1_0", "\u0663", "\u00b2", "9" * 5000]
+) | _NO_DIGITS
+_LINE = st.builds(
+    lambda keyword, words: " ".join([keyword, *words]),
+    st.sampled_from(["", "p cnf", "colors", "p", "c", "#"]),
+    st.lists(_WORD, max_size=4),
+)
+_TEXT = st.text(st.characters(blacklist_categories=("Nd",)), max_size=60) | st.builds(
+    lambda lines, sep: sep.join(lines),
+    st.lists(_LINE, max_size=8),
+    st.sampled_from(["\n", "\r\n", "\x0c", "\u2028"]),
+)
+
+
+class TestParsersFuzz:
+    """Every input file the CLI reads goes through one of these parsers:
+    any text gives a value or an SrdKitError, never another exception."""
+
+    @pytest.mark.parametrize("parse", [parse_graph, parse_coloring, parse_dimacs_cnf])
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT)
+    @example(text="colors \u00b2")  # a digit that int() rejects
+    @example(text="colors " + "9" * 5000)  # beyond int()'s digit limit
+    def test_any_text_parses_or_raises_srdkit_error(self, parse, text):
+        try:
+            parse(text)
+        except SrdKitError:
+            pass

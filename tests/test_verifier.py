@@ -6,10 +6,14 @@ the forced-DFS search respects the fixed-k state bound.
 """
 
 from math import comb, prod
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdkit import (
+    BudgetExceededError,
     ColoringError,
     EdgeColoring,
     Graph,
@@ -37,7 +41,12 @@ from srdkit import (
 
 from srdkit import connectivity, verifier
 
-from oracles import all_labeled_graphs, oracle_is_rd, oracle_is_srd
+from oracles import (
+    all_labeled_graphs,
+    oracle_is_rd,
+    oracle_is_srd,
+    reference_rainbow_cut_dfs,
+)
 
 
 def canonical_colorings(m, max_colors):
@@ -124,6 +133,15 @@ class TestFindRainbowMinCut:
         cert = find_rainbow_min_cut(g, EdgeColoring((1,) * 1199), 0, 1199)
         assert cert is not None and cert.value == 1 and len(cert.cut) == 1
 
+    def test_deep_search_has_no_recursion_limit(self):
+        """λ = 1,100 parallel edges, all colors distinct: the search goes
+        1,100 edges deep before it finds the whole bundle."""
+        g = Graph(2, [(0, 1)] * 1100)
+        c = EdgeColoring(tuple(range(1, 1101)))
+        cert = find_rainbow_min_cut(g, c, 0, 1, threshold=0)
+        assert cert.value == 1100 and cert.cut == frozenset(range(1100))
+        assert find_rainbow_cut(g, c, 0, 1) == frozenset(range(1100))
+
 
 class TestSearchOrder:
     """DFS node counts and witnesses that pin the order of the search."""
@@ -182,7 +200,9 @@ def flow_calls(monkeypatch):
 
 
 class TestFlowsPerSearch:
-    """Each DFS state runs one max flow, and λ is never computed twice."""
+    """A pair search that the enumeration decides, or that runs the DFS
+    alone, runs one max flow; every DFS state but the root repairs its
+    parent's flow."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
         proper = EdgeColoring((1, 2, 3, 3, 2, 1))
@@ -190,21 +210,84 @@ class TestFlowsPerSearch:
         assert cert is not None and cert.value == 3
         assert len(flow_calls) == 1
 
-    def test_threshold_zero_adds_at_most_one_flow(self, flow_calls):
+    def test_threshold_zero_runs_one_flow(self, flow_calls):
         g = complete_graph(4)
         st = SearchStats()
         c = EdgeColoring((1, 1, 2, 2, 3, 3))
         find_rainbow_min_cut(g, c, 0, 1, threshold=0, stats=st)
         assert st.nodes > 1
-        assert len(flow_calls) <= st.nodes + 1
+        assert len(flow_calls) == 1
 
-    def test_any_size_search_runs_one_flow_per_state(self, flow_calls):
+    def test_any_size_search_runs_one_flow(self, flow_calls):
         g = cycle_graph(6)
         st = SearchStats()
         cut = find_rainbow_cut(g, EdgeColoring((1, 2) * 3), 0, 3, stats=st)
         assert cut is not None and separates(g, cut, 0, 3)
         assert st.nodes > 1
-        assert len(flow_calls) == st.nodes
+        assert len(flow_calls) == 1
+
+
+@st.composite
+def colored_multigraph_pairs(draw):
+    """A multigraph on 2-8 vertices with up to 16 edges (possibly
+    disconnected), 1-4 colors, a vertex pair and an optional node budget."""
+    n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=16))
+    k = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(1, k), min_size=len(edges), max_size=len(edges)))
+    u, v = draw(st.sampled_from(pairs))
+    budget = draw(st.none() | st.integers(1, 40))
+    return Graph(n, edges), EdgeColoring(tuple(colors)), u, v, budget
+
+
+def _search_outcome(search):
+    """(cut or (error type, message), states visited) of one search."""
+    stats = SearchStats()
+    try:
+        result = search(stats)
+    except (BudgetExceededError, GraphStructureError) as err:
+        result = (type(err), str(err))
+    return result, stats.nodes
+
+
+def _checked_repair(g, s, t, residual, value, e):
+    """verifier._max_flow_without, checked: the repaired residual is a flow
+    of the returned value with e removed, and that value is λ(s, t) with
+    every removed edge gone."""
+    value, residual = connectivity._max_flow_without(g, s, t, residual, value, e)
+    removed = {x for x in range(g.edge_count) if residual[2 * x] == residual[2 * x + 1] == 0}
+    assert e in removed
+    assert value == local_edge_connectivity(g, s, t, removed=removed)
+    net = [0] * g.vertex_count  # outflow minus inflow
+    for x, (a, b) in enumerate(g.edges):
+        if x not in removed:
+            flow = 1 - residual[2 * x]  # units sent a -> b
+            net[a] += flow
+            net[b] -= flow
+    assert net[s] == value == -net[t]
+    assert not any(net[x] for x in range(g.vertex_count) if x not in (s, t))
+    return value, residual
+
+
+class TestRepairedFlowSearch:
+    """The DFS that repairs its parent's flow against the reference DFS
+    that runs a fresh max flow at every state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(colored_multigraph_pairs())
+    def test_same_cut_nodes_and_errors_as_fresh_flows(self, case):
+        g, c, u, v, budget = case
+        lam = local_edge_connectivity(g, u, v)
+        with mock.patch.object(verifier, "_max_flow_without", _checked_repair):
+            for cap, ref_cap in ((None, lam), (len(c.distinct_colors()),) * 2):
+                new = _search_outcome(
+                    lambda st: verifier._dfs_rainbow_cut(g, c, u, v, cap, st, budget)
+                )
+                ref = _search_outcome(
+                    lambda st: reference_rainbow_cut_dfs(g, c, u, v, ref_cap, st, budget)
+                )
+                assert new == ref
 
 
 class TestReports:
