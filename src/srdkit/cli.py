@@ -504,14 +504,18 @@ def _cmd_export_dot(cfg: RunConfig):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if (
-                len(parts) != 3
-                or parts[0] not in ("vertex", "color")
-                or not parts[1].isdecimal()
-            ):
-                raise _UsageError(f"bad roles line {lineno}: {raw!r}")
+            try:
+                if (
+                    len(parts) != 3
+                    or parts[0] not in ("vertex", "color")
+                    or not parts[1].isdecimal()
+                ):
+                    raise ValueError
+                key = int(parts[1])  # also ValueError past int()'s digit limit
+            except ValueError:
+                raise _UsageError(f"bad roles line {lineno}: {raw!r}") from None
             table = vertex_labels if parts[0] == "vertex" else color_labels
-            table[int(parts[1])] = parts[2]
+            table[key] = parts[2]
     text = export_dot(
         g, coloring, vertex_labels=vertex_labels, color_labels=color_labels
     )

@@ -320,6 +320,24 @@ def exact_chromatic_index(
     previously-unused color per node.  ``budget`` caps the total number of
     color assignments tried across all palette sizes; exceeding it raises
     BudgetExceededError (the answer is then unknown, never wrong).
+
+    Two prunes reject a state: an endpoint of the edge just colored with
+    fewer free colors than uncolored edges, and a counting bound.  A color
+    class is a matching, so color c can go on at most floor(f_c / 2) more
+    edges, where f_c counts the vertices that still have an uncolored edge
+    and do not see c yet; a state (the root included) whose uncolored edges
+    outnumber the sum of those floors has no completion.  The f_c and their
+    sum are updated as an edge is colored and uncolored, not recounted.
+    Both prunes cut only subtrees with no proper completion, so the search
+    meets the same first witness as one without them, after at most as
+    many assignments.  On a tight graph, m = Δ·floor(n/2), every color
+    class must be a near-perfect matching, and the bound cuts a choice as
+    soon as it leaves too many vertices unmatched in some color.
+
+    The states are visited depth first with an explicit stack of one frame
+    per colored edge on the current path (its edge, the colors it has left
+    to try and the highest color used before it), so no recursion limit
+    applies.
     """
     m = g.edge_count
     if m == 0:
@@ -333,68 +351,93 @@ def exact_chromatic_index(
             pairs[key] = pairs.get(key, 0) + 1
         mult = max(pairs.values())
 
+    n = g.vertex_count
+    edges = g.edges
     nodes = 0
-    incident = [tuple(eid for _, eid in g.adj[v]) for v in range(g.vertex_count)]
 
     def search(k: int):
         nonlocal nodes
         full = (1 << k) - 1
-        vmask = [0] * g.vertex_count
-        unc_deg = [g.degree(v) for v in range(g.vertex_count)]
+        vmask = [0] * n
+        unc_deg = [g.degree(v) for v in range(n)]
         ecol = [0] * m
         uncolored = m
+        # free[c]: vertices with an uncolored edge that miss color c + 1;
+        # room: the sum of free[c] // 2 over the k colors
+        free = [sum(1 for d in unc_deg if d)] * k
+        room = k * (free[0] // 2)
+
+        def recount(colors: int, step: int):
+            """Add ``step`` (+1 or -1) to free[] of each color in ``colors``
+            and keep ``room`` in step."""
+            nonlocal room
+            while colors:
+                low = colors & -colors
+                colors ^= low
+                c = low.bit_length() - 1
+                x = free[c]
+                room += (x + step) // 2 - x // 2
+                free[c] = x + step
 
         def feasible_at(v: int) -> bool:
             return (full & ~vmask[v]).bit_count() >= unc_deg[v]
 
-        def rec(max_used: int):
-            nonlocal nodes, uncolored
-            if uncolored == 0:
-                return True
+        def branch(max_used: int):
+            """Push a frame for the most constrained uncolored edge; push
+            nothing at a dead end, an edge with no color left."""
             best_e, best_avail, best_pop = -1, 0, k + 1
             for e in range(m):
                 if ecol[e]:
                     continue
-                a, b = g.edges[e]
+                a, b = edges[e]
                 avail = full & ~(vmask[a] | vmask[b])
                 p = avail.bit_count()
                 if p == 0:
-                    return False
+                    return
                 if p < best_pop:
                     best_e, best_avail, best_pop = e, avail, p
-            e = best_e
-            a, b = g.edges[e]
             allowed = best_avail & ((1 << min(k, max_used + 1)) - 1)
-            bit = 1
-            ci = 1
-            while bit <= allowed:
-                if allowed & bit:
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceededError(
-                            f"chromatic index search exceeded {budget} nodes"
-                        )
-                    ecol[e] = ci
-                    vmask[a] |= bit
-                    vmask[b] |= bit
-                    unc_deg[a] -= 1
-                    unc_deg[b] -= 1
-                    uncolored -= 1
-                    if feasible_at(a) and feasible_at(b):
-                        if rec(max(max_used, ci)):
-                            return True
-                    ecol[e] = 0
-                    vmask[a] &= ~bit
-                    vmask[b] &= ~bit
-                    unc_deg[a] += 1
-                    unc_deg[b] += 1
-                    uncolored += 1
-                bit <<= 1
-                ci += 1
-            return False
+            stack.append([best_e, allowed, max_used])
 
-        if rec(0):
-            return EdgeColoring(tuple(ecol))
+        stack: list[list[int]] = []  # [edge, colors left to try, max used]
+        if uncolored <= room:
+            branch(0)
+        while stack:
+            frame = stack[-1]
+            e, allowed, max_used = frame
+            a, b = edges[e]
+            if ecol[e]:
+                # the previous color's subtree is done: take it back
+                bit = 1 << (ecol[e] - 1)
+                ecol[e] = 0
+                uncolored += 1
+                for v in (a, b):
+                    vmask[v] &= ~bit
+                    recount(bit if unc_deg[v] else full & ~vmask[v], 1)
+                    unc_deg[v] += 1
+            if not allowed:
+                stack.pop()
+                continue
+            bit = allowed & -allowed
+            frame[1] = allowed ^ bit
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"chromatic index search exceeded {budget} nodes"
+                )
+            ci = bit.bit_length()
+            ecol[e] = ci
+            uncolored -= 1
+            for v in (a, b):
+                unc_deg[v] -= 1
+                # v leaves free[] of this color, or of every color it
+                # misses once it has no uncolored edge left
+                recount(bit if unc_deg[v] else full & ~vmask[v], -1)
+                vmask[v] |= bit
+            if feasible_at(a) and feasible_at(b) and uncolored <= room:
+                if uncolored == 0:
+                    return EdgeColoring(tuple(ecol))
+                branch(max(max_used, ci))
         return None
 
     for k in range(delta, delta + mult + 1):

@@ -212,6 +212,13 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     sorted lexicographically by sorted EdgeId tuple and truncated at
     ``limit`` (truncation keeps determinism but not completeness).
     """
+    return _enumerate_min_cuts(g, u, v, limit)[0]
+
+
+def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
+    """``enumerate_min_cuts`` and the max flow it was read from, as
+    (certificates, (value, residual)), for a caller that goes on to search
+    the same network."""
     _check_pair(g, u, v)
     value, residual, _ = _max_flow(g, u, v)
     n = g.vertex_count
@@ -297,9 +304,8 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     cuts = sorted(
         {tuple(sorted(_crossing_edges(g, side))) for side in sides}
     )[:limit]
-    return [
-        CutCertificate((u, v), frozenset(cut), value) for cut in cuts
-    ]
+    certs = [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
+    return certs, (value, residual)
 
 
 def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:

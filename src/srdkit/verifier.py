@@ -7,11 +7,12 @@ completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
 (srd) and the number of colors for a rainbow cut of any size (rd).  For
 minimum cuts the verifier first enumerates all of them and tests each for
 rainbowness while their number stays below a threshold, and runs the DFS
-only beyond it.  The DFS runs one max flow, at its root; every other state
-repairs a copy of its parent's flow for the edge it adds, which costs a few
-graph walks instead of a flow from zero.  It visits each rainbow edge subset
-at most once, so with k colors and classes of sizes s_1..s_k it explores at
-most prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
+only beyond it, starting from the enumeration's max flow.  The DFS has one
+max flow, at its root; every other state repairs a copy of its parent's
+flow for the edge it adds, which costs a few graph walks instead of a flow
+from zero.  It visits each rainbow edge subset at most once, so with k
+colors and classes of sizes s_1..s_k it explores at most
+prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .colorings import EdgeColoring, check_coloring_fits
 from .connectivity import (
     CutCertificate,
     _check_pair,
+    _enumerate_min_cuts,
     _max_flow,
     _max_flow_without,
-    enumerate_min_cuts,
 )
 from .errors import BudgetExceededError, GraphStructureError
 from .graph import Graph, _bfs, is_connected
@@ -60,7 +61,7 @@ def is_rainbow(c: EdgeColoring, edge_set) -> bool:
     return True
 
 
-def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
+def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
     """Complete search for a rainbow u-v cut of at most ``cap`` edges.
 
     Branches over the edges of a live shortest path whose colors are still
@@ -73,7 +74,8 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
     cut; with ``cap`` = the number of colors, any rainbow cut fits;
     ``cap`` = None takes λ(u, v) from the root's flow.  ``node_budget``
     bounds the states, raising BudgetExceededError.  Only the root runs a
-    max flow: each child repairs a copy of its parent's, and only states
+    max flow, unless the caller hands it one as ``root`` = (value,
+    residual): each child repairs a copy of its parent's, and only states
     that branch walk the graph for their path.  A root with residual 0
     raises GraphStructureError (u, v disconnected).
 
@@ -110,7 +112,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None):
         stack.append([residual, value, branch, 0])
         return None
 
-    value, residual, _ = _max_flow(g, u, v)
+    value, residual = root if root is not None else _max_flow(g, u, v)[:2]
     if cap is None:
         cap = value
     hit = enter(value, residual)
@@ -158,19 +160,21 @@ def find_rainbow_min_cut(
     DFS states, raising BudgetExceededError instead of answering."""
     stats = _check_pair_search(g, c, u, v, stats)
 
-    lam = None  # the DFS takes λ from its root's flow
+    flow = None  # without one, the DFS runs its own at its root
     if threshold > 0:
-        certs = enumerate_min_cuts(g, u, v, limit=threshold + 1)
-        lam = certs[0].value
+        certs, flow = _enumerate_min_cuts(g, u, v, threshold + 1)
         # λ = 0 goes on to the DFS, whose root rejects a disconnected pair
-        if len(certs) <= threshold and lam > 0:
+        if len(certs) <= threshold and flow[0] > 0:
             stats.enumerated += len(certs)
             for cert in certs:
                 if is_rainbow(c, cert.cut):
                     return cert
             return None
 
-    cut = _dfs_rainbow_cut(g, c, u, v, lam, stats, node_budget=node_budget)
+    # cap None: the DFS takes λ from its root's flow
+    cut = _dfs_rainbow_cut(
+        g, c, u, v, None, stats, node_budget=node_budget, root=flow
+    )
     if cut is None:
         return None
     # a cut within the cap λ has exactly λ edges

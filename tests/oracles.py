@@ -2,14 +2,17 @@
 
 Everything here works from raw (vertex_count, edge list, color tuple) data
 and uses only subset enumeration plus union-find, so it shares no logic with
-the package under test.  The one exception is ``reference_rainbow_cut_dfs``,
-a differential reference for the verifier's rainbow-cut DFS that runs the
-package's max flow from zero at every state.
+the package under test.  The exceptions are two differential references:
+``reference_rainbow_cut_dfs`` for the verifier's rainbow-cut DFS, which
+runs the package's max flow from zero at every state, and
+``reference_chromatic_index``, the chromatic-index backtracking without its
+counting prune.
 """
 
 from collections import deque
 from itertools import combinations
 
+from srdkit.colorings import EdgeColoring
 from srdkit.connectivity import _max_flow
 from srdkit.errors import BudgetExceededError, GraphStructureError
 
@@ -231,3 +234,90 @@ def reference_rainbow_cut_dfs(g, colors, u, v, cap, stats, node_budget=None):
         return None
 
     return rec(frozenset(), frozenset(), frozenset())
+
+
+def reference_chromatic_index(g, budget=5_000_000):
+    """(chromatic index, witness, color assignments tried) of the plain
+    recursive backtracking that ``exact_chromatic_index`` prunes: most
+    constrained edge first, at most one new color per node, and only the
+    endpoint check (free colors >= uncolored edges) as a prune."""
+    m = g.edge_count
+    if m == 0:
+        return 0, EdgeColoring(()), 0
+    delta = g.max_degree()
+    mult = 1
+    if g.has_parallel_edges():
+        pairs: dict = {}
+        for a, b in g.edges:
+            key = (a, b) if a < b else (b, a)
+            pairs[key] = pairs.get(key, 0) + 1
+        mult = max(pairs.values())
+
+    nodes = 0
+
+    def search(k: int):
+        nonlocal nodes
+        full = (1 << k) - 1
+        vmask = [0] * g.vertex_count
+        unc_deg = [g.degree(v) for v in range(g.vertex_count)]
+        ecol = [0] * m
+        uncolored = m
+
+        def feasible_at(v: int) -> bool:
+            return (full & ~vmask[v]).bit_count() >= unc_deg[v]
+
+        def rec(max_used: int):
+            nonlocal nodes, uncolored
+            if uncolored == 0:
+                return True
+            best_e, best_avail, best_pop = -1, 0, k + 1
+            for e in range(m):
+                if ecol[e]:
+                    continue
+                a, b = g.edges[e]
+                avail = full & ~(vmask[a] | vmask[b])
+                p = avail.bit_count()
+                if p == 0:
+                    return False
+                if p < best_pop:
+                    best_e, best_avail, best_pop = e, avail, p
+            e = best_e
+            a, b = g.edges[e]
+            allowed = best_avail & ((1 << min(k, max_used + 1)) - 1)
+            bit = 1
+            ci = 1
+            while bit <= allowed:
+                if allowed & bit:
+                    nodes += 1
+                    if nodes > budget:
+                        raise BudgetExceededError(
+                            f"chromatic index search exceeded {budget} nodes"
+                        )
+                    ecol[e] = ci
+                    vmask[a] |= bit
+                    vmask[b] |= bit
+                    unc_deg[a] -= 1
+                    unc_deg[b] -= 1
+                    uncolored -= 1
+                    if feasible_at(a) and feasible_at(b):
+                        if rec(max(max_used, ci)):
+                            return True
+                    ecol[e] = 0
+                    vmask[a] &= ~bit
+                    vmask[b] &= ~bit
+                    unc_deg[a] += 1
+                    unc_deg[b] += 1
+                    uncolored += 1
+                bit <<= 1
+                ci += 1
+            return False
+
+        if rec(0):
+            return EdgeColoring(tuple(ecol))
+        return None
+
+    for k in range(delta, delta + mult + 1):
+        witness = search(k)
+        if witness is not None:
+            return k, witness, nodes
+    raise AssertionError("no proper coloring within the classical bound")

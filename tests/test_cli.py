@@ -186,6 +186,15 @@ class TestColor:
         assert vcode == 0
         assert "verdict true" in vtext
 
+    def test_long_cycle_regular_family(self, tmp_path):
+        # the chromatic-index search once recursed once per edge
+        p = tmp_path / "c1200.txt"
+        edges = "".join(f"{v} {(v + 1) % 1200}\n" for v in range(1200))
+        p.write_text("1200 1200\n" + edges)
+        code, text = run(["color", "--family", "regular", "--graph", str(p)])
+        assert code == 0
+        assert parse_coloring(text, edge_count=1200).num_colors == 2
+
     def test_family_without_graph_is_usage_error(self):
         code, text = run(["color", "--family", "cactus"])
         assert code == 2
@@ -404,6 +413,14 @@ class TestExportDot:
         code, text = run(["export-dot", k4_file, "--roles", str(roles)])
         assert code == 2
         assert text == "error: bad roles line 2: 'vertex x foo'\n"
+
+    def test_overlong_roles_id_is_usage_error(self, k4_file, tmp_path):
+        # more digits than int() converts
+        roles = tmp_path / "r.txt"
+        roles.write_text(f"vertex {'1' * 5000} a\n")
+        code, text = run(["export-dot", k4_file, "--roles", str(roles)])
+        assert code == 2
+        assert text.startswith("error: bad roles line 1: ")
 
     def test_quotes_and_backslashes_in_labels_are_escaped(self, k4_file, tmp_path):
         colors = tmp_path / "c.txt"

@@ -1,11 +1,14 @@
 """Proper colorings, the chromatic-index search, and the family schemes.
 
 Rainbow-min-cut validity is checked against the independent subset oracles
-in oracles.py, never against the package's own verifier.
+in oracles.py.  The one construction past their reach, K_{3,3,3,3}, goes
+through the package's verifier, which test_verifier.py checks against those
+oracles.
 """
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdkit import (
     BudgetExceededError,
@@ -24,11 +27,13 @@ from srdkit import (
     color_regular,
     color_tree,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     exact_chromatic_index,
     greedy_fan_coloring,
     grid_graph,
     is_proper,
+    is_srd_coloring,
     normalize_colors,
     parse_coloring,
     path_graph,
@@ -38,7 +43,12 @@ from srdkit import (
 )
 
 from conftest import small_graphs
-from oracles import FastSrdOracle, all_labeled_graphs, oracle_is_srd
+from oracles import (
+    FastSrdOracle,
+    all_labeled_graphs,
+    oracle_is_srd,
+    reference_chromatic_index,
+)
 
 
 def assert_oracle_srd(g: Graph, c: EdgeColoring):
@@ -173,6 +183,35 @@ class TestChromaticIndex:
         assert is_proper(g, c)
 
 
+@st.composite
+def multigraphs(draw):
+    """A multigraph on 2-9 vertices with up to 22 edges, possibly
+    disconnected."""
+    n = draw(st.integers(2, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=22)))
+
+
+class TestChromaticIndexAgainstReference:
+    """The pruned search against the plain backtracking it prunes."""
+
+    @given(multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_same_witness_within_the_reference_count(self, g):
+        k, c, tried = reference_chromatic_index(g)
+        # the prune never tries more assignments than the plain search
+        assert exact_chromatic_index(g, budget=tried) == (k, c)
+
+    def test_tight_graph_is_pruned(self):
+        # K_{2,3,3,3}: m = 9 * 5 edges on 11 vertices, so every one of
+        # the 9 color classes is a near-perfect matching; the plain search
+        # tries 399,971 assignments
+        g = complete_multipartite_graph((2, 3, 3, 3))
+        k, c = exact_chromatic_index(g, budget=100)
+        assert k == 9
+        assert is_proper(g, c)
+
+
 def bridged_cubic_graph() -> Graph:
     """3-regular with a bridge: two near-K4 lobes joined at subdividers."""
     edges = []
@@ -237,6 +276,8 @@ class TestFamilySchemes:
             ((2, 2, 2), 4),
             ((3, 3, 3), 6),
             ((1, 2, 3), 4),
+            ((3, 3, 3, 3), 9),
+            ((2, 2, 2, 2, 2, 2), 10),
         ],
     )
     def test_multipartite_color_count(self, sizes, expected):
@@ -254,6 +295,11 @@ class TestFamilySchemes:
     def test_multipartite_is_srd(self, sizes):
         g, c = color_complete_multipartite(sizes)
         assert_oracle_srd(g, c)
+
+    def test_tight_multipartite_is_srd(self):
+        # built on a 9-edge-coloring of the tight graph K_{2,3,3,3}
+        g, c = color_complete_multipartite((3, 3, 3, 3))
+        assert is_srd_coloring(g, c).verdict
 
     def test_multipartite_rejects(self):
         with pytest.raises(ColoringError, match="ascending"):
@@ -297,6 +343,7 @@ class TestFamilySchemes:
             (complete_graph(4), 3),
             (petersen_graph(), 4),
             (grid_graph(2, 2), 2),
+            (cycle_graph(1200), 2),  # deeper than the recursion limit
         ],
     )
     def test_regular_uses_chromatic_index(self, g, chi):

@@ -200,8 +200,9 @@ def flow_calls(monkeypatch):
 
 
 class TestFlowsPerSearch:
-    """A pair search that the enumeration decides, or that runs the DFS
-    alone, runs one max flow; every DFS state but the root repairs its
+    """A pair search runs one max flow, whether the enumeration decides it,
+    the DFS runs alone, or the DFS takes over from an enumeration that
+    overflowed its threshold; every DFS state but the root repairs its
     parent's flow."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
@@ -216,6 +217,15 @@ class TestFlowsPerSearch:
         c = EdgeColoring((1, 1, 2, 2, 3, 3))
         find_rainbow_min_cut(g, c, 0, 1, threshold=0, stats=st)
         assert st.nodes > 1
+        assert len(flow_calls) == 1
+
+    def test_enumeration_overflow_hands_its_flow_to_the_dfs(self, flow_calls):
+        g = cycle_graph(6)
+        st = SearchStats()
+        c = EdgeColoring((1, 2, 3, 1, 2, 3))
+        cert = find_rainbow_min_cut(g, c, 0, 3, threshold=2, stats=st)
+        assert cert is not None and cert.value == 2
+        assert st.enumerated == 0 and st.nodes > 1
         assert len(flow_calls) == 1
 
     def test_any_size_search_runs_one_flow(self, flow_calls):
