@@ -69,7 +69,6 @@ from .reduction import (  # noqa: F401
     ReductionInstance,
     build_reduction,
     check_equivalence,
-    check_equivalence_batch,
     cut_from_assignment,
     extract_assignment,
     parse_dimacs_cnf,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -70,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="unused; the search is serial (default: SRD_KIT_JOBS or 1)",
+        default=1,
+        help="ignored; every search runs in one process (must be at least 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -543,13 +542,7 @@ def run(argv) -> tuple:
         # argparse already printed usage or help
         return (0 if exc.code in (0, None) else 2), ""
 
-    jobs = ns.jobs
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("SRD_KIT_JOBS", "") or 1)
-        except ValueError:
-            return 2, "error: SRD_KIT_JOBS must be an integer\n"
-    if jobs < 1:
+    if ns.jobs < 1:
         return 2, "error: --jobs must be at least 1\n"
 
     cfg = RunConfig(

@@ -237,29 +237,16 @@ def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
             if comp[a] != comp[b]:
                 csucc[comp[a]].add(comp[b])
 
-    cu, cv = comp[u], comp[v]
-    # components forced into the source side: everything residual-reachable
-    # from u; forced out: everything that can still reach v
-    must_in = set()
-    stack = [cu]
-    while stack:
-        c = stack.pop()
-        if c in must_in:
-            continue
-        must_in.add(c)
-        stack.extend(csucc[c])
-    cpred: list[set[int]] = [set() for _ in range(ncomp)]
-    for a in range(ncomp):
-        for b in csucc[a]:
-            cpred[b].add(a)
-    must_out = set()
-    stack = [cv]
-    while stack:
-        c = stack.pop()
-        if c in must_out:
-            continue
-        must_out.add(c)
-        stack.extend(cpred[c])
+    # The source side must hold all that u reaches in the residual, and the
+    # sink side all that reaches v; here those are just the components of u
+    # and v.  An edge's two arcs have 2 units of residual between them, so
+    # across any vertex set the residual out minus the residual in is twice
+    # the net flow in.  Take A, the vertices that reach u: no arc enters A,
+    # and A holds u and v (a flow path reversed is residual) unless the flow
+    # is zero, so its net inflow is 0 and no arc leaves A either: all that
+    # u reaches reaches u.  The same count on the set that v reaches shows
+    # that all that reaches v is reached from v.
+    must_in, must_out = {comp[u]}, {comp[v]}
     assert not (must_in & must_out), "residual u->v path left after max flow"
 
     # Tarjan gives successors lower ids, so ascending ids decide sinks first

@@ -14,7 +14,6 @@ pads the t side to pin the minimum cut value.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .colorings import EdgeColoring
@@ -414,21 +413,3 @@ def check_equivalence(
         assignment=assignment,
         detail="",
     )
-
-
-def _equivalence_worker(args):
-    phi, node_budget = args
-    return check_equivalence(phi, node_budget=node_budget)
-
-
-def check_equivalence_batch(
-    formulas, jobs: int = 1, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list:
-    """check_equivalence over many formulas, optionally one per worker."""
-    formulas = list(formulas)
-    if jobs <= 1:
-        return [check_equivalence(phi, node_budget=node_budget) for phi in formulas]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(_equivalence_worker, [(phi, node_budget) for phi in formulas])
-        )

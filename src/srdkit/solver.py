@@ -23,7 +23,6 @@ from .connectivity import (
     _crossing_edges,
     edge_connectivity,
     enumerate_min_cuts,
-    upper_edge_connectivity,
 )
 from .errors import ColoringError, GraphStructureError
 from .graph import Graph, _bfs, blocks, is_connected
@@ -163,17 +162,22 @@ def _search_level(g, tables, mode, k, threshold):
     return None, tested
 
 
-def _upper_bound_witness(g: Graph, threshold: int) -> EdgeColoring:
+def _upper_bound_witness(g: Graph, threshold: int) -> tuple[EdgeColoring, int]:
     """A verified rainbow-min-cut coloring, preferring the constructive
-    e-1 scheme and falling back to all-distinct colors (always valid)."""
+    e-1 scheme and falling back to all-distinct colors (always valid), and
+    λ+(G), read off the verification: each pair's witness has λ(u, v) edges."""
+    report = None
     if g.vertex_count >= 3:
         try:
             cand = normalize_colors(color_general_upper(g))
-            if is_srd_coloring(g, cand, threshold=threshold).verdict:
-                return cand
+            report = is_srd_coloring(g, cand, threshold=threshold)
         except ColoringError:
             pass
-    return EdgeColoring(tuple(range(1, g.edge_count + 1)))
+    if report is None or not report.verdict:
+        cand = EdgeColoring(tuple(range(1, g.edge_count + 1)))
+        report = is_srd_coloring(g, cand, threshold=threshold)
+        assert report.verdict, "all-distinct colors failed verification"
+    return cand, max(cert.value for cert in report.witnesses.values())
 
 
 def _solve(g, mode, max_edges, threshold) -> SolveResult:
@@ -182,8 +186,7 @@ def _solve(g, mode, max_edges, threshold) -> SolveResult:
     if not is_connected(g):
         raise GraphStructureError("solver requires a connected graph")
 
-    lower = upper_edge_connectivity(g)
-    upper_witness = _upper_bound_witness(g, threshold)
+    upper_witness, lower = _upper_bound_witness(g, threshold)
     upper = upper_witness.num_colors
     source = ("lambda+", "construction")
 
@@ -205,29 +208,27 @@ def _solve(g, mode, max_edges, threshold) -> SolveResult:
 def srd_number(
     g: Graph,
     max_edges: int = DEFAULT_MAX_EDGES,
-    jobs: int = 1,
+    *,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> SolveResult:
-    """Exact srd(G): fewest colors so every pair has a rainbow minimum cut.
-    ``jobs`` is accepted for compatibility and unused."""
+    """Exact srd(G): fewest colors so every pair has a rainbow minimum cut."""
     return _solve(g, "srd", max_edges, threshold)
 
 
 def rd_number(
     g: Graph,
     max_edges: int = DEFAULT_MAX_EDGES,
-    jobs: int = 1,
+    *,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> SolveResult:
-    """Exact rd(G): fewest colors so every pair has a rainbow cut.
-    ``jobs`` is accepted for compatibility and unused."""
+    """Exact rd(G): fewest colors so every pair has a rainbow cut."""
     return _solve(g, "rd", max_edges, threshold)
 
 
 def srd_by_blocks(
     g: Graph,
     max_edges: int = DEFAULT_MAX_EDGES,
-    jobs: int = 1,
+    *,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> SolveResult:
     """srd(G) as the maximum over blocks, with a witness glued from the
@@ -235,7 +236,7 @@ def srd_by_blocks(
 
     Any two vertices have all their minimum cuts inside a single block, so
     the block maximum is exact and usually far cheaper than the direct
-    search.  ``jobs`` is accepted for compatibility and unused.
+    search.
     """
     decomposition = blocks(g)
     if not decomposition.blocks:
@@ -259,7 +260,10 @@ def all_connected_graphs(n: int):
     canonical representative each, in a deterministic order.
 
     Canonical form: the edge-set bitmask is minimal over all vertex
-    permutations.  Intended for n <= 6.
+    permutations.  Masks are walked in ascending order, so the first mask
+    met of each relabelling orbit is its minimum; the whole orbit is then
+    marked, and connectivity is tested once per orbit.  The marks take
+    2^(n(n-1)/2) bytes, 2 MiB at n = 7.
     """
     if n < 1:
         raise GraphStructureError("need at least one vertex")
@@ -268,40 +272,20 @@ def all_connected_graphs(n: int):
         return
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {p: i for i, p in enumerate(pairs)}
-    perm_maps = []
-    for perm in itertools.permutations(range(n)):
-        perm_maps.append(
-            [index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
-        )
-
-    def relabel(mask: int, pm) -> int:
-        out = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= 1 << pm[i]
-            mask >>= 1
-            i += 1
-        return out
-
+    perm_bits = [
+        [1 << index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
+        for perm in itertools.permutations(range(n))
+    ]
+    seen = bytearray(1 << len(pairs))
     for mask in range(1 << len(pairs)):
-        # connectivity via bit-set union-find over the chosen edges
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, (a, b) in enumerate(pairs):
-            if mask >> i & 1:
-                parent[find(a)] = find(b)
-        if len({find(v) for v in range(n)}) != 1:
+        if seen[mask]:
             continue
-        if any(relabel(mask, pm) < mask for pm in perm_maps):
-            continue
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        on = [i for i in range(len(pairs)) if mask >> i & 1]
+        for bits in perm_bits:
+            seen[sum(bits[i] for i in on)] = 1
+        g = Graph(n, [pairs[i] for i in on])
+        if is_connected(g):
+            yield g
 
 
 @dataclass(frozen=True)
@@ -316,13 +300,12 @@ class ScanRecord:
 def conjecture_scan(
     graphs,
     max_edges: int = DEFAULT_MAX_EDGES,
-    jobs: int = 1,
+    *,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> list:
     """rd vs srd for each graph; any inequality is double-checked and
     flagged, never silently dropped, and the bound chain
-    λ ≤ λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph.
-    ``jobs`` is accepted for compatibility and unused."""
+    λ ≤ λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph."""
     records = []
     for g in graphs:
         rd = rd_number(g, max_edges, threshold=threshold)
@@ -331,7 +314,7 @@ def conjecture_scan(
             records.append(ScanRecord(g, rd, srd, None, "budget"))
             continue
         lam = edge_connectivity(g)
-        lam_plus = rd.lower_bound  # _solve's upper_edge_connectivity(g)
+        lam_plus = rd.lower_bound  # read off _solve's upper-bound verification
         chain = lam <= lam_plus <= rd.value <= srd.value <= g.edge_count
         if not chain:
             raise AssertionError(

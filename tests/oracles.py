@@ -2,15 +2,16 @@
 
 Everything here works from raw (vertex_count, edge list, color tuple) data
 and uses only subset enumeration plus union-find, so it shares no logic with
-the package under test.  The exceptions are two differential references:
+the package under test.  The exceptions are three differential references:
 ``reference_rainbow_cut_dfs`` for the verifier's rainbow-cut DFS, which
-runs the package's max flow from zero at every state, and
+runs the package's max flow from zero at every state,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
-counting prune.
+counting prune, and ``reference_connected_graphs``, the isomorphism census
+without orbit marking.
 """
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 from srdkit.colorings import EdgeColoring
 from srdkit.connectivity import _max_flow
@@ -321,3 +322,37 @@ def reference_chromatic_index(g, budget=5_000_000):
         if witness is not None:
             return k, witness, nodes
     raise AssertionError("no proper coloring within the classical bound")
+
+
+def reference_connected_graphs(n):
+    """Edge lists of the connected simple graphs on n >= 1 vertices whose
+    edge bitmask is minimal over all n! relabellings, in ascending mask
+    order: the census ``all_connected_graphs`` reproduces by marking orbits,
+    here as the direct test of every connected mask against every
+    permutation."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    perm_maps = [
+        [index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
+        for perm in permutations(range(n))
+    ]
+
+    def relabel(mask, pm):
+        out = 0
+        i = 0
+        while mask:
+            if mask & 1:
+                out |= 1 << pm[i]
+            mask >>= 1
+            i += 1
+        return out
+
+    out = []
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        if oracle_component_count(n, edges) != 1:
+            continue
+        if any(relabel(mask, pm) < mask for pm in perm_maps):
+            continue
+        out.append(edges)
+    return out

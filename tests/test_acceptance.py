@@ -24,7 +24,7 @@ from srdkit import (
     all_connected_graphs,
     blocks,
     build_reduction,
-    check_equivalence_batch,
+    check_equivalence,
     color_complete,
     color_complete_multipartite,
     color_general_upper,
@@ -261,7 +261,7 @@ def test_criterion_08_slow_petersen_three_color_refutation():
     canonical 3-class coloring — all Stirling S(15,3) = 2,375,101 of them
     — before settling on the verified 4-color witness.
     """
-    res = srd_number(petersen_graph(), max_edges=15, jobs=2)
+    res = srd_number(petersen_graph(), max_edges=15)
     failures = []
     if res.value != 4:
         failures.append(f"srd(Petersen) = {res.value}, want 4")
@@ -346,10 +346,12 @@ def test_criterion_09_reduction_equivalence():
     randoms = [_random_formula(rng, 4, 3) for _ in range(100)]
     for phi in family + randoms:
         failures.extend(_instance_invariant_failures(phi))
-    for phi, rep in zip(family, check_equivalence_batch(family, jobs=4)):
+    for phi in family:
+        rep = check_equivalence(phi)
         if rep.consistent is not True:
             failures.append(f"exhaustive {phi.clauses}: {rep.detail}")
-    for phi, rep in zip(randoms, check_equivalence_batch(randoms, jobs=4)):
+    for phi in randoms:
+        rep = check_equivalence(phi)
         if rep.consistent is not True:
             failures.append(f"random {phi.clauses}: {rep.detail}")
     _verdict(

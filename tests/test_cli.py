@@ -99,12 +99,6 @@ class TestPlumbing:
         assert code == 0
         assert "srd=3" in text
 
-    def test_jobs_env_rejects_garbage(self, k4_file, monkeypatch):
-        monkeypatch.setenv("SRD_KIT_JOBS", "many")
-        code, text = run(["solve", k4_file])
-        assert code == 2
-        assert "SRD_KIT_JOBS" in text
-
     def test_jobs_must_be_positive(self, k4_file):
         code, _ = run(["solve", "--jobs", "0", k4_file])
         assert code == 2

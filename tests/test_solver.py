@@ -2,7 +2,7 @@
 
 The load-bearing properties: the reported value always carries a witness
 the verifier accepts, no smaller palette passes the oracle, and the
-candidate counter is identical no matter how many workers run.
+candidate counter is identical from one run to the next.
 """
 
 import itertools
@@ -11,6 +11,7 @@ import pickle
 import pytest
 
 from srdkit import (
+    EdgeColoring,
     Graph,
     GraphStructureError,
     all_connected_graphs,
@@ -29,8 +30,10 @@ from srdkit import (
     star_graph,
     upper_edge_connectivity,
 )
+from srdkit import solver
 from srdkit.solver import _pair_cut_tables
-from oracles import oracle_is_rd, oracle_is_srd
+from srdkit.verifier import DEFAULT_THRESHOLD
+from oracles import oracle_is_rd, oracle_is_srd, reference_connected_graphs
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 K4_PENDANT = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
@@ -231,6 +234,11 @@ class TestAllConnectedGraphs:
         b = [g.edges for g in all_connected_graphs(4)]
         assert a == b
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_list_as_the_direct_census(self, n):
+        got = [list(g.edges) for g in all_connected_graphs(n)]
+        assert got == reference_connected_graphs(n)
+
     def test_rejects_zero_vertices(self):
         with pytest.raises(GraphStructureError):
             next(all_connected_graphs(0))
@@ -262,22 +270,63 @@ class TestParallelism:
         h = pickle.loads(pickle.dumps(g))
         assert (h.vertex_count, h.edges) == (g.vertex_count, g.edges)
 
-    def test_jobs_do_not_change_the_answer(self):
-        serial = srd_number(complete_graph(4), jobs=1)
-        pooled = srd_number(complete_graph(4), jobs=2)
-        assert serial.value == pooled.value
-        assert serial.witness == pooled.witness
-        assert serial.colorings_tested == pooled.colorings_tested
 
-    def test_jobs_parity_for_rd(self):
+class TestDeterminism:
+    def test_srd_repeats_its_answer(self):
+        first = srd_number(complete_graph(4))
+        again = srd_number(complete_graph(4))
+        assert first.value == again.value
+        assert first.witness == again.witness
+        assert first.colorings_tested == again.colorings_tested
+
+    def test_rd_repeats_its_answer(self):
         g = grid_graph(2, 4)
-        serial = rd_number(g, jobs=1)
-        pooled = rd_number(g, jobs=2)
-        assert (serial.value, serial.colorings_tested) == (
-            pooled.value,
-            pooled.colorings_tested,
+        first = rd_number(g)
+        again = rd_number(g)
+        assert (first.value, first.colorings_tested) == (
+            again.value,
+            again.colorings_tested,
         )
-        assert serial.witness == pooled.witness
+        assert first.witness == again.witness
+
+    def test_threshold_is_keyword_only(self):
+        # a stray positional third argument fails instead of becoming the
+        # enumeration threshold
+        for solve in (srd_number, rd_number, srd_by_blocks):
+            with pytest.raises(TypeError):
+                solve(complete_graph(4), 12, 2)
+        with pytest.raises(TypeError):
+            conjecture_scan([complete_graph(3)], 12, 2)
+
+
+class TestLambdaPlus:
+    """The lower bound λ+ comes from the upper-bound verification's
+    certificates, on the enumeration and the DFS paths alike."""
+
+    GRAPHS = [
+        *(g for n in (2, 3, 4, 5) for g in all_connected_graphs(n)),
+        Graph(2, [(0, 1), (0, 1), (1, 0)]),
+        Graph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (1, 2)]),
+        BOWTIE,
+        K4_PENDANT,
+        grid_graph(2, 3),
+    ]
+
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0, 2])
+    def test_equals_the_pairwise_maximum(self, threshold):
+        for g in self.GRAPHS:
+            want = upper_edge_connectivity(g)
+            for solve in (srd_number, rd_number):
+                assert solve(g, threshold=threshold).lower_bound == want, g
+
+    def test_all_distinct_fallback(self, monkeypatch):
+        # a construction that fails verification leaves the all-distinct
+        # coloring, whose certificates then give λ+
+        monkeypatch.setattr(
+            solver, "color_general_upper", lambda g: EdgeColoring((1,) * g.edge_count)
+        )
+        res = srd_number(complete_graph(4))
+        assert (res.value, res.lower_bound, res.upper_bound) == (3, 3, 6)
 
 
 class TestPrunedSearch:
