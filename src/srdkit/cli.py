@@ -324,32 +324,28 @@ def _cmd_solve(cfg: RunConfig):
     if opts["max_edges"] < 0 or opts["threshold"] < 0:
         raise _UsageError("budgets must be non-negative")
     g = _load_graph(opts["graph"])
-    modes = ["rd", "srd"] if opts["mode"] == "both" else [opts["mode"]]
-    if opts["witness_out"] and len(modes) != 1:
+    mode = opts["mode"]
+    if opts["witness_out"] and mode == "both":
         raise _UsageError("--witness-out needs a single --mode (srd or rd)")
-    results = {}
-    for mode in modes:
+    if mode == "both":
+        (rec,) = conjecture_scan([g], opts["max_edges"], threshold=opts["threshold"])
+        results = {"rd": rec.rd, "srd": rec.srd}
+    else:
         solve = srd_number if mode == "srd" else rd_number
-        results[mode] = solve(
-            g,
-            max_edges=opts["max_edges"],
-            threshold=opts["threshold"],
-        )
-    lines = [f"graph {opts['graph']} n={g.vertex_count} m={g.edge_count}"]
-    lines.append(
+        results = {mode: solve(g, opts["max_edges"], threshold=opts["threshold"])}
+    lines = [
+        f"graph {opts['graph']} n={g.vertex_count} m={g.edge_count}",
         " ".join(
-            f"{mode}={results[mode].value if results[mode].value is not None else '?'}"
-            for mode in modes
-        )
-    )
+            f"{name}={'?' if r.value is None else r.value}" for name, r in results.items()
+        ),
+    ]
     payload = {"graph": opts["graph"], "results": {}}
-    for mode in modes:
-        r = results[mode]
+    for name, r in results.items():
         lines.append(
-            f"{mode} bounds=[{r.lower_bound},{r.upper_bound}] "
+            f"{name} bounds=[{r.lower_bound},{r.upper_bound}] "
             f"tested={r.colorings_tested} complete={_bool(r.complete)}"
         )
-        payload["results"][mode] = {
+        payload["results"][name] = {
             "value": r.value,
             "lower": r.lower_bound,
             "upper": r.upper_bound,
@@ -357,7 +353,7 @@ def _cmd_solve(cfg: RunConfig):
             "complete": r.complete,
         }
     if opts["witness_out"]:
-        witness = results[modes[0]].witness
+        witness = results[mode].witness
         if witness is not None:
             Path(opts["witness_out"]).write_text(serialize_coloring(witness))
             lines.append(f"wrote {opts['witness_out']}")

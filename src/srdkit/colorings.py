@@ -367,7 +367,7 @@ def exact_chromatic_index(
         free = [sum(1 for d in unc_deg if d)] * k
         room = k * (free[0] // 2)
 
-        def recount(colors: int, step: int):
+        def shift_free(colors: int, step: int):
             """Add ``step`` (+1 or -1) to free[] of each color in ``colors``
             and keep ``room`` in step."""
             nonlocal room
@@ -413,7 +413,7 @@ def exact_chromatic_index(
                 uncolored += 1
                 for v in (a, b):
                     vmask[v] &= ~bit
-                    recount(bit if unc_deg[v] else full & ~vmask[v], 1)
+                    shift_free(bit if unc_deg[v] else full & ~vmask[v], 1)
                     unc_deg[v] += 1
             if not allowed:
                 stack.pop()
@@ -432,7 +432,7 @@ def exact_chromatic_index(
                 unc_deg[v] -= 1
                 # v leaves free[] of this color, or of every color it
                 # misses once it has no uncolored edge left
-                recount(bit if unc_deg[v] else full & ~vmask[v], -1)
+                shift_free(bit if unc_deg[v] else full & ~vmask[v], -1)
                 vmask[v] |= bit
             if feasible_at(a) and feasible_at(b) and uncolored <= room:
                 if uncolored == 0:

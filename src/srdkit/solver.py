@@ -45,24 +45,28 @@ class SolveResult:
     colorings_tested: int
     lower_bound: int
     upper_bound: int
-    bound_source: tuple[str, str]
     complete: bool
 
 
 def canonical_colorings(m: int, k: int):
     """All colorings of m edges with at most k classes, one per
     color-renaming orbit: restricted-growth strings, lexicographic."""
-
-    def rec(prefix: list, mx: int):
-        if len(prefix) == m:
-            yield EdgeColoring(tuple(prefix))
-            return
-        for c in range(1, min(mx + 1, k) + 1):
-            prefix.append(c)
-            yield from rec(prefix, max(mx, c))
-            prefix.pop()
-
-    yield from rec([], 0)
+    colors = [0] * m
+    high = [0] * (m + 1)  # high[p]: the largest color among colors[:p]
+    p = 0
+    while p >= 0:
+        if p == m:
+            yield EdgeColoring(tuple(colors))
+            p -= 1
+            continue
+        c = colors[p] + 1
+        if c > min(high[p] + 1, k):
+            colors[p] = 0
+            p -= 1
+            continue
+        colors[p] = c
+        high[p + 1] = max(high[p], c)
+        p += 1
 
 
 def _pair_cut_tables(g: Graph, mode: str, threshold: int):
@@ -126,39 +130,45 @@ def _search_level(g, tables, mode, k, threshold):
             return is_srd_coloring(g, c, threshold=threshold).verdict
         return is_rd_coloring(g, c).verdict
 
-    def rec(p, mx) -> bool:
-        nonlocal tested
-        for c in range(1, min(mx + 1, k) + 1):
-            top = max(mx, c)
-            if k - top > m - p - 1:
-                continue  # not enough positions left to reach k classes
-            colors[p] = c
-            killed = [
-                (cid, pairs)
-                for cid, pairs, earlier in touching[p]
-                if not dead[cid] and any(colors[q] == c for q in earlier)
-            ]
-            for cid, pairs in killed:
-                dead[cid] = True
-                for i in pairs:
-                    alive[i] -= 1
-            if killed and 0 in alive:
-                tested += ways[m - p - 1][top]
-            elif p + 1 < m:
-                if rec(p + 1, top):
-                    return True
-            else:
-                tested += 1
-                if tables is not None or verified():
-                    return True
-            for cid, pairs in killed:
-                dead[cid] = False
-                for i in pairs:
-                    alive[i] += 1
-        return False
-
-    if rec(0, 0):
-        return EdgeColoring(tuple(colors)), tested
+    # Restricted-growth prefixes on an explicit stack, as in
+    # canonical_colorings; killed[p] holds the cuts colors[p] killed, revived
+    # before the next color is tried at p.
+    high = [0] * (m + 1)
+    killed = [()] * m
+    p = 0
+    while p >= 0:
+        for cid, pairs in killed[p]:
+            dead[cid] = False
+            for i in pairs:
+                alive[i] += 1
+        killed[p] = ()
+        c = colors[p] + 1
+        if c > min(high[p] + 1, k):
+            colors[p] = 0
+            p -= 1
+            continue
+        colors[p] = c
+        top = max(high[p], c)
+        if k - top > m - p - 1:
+            continue  # not enough positions left to reach k classes
+        killed[p] = [
+            (cid, pairs)
+            for cid, pairs, earlier in touching[p]
+            if not dead[cid] and any(colors[q] == c for q in earlier)
+        ]
+        for cid, pairs in killed[p]:
+            dead[cid] = True
+            for i in pairs:
+                alive[i] -= 1
+        if killed[p] and 0 in alive:
+            tested += ways[m - p - 1][top]
+        elif p + 1 < m:
+            high[p + 1] = top
+            p += 1
+        else:
+            tested += 1
+            if tables is not None or verified():
+                return EdgeColoring(tuple(colors)), tested
     return None, tested
 
 
@@ -180,7 +190,9 @@ def _upper_bound_witness(g: Graph, threshold: int) -> tuple[EdgeColoring, int]:
     return cand, max(cert.value for cert in report.witnesses.values())
 
 
-def _solve(g, mode, max_edges, threshold) -> SolveResult:
+def _solve(g, modes, max_edges, threshold) -> dict:
+    """{mode: SolveResult} for each of ``modes`` ("srd", "rd").  The bound
+    stage (the verified upper witness and λ+) runs once for all of them."""
     if g.vertex_count < 2:
         raise GraphStructureError("need at least two vertices")
     if not is_connected(g):
@@ -188,21 +200,21 @@ def _solve(g, mode, max_edges, threshold) -> SolveResult:
 
     upper_witness, lower = _upper_bound_witness(g, threshold)
     upper = upper_witness.num_colors
-    source = ("lambda+", "construction")
-
-    if lower == upper:
-        return SolveResult(lower, upper_witness, 0, lower, upper, source, True)
-    if g.edge_count > max_edges:
-        return SolveResult(None, None, 0, lower, upper, source, False)
-
-    tables = _pair_cut_tables(g, mode, threshold)
-    tested = 0
-    for k in range(lower, upper):
-        witness, used = _search_level(g, tables, mode, k, threshold)
-        tested += used
-        if witness is not None:
-            return SolveResult(k, witness, tested, lower, upper, source, True)
-    return SolveResult(upper, upper_witness, tested, lower, upper, source, True)
+    results = {}
+    for mode in modes:
+        if lower < upper and g.edge_count > max_edges:
+            results[mode] = SolveResult(None, None, 0, lower, upper, False)
+            continue
+        tables = _pair_cut_tables(g, mode, threshold) if lower < upper else None
+        value, witness, tested = upper, upper_witness, 0
+        for k in range(lower, upper):
+            found, used = _search_level(g, tables, mode, k, threshold)
+            tested += used
+            if found is not None:
+                value, witness = k, found
+                break
+        results[mode] = SolveResult(value, witness, tested, lower, upper, True)
+    return results
 
 
 def srd_number(
@@ -212,7 +224,7 @@ def srd_number(
     threshold: int = DEFAULT_THRESHOLD,
 ) -> SolveResult:
     """Exact srd(G): fewest colors so every pair has a rainbow minimum cut."""
-    return _solve(g, "srd", max_edges, threshold)
+    return _solve(g, ("srd",), max_edges, threshold)["srd"]
 
 
 def rd_number(
@@ -222,7 +234,7 @@ def rd_number(
     threshold: int = DEFAULT_THRESHOLD,
 ) -> SolveResult:
     """Exact rd(G): fewest colors so every pair has a rainbow cut."""
-    return _solve(g, "rd", max_edges, threshold)
+    return _solve(g, ("rd",), max_edges, threshold)["rd"]
 
 
 def srd_by_blocks(
@@ -249,10 +261,10 @@ def srd_by_blocks(
     lower = max(r.lower_bound for r in results)
     upper = max(r.upper_bound for r in results)
     if any(r.value is None for r in results):
-        return SolveResult(None, None, tested, lower, upper, ("blocks", "blocks"), False)
+        return SolveResult(None, None, tested, lower, upper, False)
     value = max(r.value for r in results)
     witness = color_by_blocks(g, [r.witness for r in results])
-    return SolveResult(value, witness, tested, lower, upper, ("blocks", "blocks"), True)
+    return SolveResult(value, witness, tested, lower, upper, True)
 
 
 def all_connected_graphs(n: int):
@@ -308,8 +320,8 @@ def conjecture_scan(
     λ ≤ λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph."""
     records = []
     for g in graphs:
-        rd = rd_number(g, max_edges, threshold=threshold)
-        srd = srd_number(g, max_edges, threshold=threshold)
+        results = _solve(g, ("rd", "srd"), max_edges, threshold)
+        rd, srd = results["rd"], results["srd"]
         if rd.value is None or srd.value is None:
             records.append(ScanRecord(g, rd, srd, None, "budget"))
             continue

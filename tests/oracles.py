@@ -2,12 +2,14 @@
 
 Everything here works from raw (vertex_count, edge list, color tuple) data
 and uses only subset enumeration plus union-find, so it shares no logic with
-the package under test.  The exceptions are three differential references:
+the package under test.  The exceptions are the differential references:
 ``reference_rainbow_cut_dfs`` for the verifier's rainbow-cut DFS, which
 runs the package's max flow from zero at every state,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
-counting prune, and ``reference_connected_graphs``, the isomorphism census
-without orbit marking.
+counting prune, ``reference_connected_graphs``, the isomorphism census
+without orbit marking, and ``reference_canonical_colorings`` and
+``reference_search_level``, the solver's canonical enumeration and level
+search written as recursions.
 """
 
 from collections import deque
@@ -16,6 +18,7 @@ from itertools import combinations, permutations
 from srdkit.colorings import EdgeColoring
 from srdkit.connectivity import _max_flow
 from srdkit.errors import BudgetExceededError, GraphStructureError
+from srdkit.verifier import is_rd_coloring, is_srd_coloring
 
 
 def _component_labels(n, edges, excluded=frozenset()):
@@ -356,3 +359,83 @@ def reference_connected_graphs(n):
             continue
         out.append(edges)
     return out
+
+
+def reference_canonical_colorings(m, k):
+    """Restricted-growth strings of length m over at most k colors, in
+    lexicographic order, by recursion (depth m)."""
+
+    def rec(prefix, mx):
+        if len(prefix) == m:
+            yield EdgeColoring(tuple(prefix))
+            return
+        for c in range(1, min(mx + 1, k) + 1):
+            prefix.append(c)
+            yield from rec(prefix, max(mx, c))
+            prefix.pop()
+
+    yield from rec([], 0)
+
+
+def reference_search_level(g, tables, mode, k, threshold):
+    """``solver._search_level`` as a recursive DFS (depth m): the first
+    canonical exactly-k coloring that passes, and the candidates counted."""
+    m = g.edge_count
+    ways = [[0] * (k + 2) for _ in range(m + 1)]
+    ways[0][k] = 1
+    for r in range(1, m + 1):
+        for mx in range(k + 1):
+            ways[r][mx] = mx * ways[r - 1][mx] + ways[r - 1][mx + 1]
+    cut_pairs = {}
+    for i, cuts in enumerate(tables or ()):
+        for cut in cuts:
+            cut_pairs.setdefault(cut, []).append(i)
+    touching = [[] for _ in range(m)]
+    for cid, (cut, pairs) in enumerate(cut_pairs.items()):
+        for j, e in enumerate(cut):
+            touching[e].append((cid, pairs, cut[:j]))
+    alive = [len(cuts) for cuts in tables or ()]
+    dead = [False] * len(cut_pairs)
+    colors = [0] * m
+    tested = 0
+
+    def verified():
+        c = EdgeColoring(tuple(colors))
+        if mode == "srd":
+            return is_srd_coloring(g, c, threshold=threshold).verdict
+        return is_rd_coloring(g, c).verdict
+
+    def rec(p, mx):
+        nonlocal tested
+        for c in range(1, min(mx + 1, k) + 1):
+            top = max(mx, c)
+            if k - top > m - p - 1:
+                continue
+            colors[p] = c
+            killed = [
+                (cid, pairs)
+                for cid, pairs, earlier in touching[p]
+                if not dead[cid] and any(colors[q] == c for q in earlier)
+            ]
+            for cid, pairs in killed:
+                dead[cid] = True
+                for i in pairs:
+                    alive[i] -= 1
+            if killed and 0 in alive:
+                tested += ways[m - p - 1][top]
+            elif p + 1 < m:
+                if rec(p + 1, top):
+                    return True
+            else:
+                tested += 1
+                if tables is not None or verified():
+                    return True
+            for cid, pairs in killed:
+                dead[cid] = False
+                for i in pairs:
+                    alive[i] += 1
+        return False
+
+    if rec(0, 0):
+        return EdgeColoring(tuple(colors)), tested
+    return None, tested

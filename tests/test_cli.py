@@ -7,13 +7,21 @@ report bytes are asserted directly without spawning an interpreter.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srdkit import SrdKitError, parse_coloring, parse_dimacs_cnf, parse_graph
-from srdkit import cli
+from srdkit import (
+    SrdKitError,
+    grid_graph,
+    parse_coloring,
+    parse_dimacs_cnf,
+    parse_graph,
+    serialize_graph,
+)
+from srdkit import cli, solver
 from srdkit.cli import main, run
 from srdkit.verifier import is_srd_coloring
 
@@ -238,6 +246,54 @@ class TestSolve:
         code, text = run(["solve", "--mode", "both", k4_file])
         assert code == 0
         assert "rd=3 srd=3" in text
+
+    def test_both_modes_share_one_bound_stage(self, tmp_path, monkeypatch):
+        # the upper witness is built and verified once, not once per mode
+        calls = Counter()
+        for name in ("color_general_upper", "is_srd_coloring"):
+
+            def counted(*args, _name=name, _real=getattr(solver, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        grid = tmp_path / "grid.txt"
+        grid.write_text(serialize_graph(grid_graph(2, 3)))
+        code, text = run(["solve", "--mode", "both", str(grid)])
+        assert code == 0
+        assert "rd=3 srd=3" in text
+        assert calls == {"color_general_upper": 1, "is_srd_coloring": 1}
+
+    @pytest.mark.parametrize(
+        "graph, extra",
+        [
+            (K4, []),
+            (BOWTIE, []),
+            (PATH5, []),
+            (K4, ["--threshold", "0"]),
+            (K4, ["--max-edges", "3"]),
+            ("3 5\n0 1\n0 1\n1 2\n2 0\n1 2\n", []),
+        ],
+    )
+    def test_both_merges_the_single_mode_reports(self, tmp_path, graph, extra):
+        path = tmp_path / "g.txt"
+        path.write_text(graph)
+        argv = ["solve", str(path), *extra]
+        rd_code, rd_text = run([*argv, "--mode", "rd"])
+        srd_code, srd_text = run([*argv, "--mode", "srd"])
+        code, text = run([*argv, "--mode", "both"])
+        assert code == max(rd_code, srd_code)
+        header, graph_line, rd_values, rd_stats = rd_text.splitlines()
+        srd_values, srd_stats = srd_text.splitlines()[2:]
+        merged = [header, graph_line, f"{rd_values} {srd_values}", rd_stats, srd_stats]
+        assert text == "\n".join(merged) + "\n"
+
+        _, rd_json = run([*argv, "--mode", "rd", "--json"])
+        _, srd_json = run([*argv, "--mode", "srd", "--json"])
+        _, both_json = run([*argv, "--mode", "both", "--json"])
+        want = json.loads(rd_json)
+        want["results"].update(json.loads(srd_json)["results"])
+        assert json.loads(both_json) == want
 
     def test_witness_out_verifies(self, k4_file, tmp_path):
         w = tmp_path / "w.txt"

@@ -5,8 +5,11 @@ the verifier accepts, no smaller palette passes the oracle, and the
 candidate counter is identical from one run to the next.
 """
 
+import contextlib
+import inspect
 import itertools
 import pickle
+import sys
 
 import pytest
 
@@ -31,12 +34,29 @@ from srdkit import (
     upper_edge_connectivity,
 )
 from srdkit import solver
-from srdkit.solver import _pair_cut_tables
+from srdkit.solver import _pair_cut_tables, _search_level
 from srdkit.verifier import DEFAULT_THRESHOLD
-from oracles import oracle_is_rd, oracle_is_srd, reference_connected_graphs
+from oracles import (
+    oracle_is_rd,
+    oracle_is_srd,
+    reference_canonical_colorings,
+    reference_connected_graphs,
+    reference_search_level,
+)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 K4_PENDANT = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+
+
+@contextlib.contextmanager
+def shallow_recursion_limit():
+    """Allow only 200 frames beyond the caller's stack."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 200)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def brute_min_colors(g: Graph, oracle) -> int:
@@ -79,6 +99,19 @@ class TestCanonicalColorings:
 
     def test_empty_edge_set(self):
         assert [tuple(c.colors) for c in canonical_colorings(0, 2)] == [()]
+
+    def test_same_stream_as_the_recursive_reference(self):
+        for m in range(8):
+            for k in range(5):
+                got = [c.colors for c in canonical_colorings(m, k)]
+                want = [c.colors for c in reference_canonical_colorings(m, k)]
+                assert got == want, (m, k)
+
+    def test_deeper_than_the_recursion_limit(self):
+        with shallow_recursion_limit():
+            assert next(canonical_colorings(1100, 1)).colors == (1,) * 1100
+            with pytest.raises(RecursionError):
+                next(reference_canonical_colorings(1100, 1))
 
 
 class TestSrdNumber:
@@ -245,6 +278,14 @@ class TestAllConnectedGraphs:
 
 
 class TestConjectureScan:
+    GRAPHS = [
+        *(g for n in (2, 3, 4, 5) for g in all_connected_graphs(n)),
+        Graph(2, [(0, 1), (0, 1), (1, 0)]),
+        Graph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (1, 2)]),
+        Graph(4, [(0, 1), (1, 2), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        K4_PENDANT,
+    ]
+
     def test_small_graphs_all_equal(self):
         graphs = [g for n in (2, 3, 4) for g in all_connected_graphs(n)]
         records = conjecture_scan(graphs)
@@ -256,6 +297,14 @@ class TestConjectureScan:
             lam_plus = upper_edge_connectivity(rec.graph)
             assert lam <= lam_plus <= rec.rd.value
             assert rec.rd.value <= rec.srd.value <= rec.graph.edge_count
+
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0, 2])
+    def test_same_results_as_the_single_mode_solves(self, threshold):
+        # one bound stage for both modes gives what two separate solves give
+        for g in self.GRAPHS:
+            (rec,) = conjecture_scan([g], threshold=threshold)
+            assert rec.rd == rd_number(g, threshold=threshold), g
+            assert rec.srd == srd_number(g, threshold=threshold), g
 
     def test_budget_overrun_is_flagged_not_dropped(self):
         records = conjecture_scan([cycle_graph(4), complete_graph(6)])
@@ -372,3 +421,47 @@ class TestPrunedSearch:
         g = path_graph(3)
         assert _pair_cut_tables(g, "rd", 4) == [[(0,)], [(0,), (1,)], [(1,)]]
         assert _pair_cut_tables(g, "rd", 3) is None  # 2^(n-1) sides > 3
+
+
+class TestDeepSearch:
+    """A search deeper than the recursion limit: a triangle with 133
+    parallel edges per side and a pendant edge, m = 400."""
+
+    G = Graph(4, [(0, 1)] * 133 + [(1, 2)] * 133 + [(0, 2)] * 133 + [(2, 3)])
+
+    def test_solves_under_a_shallow_recursion_limit(self):
+        with shallow_recursion_limit():
+            for solve in (srd_number, rd_number):
+                res = solve(self.G, max_edges=400)
+                assert (res.value, res.lower_bound, res.upper_bound) == (266, 266, 399)
+                assert res.complete
+
+    def test_the_recursive_search_would_not(self):
+        tables = _pair_cut_tables(self.G, "srd", DEFAULT_THRESHOLD)
+        with shallow_recursion_limit():
+            with pytest.raises(RecursionError):
+                reference_search_level(self.G, tables, "srd", 266, DEFAULT_THRESHOLD)
+
+
+class TestSearchLevelAgainstReference:
+    """The explicit-stack level search visits the prefixes of the recursive
+    one in the same order: same witness, same count, with and without
+    tables, on every level from 1 to the upper bound."""
+
+    GRAPHS = [
+        *all_connected_graphs(5),
+        Graph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (1, 2)]),
+        K4_PENDANT,
+        grid_graph(2, 4),
+    ]
+
+    @pytest.mark.parametrize("mode", ["srd", "rd"])
+    def test_same_witness_and_count(self, mode):
+        for g in self.GRAPHS:
+            upper = srd_number(g).upper_bound
+            for threshold in (DEFAULT_THRESHOLD, 0):
+                tables = _pair_cut_tables(g, mode, threshold)
+                for k in range(1, upper + 1):
+                    got = _search_level(g, tables, mode, k, threshold)
+                    want = reference_search_level(g, tables, mode, k, threshold)
+                    assert got == want, (g, mode, threshold, k)
