@@ -464,7 +464,7 @@ def _cmd_reduce(cfg: RunConfig):
     }
     code = 0
     if opts["check"]:
-        rep = check_equivalence(phi, node_budget=opts["node_budget"])
+        rep = check_equivalence(inst, node_budget=opts["node_budget"])
         if rep.consistent is None:
             lines.append("check inconclusive (node budget exhausted)")
             code = 3

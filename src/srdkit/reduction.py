@@ -114,21 +114,18 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     return formula
 
 
-@dataclass(frozen=True)
 class ReductionInstance:
-    graph: Graph
-    coloring: EdgeColoring
-    s: int
-    t: int
-    m: int
-    vertex_roles: dict  # vertex id -> "s" | "t" | "x[j,b]" | "c[i,k]" | "p[j,l]" | "q[j,l]" | "y[a]"
-    color_roles: dict  # color -> "r0[j,l]" | "r[i,k]" | "r_0"
-    formula: CnfFormula
+    """The gadget graph for ``phi``, as build_reduction returns it.
 
-
-class _Layout:
-    """Deterministic id assignment shared by the builder and the helpers
-    that must name specific gadget edges afterwards."""
+    ``graph``, ``coloring``, the terminals ``s`` and ``t``, the clause count
+    ``m``, ``vertex_roles`` (vertex id -> "s" | "t" | "x[j,b]" | "c[i,k]" |
+    "p[j,l]" | "q[j,l]" | "y[a]"), ``color_roles`` (color -> "r0[j,l]" |
+    "r[i,k]" | "r_0") and ``formula``.  The ids cut_from_assignment and
+    extract_assignment name afterwards ride along: ``ell`` (occurrences per
+    variable), ``slots`` (clause i, position k -> (variable j, positive,
+    occurrence l)), the value vertices ``x`` and the edge maps ``sp``,
+    ``sq``, ``entry``, ``middle`` and ``exit``.  Ids are deterministic.
+    """
 
     def __init__(self, phi: CnfFormula):
         n, m = phi.variable_count, phi.num_clauses
@@ -138,9 +135,8 @@ class _Layout:
                 raise ReductionError(
                     f"variable x{j} never occurs; its gadget would be degenerate"
                 )
-        self.n, self.m, self.ell = n, m, ell
+        self.formula, self.m, self.ell = phi, m, ell
 
-        # occurrence slots: clause i, position k -> (variable j, positive, l)
         seen = [0] * (n + 1)
         self.slots = []
         for clause in phi.clauses:
@@ -152,55 +148,30 @@ class _Layout:
             self.slots.append(tuple(row))
 
         self.s, self.t = 0, 1
-        self.vertex_roles = {0: "s", 1: "t"}
-        nxt = 2
+        vertex_roles = ["s", "t"]
 
         def new_vertex(role):
-            nonlocal nxt
-            self.vertex_roles[nxt] = role
-            nxt += 1
-            return nxt - 1
+            vertex_roles.append(role)
+            return len(vertex_roles) - 1
 
-        self.x = {}
-        for j in range(1, n + 1):
-            for b in (0, 1):
-                self.x[(j, b)] = new_vertex(f"x[{j},{b}]")
-        self.c = {}
-        for i in range(1, m + 1):
-            for k in range(4):
-                self.c[(i, k)] = new_vertex(f"c[{i},{k}]")
-        self.p, self.q = {}, {}
+        self.x = {
+            (j, b): new_vertex(f"x[{j},{b}]") for j in range(1, n + 1) for b in (0, 1)
+        }
+        c = {
+            (i, k): new_vertex(f"c[{i},{k}]") for i in range(1, m + 1) for k in range(4)
+        }
+        p, q = {}, {}
         for j in range(1, n + 1):
             for l in range(1, ell[j - 1] + 1):
-                self.p[(j, l)] = new_vertex(f"p[{j},{l}]")
-                self.q[(j, l)] = new_vertex(f"q[{j},{l}]")
-        self.y = {}
-        for a in range(1, 5 * m + 2):
-            self.y[a] = new_vertex(f"y[{a}]")
-        self.vertex_count = nxt
+                p[(j, l)] = new_vertex(f"p[{j},{l}]")
+                q[(j, l)] = new_vertex(f"q[{j},{l}]")
+        pad = [new_vertex(f"y[{a}]") for a in range(1, 5 * m + 2)]
 
-        self.color_roles = {}
-        col = 0
+        color_roles = []
 
         def new_color(role):
-            nonlocal col
-            col += 1
-            self.color_roles[col] = role
-            return col
-
-        self.r0 = {
-            (j, l): new_color(f"r0[{j},{l}]")
-            for j in range(1, n + 1)
-            for l in range(1, ell[j - 1] + 1)
-        }
-        self.r = {}
-        for i in range(1, m + 1):
-            for k in (1, 2, 3):
-                self.r[(i, k)] = new_color(f"r[{i},{k}]")
-        for k in (4, 5):
-            for i in range(1, m + 1):
-                self.r[(i, k)] = new_color(f"r[{i},{k}]")
-        self.plain = new_color("r_0")
+            color_roles.append(role)
+            return len(color_roles)
 
         edges, colors = [], []
 
@@ -209,38 +180,45 @@ class _Layout:
             colors.append(color)
             return len(edges) - 1
 
-        # variable gadgets: both s-x paths of every occurrence share one color
-        self.sp, self.px, self.sq, self.qx = {}, {}, {}, {}
-        for j in range(1, n + 1):
-            for l in range(1, ell[j - 1] + 1):
-                shade = self.r0[(j, l)]
-                self.sp[(j, l)] = add(0, self.p[(j, l)], shade)
-                self.px[(j, l)] = add(self.p[(j, l)], self.x[(j, 0)], shade)
-                self.sq[(j, l)] = add(0, self.q[(j, l)], shade)
-                self.qx[(j, l)] = add(self.q[(j, l)], self.x[(j, 1)], shade)
+        # variable gadgets: both s-x paths of every occurrence share one
+        # color; these colors r0[j,l] come first, the clause colors after
+        self.sp, self.sq = {}, {}
+        for (j, l), pv in p.items():
+            shade = new_color(f"r0[{j},{l}]")
+            self.sp[(j, l)] = add(self.s, pv, shade)
+            add(pv, self.x[(j, 0)], shade)
+            self.sq[(j, l)] = add(self.s, q[(j, l)], shade)
+            add(q[(j, l)], self.x[(j, 1)], shade)
+
+        r = {}
+        for i in range(1, m + 1):
+            for k in (1, 2, 3):
+                r[(i, k)] = new_color(f"r[{i},{k}]")
+        for k in (4, 5):
+            for i in range(1, m + 1):
+                r[(i, k)] = new_color(f"r[{i},{k}]")
+        plain = new_color("r_0")
 
         # clause gadgets: entry into the hub from the literal's false-side
         # vertex, satellite path back to the true-side vertex
         self.entry, self.middle, self.exit = {}, {}, {}
         for i, row in enumerate(self.slots, start=1):
-            hub = self.c[(i, 0)]
+            hub = c[(i, 0)]
             for k, (j, positive, _l) in enumerate(row, start=1):
                 near = self.x[(j, 0)] if positive else self.x[(j, 1)]
                 far = self.x[(j, 1)] if positive else self.x[(j, 0)]
-                self.entry[(i, k)] = add(near, hub, self.r[(i, k)])
-                self.middle[(i, k)] = add(hub, self.c[(i, k)], self.r[(i, 5)])
-                self.exit[(i, k)] = add(self.c[(i, k)], far, self.r[(i, 4)])
+                self.entry[(i, k)] = add(near, hub, r[(i, k)])
+                self.middle[(i, k)] = add(hub, c[(i, k)], r[(i, 5)])
+                self.exit[(i, k)] = add(c[(i, k)], far, r[(i, 4)])
 
         # t-side clique on the hubs, the padding vertices and t itself
-        members = (
-            [self.c[(i, 0)] for i in range(1, m + 1)]
-            + [self.y[a] for a in range(1, 5 * m + 2)]
-            + [1]
-        )
+        members = [c[(i, 0)] for i in range(1, m + 1)] + pad + [self.t]
         for a, b in itertools.combinations(members, 2):
-            add(a, b, self.plain)
+            add(a, b, plain)
 
-        self.graph = Graph(self.vertex_count, edges)
+        self.vertex_roles = dict(enumerate(vertex_roles))
+        self.color_roles = dict(enumerate(color_roles, start=1))
+        self.graph = Graph(len(vertex_roles), edges)
         self.coloring = EdgeColoring(tuple(colors))
 
 
@@ -250,27 +228,19 @@ def build_reduction(phi: CnfFormula) -> ReductionInstance:
     Raises ReductionError when some variable never occurs (its gadget
     would leave the truth value unconstrained and the cut size wrong).
     """
-    lay = _Layout(phi)
-    flow = local_edge_connectivity(lay.graph, lay.s, lay.t)
-    assert flow == 6 * lay.m, f"terminal connectivity {flow} != {6 * lay.m}"
-    return ReductionInstance(
-        graph=lay.graph,
-        coloring=lay.coloring,
-        s=lay.s,
-        t=lay.t,
-        m=lay.m,
-        vertex_roles=lay.vertex_roles,
-        color_roles=lay.color_roles,
-        formula=phi,
-    )
+    inst = ReductionInstance(phi)
+    flow = local_edge_connectivity(inst.graph, inst.s, inst.t)
+    assert flow == 6 * inst.m, f"terminal connectivity {flow} != {6 * inst.m}"
+    return inst
 
 
 def sat_brute_force(phi: CnfFormula):
     """First satisfying assignment in binary counting order (x1 is the
-    low bit), or None.  Exhaustive, so variable_count is capped at 20."""
+    low bit), or None.  Exhaustive, so past 20 variables it raises
+    BudgetExceededError."""
     n = phi.variable_count
     if n > 20:
-        raise ReductionError(f"{n} variables is past the brute-force cap of 20")
+        raise BudgetExceededError(f"{n} variables is past the brute-force cap of 20")
     for mask in range(1 << n):
         assignment = tuple(bool(mask >> j & 1) for j in range(n))
         if phi.evaluate(assignment):
@@ -286,16 +256,16 @@ def cut_from_assignment(inst: ReductionInstance, assignment) -> frozenset:
     private color, and spend the two shared exit colors on the at most
     two false literals per clause.
     """
-    lay = _Layout(inst.formula)
-    if len(assignment) != lay.n:
+    n = inst.formula.variable_count
+    if len(assignment) != n:
         raise ReductionError("assignment length does not match variable count")
     if not inst.formula.evaluate(assignment):
         raise ReductionError("assignment does not satisfy the formula")
     cut = []
-    for j in range(1, lay.n + 1):
-        side = lay.sq if assignment[j - 1] else lay.sp
-        cut.extend(side[(j, l)] for l in range(1, lay.ell[j - 1] + 1))
-    for i, row in enumerate(lay.slots, start=1):
+    for j in range(1, n + 1):
+        side = inst.sq if assignment[j - 1] else inst.sp
+        cut.extend(side[(j, l)] for l in range(1, inst.ell[j - 1] + 1))
+    for i, row in enumerate(inst.slots, start=1):
         false_ks = [
             k
             for k, (j, positive, _l) in enumerate(row, start=1)
@@ -303,11 +273,11 @@ def cut_from_assignment(inst: ReductionInstance, assignment) -> frozenset:
         ]
         for k, (j, positive, _l) in enumerate(row, start=1):
             if k not in false_ks:
-                cut.append(lay.entry[(i, k)])
+                cut.append(inst.entry[(i, k)])
         if false_ks:
-            cut.append(lay.exit[(i, false_ks[0])])
+            cut.append(inst.exit[(i, false_ks[0])])
         if len(false_ks) > 1:
-            cut.append(lay.middle[(i, false_ks[1])])
+            cut.append(inst.middle[(i, false_ks[1])])
     return frozenset(cut)
 
 
@@ -323,7 +293,6 @@ def extract_assignment(inst: ReductionInstance, cut) -> tuple:
     signals the cut was not rainbow-minimum after all.
     """
     cut = frozenset(cut)
-    lay = _Layout(inst.formula)
     if len(cut) != 6 * inst.m:
         raise ExtractionError(f"cut has {len(cut)} edges, expected {6 * inst.m}")
     if not is_rainbow(inst.coloring, cut):
@@ -334,9 +303,9 @@ def extract_assignment(inst: ReductionInstance, cut) -> tuple:
         raise ExtractionError("edge set does not separate s from t")
 
     assignment = []
-    for j in range(1, lay.n + 1):
-        zero_side = lay.x[(j, 0)] in reachable
-        one_side = lay.x[(j, 1)] in reachable
+    for j in range(1, inst.formula.variable_count + 1):
+        zero_side = inst.x[(j, 0)] in reachable
+        one_side = inst.x[(j, 1)] in reachable
         if not zero_side and not one_side:
             raise ExtractionError(
                 f"both value vertices of x{j} are severed; "
@@ -365,17 +334,17 @@ class EquivalenceReport:
 
 
 def check_equivalence(
-    phi: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET
+    inst: ReductionInstance, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> EquivalenceReport:
-    """Run both oracles on ``phi`` and compare.
+    """Run the SAT oracle on ``inst.formula`` and the rainbow-cut search
+    on ``inst``, as build_reduction made it, and compare.
 
     The cut search always takes the exhaustive DFS route (threshold 0):
     the clique makes the number of minimum cuts astronomically large, so
     enumeration must not be attempted.  On agreement with a satisfiable
     formula the witness cut is round-tripped through extract_assignment.
     """
-    inst = build_reduction(phi)
-    model = sat_brute_force(phi)
+    model = sat_brute_force(inst.formula)
     try:
         cert = find_rainbow_min_cut(
             inst.graph,

@@ -24,7 +24,7 @@ from .connectivity import (
     edge_connectivity,
     enumerate_min_cuts,
 )
-from .errors import ColoringError, GraphStructureError
+from .errors import BudgetExceededError, ColoringError, GraphStructureError
 from .graph import Graph, _bfs, blocks, is_connected
 from .verifier import DEFAULT_THRESHOLD, is_rd_coloring, is_srd_coloring
 
@@ -115,12 +115,13 @@ def _search_level(g, tables, mode, k, threshold):
     for i, cuts in enumerate(tables or ()):
         for cut in cuts:
             cut_pairs.setdefault(cut, []).append(i)
-    touching = [[] for _ in range(m)]  # edge -> (cut id, pairs, earlier edges)
+    touching = [[] for _ in range(m)]  # edge -> (cut id, pairs) of its cuts
     for cid, (cut, pairs) in enumerate(cut_pairs.items()):
-        for j, e in enumerate(cut):
-            touching[e].append((cid, pairs, cut[:j]))
+        for e in cut:
+            touching[e].append((cid, pairs))
     alive = [len(cuts) for cuts in tables or ()]
     dead = [False] * len(cut_pairs)
+    used = [0] * len(cut_pairs)  # cut -> bitmask of its assigned edges' colors
     colors = [0] * m
     tested = 0
 
@@ -131,17 +132,23 @@ def _search_level(g, tables, mode, k, threshold):
         return is_rd_coloring(g, c).verdict
 
     # Restricted-growth prefixes on an explicit stack, as in
-    # canonical_colorings; killed[p] holds the cuts colors[p] killed, revived
-    # before the next color is tried at p.
+    # canonical_colorings.  colors[p] sets its bit in each live cut through p
+    # (marked[p]) or kills the cut if the bit is set already (killed[p]);
+    # both are undone before the next color is tried at p.  A dead cut takes
+    # no marks, so it revives with the marks of the edges before its killer.
     high = [0] * (m + 1)
     killed = [()] * m
+    marked = [()] * m
     p = 0
     while p >= 0:
+        bit = 1 << colors[p]
+        for cid in marked[p]:
+            used[cid] ^= bit
         for cid, pairs in killed[p]:
             dead[cid] = False
             for i in pairs:
                 alive[i] += 1
-        killed[p] = ()
+        killed[p] = marked[p] = ()
         c = colors[p] + 1
         if c > min(high[p] + 1, k):
             colors[p] = 0
@@ -151,16 +158,21 @@ def _search_level(g, tables, mode, k, threshold):
         top = max(high[p], c)
         if k - top > m - p - 1:
             continue  # not enough positions left to reach k classes
-        killed[p] = [
-            (cid, pairs)
-            for cid, pairs, earlier in touching[p]
-            if not dead[cid] and any(colors[q] == c for q in earlier)
-        ]
-        for cid, pairs in killed[p]:
-            dead[cid] = True
-            for i in pairs:
-                alive[i] -= 1
-        if killed[p] and 0 in alive:
+        bit = 1 << c
+        kills, marks = [], []
+        for cid, pairs in touching[p]:
+            if dead[cid]:
+                continue
+            if used[cid] & bit:
+                dead[cid] = True
+                for i in pairs:
+                    alive[i] -= 1
+                kills.append((cid, pairs))
+            else:
+                used[cid] |= bit
+                marks.append(cid)
+        killed[p], marked[p] = kills, marks
+        if kills and 0 in alive:
             tested += ways[m - p - 1][top]
         elif p + 1 < m:
             high[p + 1] = top
@@ -275,10 +287,15 @@ def all_connected_graphs(n: int):
     permutations.  Masks are walked in ascending order, so the first mask
     met of each relabelling orbit is its minimum; the whole orbit is then
     marked, and connectivity is tested once per orbit.  The marks take
-    2^(n(n-1)/2) bytes, 2 MiB at n = 7.
+    2^(n(n-1)/2) bytes, 2 MiB at n = 7, so n >= 8 raises BudgetExceededError.
     """
     if n < 1:
         raise GraphStructureError("need at least one vertex")
+    if n >= 8:
+        raise BudgetExceededError(
+            f"{n} vertices is past the census cap of 7 "
+            f"(its marks would take 2^{n * (n - 1) // 2} bytes)"
+        )
     if n == 1:
         yield Graph(1, [])
         return

@@ -347,11 +347,11 @@ def test_criterion_09_reduction_equivalence():
     for phi in family + randoms:
         failures.extend(_instance_invariant_failures(phi))
     for phi in family:
-        rep = check_equivalence(phi)
+        rep = check_equivalence(build_reduction(phi))
         if rep.consistent is not True:
             failures.append(f"exhaustive {phi.clauses}: {rep.detail}")
     for phi in randoms:
-        rep = check_equivalence(phi)
+        rep = check_equivalence(build_reduction(phi))
         if rep.consistent is not True:
             failures.append(f"random {phi.clauses}: {rep.detail}")
     _verdict(

@@ -21,7 +21,7 @@ from srdkit import (
     parse_graph,
     serialize_graph,
 )
-from srdkit import cli, solver
+from srdkit import cli, reduction, solver
 from srdkit.cli import main, run
 from srdkit.verifier import is_srd_coloring
 
@@ -351,6 +351,19 @@ class TestScan:
         assert code == 2
         assert text == "error: --max-edges must be non-negative\n"
 
+    def test_eight_vertices_is_exit_3(self, monkeypatch):
+        # refused before the 8! relabellings and the 2^28-byte orbit marks
+        def no_relabellings(*args):
+            raise AssertionError("relabellings built past the census cap")
+
+        monkeypatch.setattr(solver.itertools, "permutations", no_relabellings)
+        code, text = run(["scan", "--n", "8"])
+        assert code == 3
+        assert text == (
+            "error: 8 vertices is past the census cap of 7 "
+            "(its marks would take 2^28 bytes)\n"
+        )
+
 
 class TestReduce:
     def test_emits_three_files_and_verify_parses_them(self, tmp_path):
@@ -416,6 +429,35 @@ class TestReduce:
         )
         assert code == 3
         assert "inconclusive" in text
+
+    def test_check_builds_one_instance(self, tmp_path, monkeypatch):
+        # the instance written out is the one checked: one gadget graph and
+        # one lambda = 6m flow
+        calls = Counter()
+        for name in ("Graph", "local_edge_connectivity"):
+
+            def counted(*args, _name=name, _real=getattr(reduction, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(reduction, name, counted)
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(FIG_CNF)
+        code, text = run(
+            ["reduce-3sat", str(cnf), "--out-prefix", str(tmp_path / "i"), "--check"]
+        )
+        assert code == 0
+        assert "check consistent satisfiable=true cut-found=true" in text
+        assert calls == {"Graph": 1, "local_edge_connectivity": 1}
+
+    def test_brute_force_cap_is_exit_3(self, tmp_path):
+        cnf = tmp_path / "wide.cnf"
+        clauses = "".join(f"{3 * i + 1} -{3 * i + 2} {3 * i + 3} 0\n" for i in range(7))
+        cnf.write_text("p cnf 21 7\n" + clauses)
+        code, text = run(
+            ["reduce-3sat", str(cnf), "--out-prefix", str(tmp_path / "i"), "--check"]
+        )
+        assert (code, text) == (3, "error: 21 variables is past the brute-force cap of 20\n")
 
     def test_bad_cnf_is_exit_2(self, tmp_path):
         cnf = tmp_path / "f.cnf"

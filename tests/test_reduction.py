@@ -13,6 +13,7 @@ import random
 import pytest
 
 from srdkit import (
+    BudgetExceededError,
     CnfFormula,
     ExtractionError,
     Graph,
@@ -353,19 +354,19 @@ class TestSatBruteForce:
 
     def test_variable_cap(self):
         clause = tuple([21, 20, 19])
-        with pytest.raises(ReductionError):
+        with pytest.raises(BudgetExceededError):
             sat_brute_force(CnfFormula(21, (clause,) * 21))
 
 
 class TestEquivalence:
     def test_figure_clause_consistent(self):
-        rep = check_equivalence(FIGURE_CLAUSE)
+        rep = check_equivalence(build_reduction(FIGURE_CLAUSE))
         assert rep.consistent is True
         assert rep.satisfiable and rep.cut_found
         assert FIGURE_CLAUSE.evaluate(rep.assignment)
 
     def test_unsat_consistent(self):
-        rep = check_equivalence(UNSAT)
+        rep = check_equivalence(build_reduction(UNSAT))
         assert rep.consistent is True
         assert not rep.satisfiable and not rep.cut_found
         assert rep.assignment is None
@@ -383,20 +384,20 @@ class TestEquivalence:
             (3, ((1, 2, -3),)),
         ]
         for n, clauses in shapes:
-            rep = check_equivalence(CnfFormula(n, clauses))
+            rep = check_equivalence(build_reduction(CnfFormula(n, clauses)))
             assert rep.consistent is True, clauses
 
     def test_random_formulas(self):
         rng = random.Random(20260814)
         for _ in range(30):
             phi = random_formula(rng)
-            rep = check_equivalence(phi)
+            rep = check_equivalence(build_reduction(phi))
             assert rep.consistent is True, phi
             if rep.satisfiable:
                 assert phi.evaluate(rep.assignment)
 
     def test_budget_returns_inconclusive(self):
-        rep = check_equivalence(FIGURE_CLAUSE, node_budget=1)
+        rep = check_equivalence(build_reduction(FIGURE_CLAUSE), node_budget=1)
         assert rep.consistent is None
         assert rep.cut_found is None
         assert "states" in rep.detail
@@ -404,7 +405,7 @@ class TestEquivalence:
     def test_batch_matches_sequential(self):
         rng = random.Random(99)
         formulas = [random_formula(rng) for _ in range(6)]
-        seq = [check_equivalence(phi) for phi in formulas]
-        again = [check_equivalence(phi) for phi in formulas]
+        seq = [check_equivalence(build_reduction(phi)) for phi in formulas]
+        again = [check_equivalence(build_reduction(phi)) for phi in formulas]
         assert seq == again
         assert all(rep.consistent is True for rep in seq)

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from srdkit import (
+    BudgetExceededError,
     EdgeColoring,
     Graph,
     GraphStructureError,
@@ -275,6 +276,16 @@ class TestAllConnectedGraphs:
     def test_rejects_zero_vertices(self):
         with pytest.raises(GraphStructureError):
             next(all_connected_graphs(0))
+
+    def test_eight_or_more_vertices_is_a_budget_verdict(self, monkeypatch):
+        # refused before the n! relabellings and the 2^(n(n-1)/2)-byte marks
+        def no_relabellings(*args):
+            raise AssertionError("relabellings built past the census cap")
+
+        monkeypatch.setattr(itertools, "permutations", no_relabellings)
+        for n in (8, 9):
+            with pytest.raises(BudgetExceededError, match="census cap of 7"):
+                next(all_connected_graphs(n))
 
 
 class TestConjectureScan:
