@@ -286,6 +286,8 @@ def _cmd_color(cfg: RunConfig):
 
 def _cmd_verify(cfg: RunConfig):
     opts = cfg.options
+    if opts["threshold"] < 0:
+        raise _UsageError("--threshold must be non-negative")
     g = _load_graph(opts["graph"])
     coloring = parse_coloring(_read(opts["coloring"]), g.edge_count)
     mode = opts["mode"]
@@ -440,8 +442,6 @@ def _cmd_reduce(cfg: RunConfig):
         f"{prefix}.colors": serialize_coloring(inst.coloring),
         f"{prefix}.roles": "\n".join(role_lines) + "\n",
     }
-    for path, text in outputs.items():
-        Path(path).write_text(text)
 
     lines = [
         f"formula vars={phi.variable_count} clauses={phi.num_clauses}",
@@ -482,6 +482,9 @@ def _cmd_reduce(cfg: RunConfig):
             "cut_found": rep.cut_found,
             "detail": rep.detail,
         }
+    # written only now, so a check that stops on an error leaves no files
+    for path, text in outputs.items():
+        Path(path).write_text(text)
     return code, lines, payload
 
 

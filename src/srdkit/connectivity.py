@@ -9,7 +9,7 @@ equals the number of pairwise edge-disjoint u-v paths, i.e. lambda(u, v).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GraphStructureError
 from .graph import Graph, _bfs, components, is_connected
@@ -61,6 +61,30 @@ def _push(g: Graph, residual, s: int, t: int, parent_arc):
         t = edges[arc >> 1][arc & 1]
 
 
+@dataclass
+class _PairEntry:
+    """What a pair store keeps for one ordered pair (s, t): the max flow,
+    and the cut tuples of the closed-set walk in the order it emitted them
+    with the limit it ran under."""
+
+    flow: tuple
+    emitted: list = field(default_factory=list)
+    walk_limit: int = -1  # no walk yet
+
+
+def _with_pair_store(g: Graph) -> Graph:
+    """A copy of ``g`` that keeps every pair's max flow and min-cut walk.
+
+    On the copy, ``_max_flow`` with no edges removed and
+    ``_enumerate_min_cuts`` compute each ordered pair once and answer every
+    later request from that result, the same answer a fresh call gives.
+    The store lives and dies with the copy.
+    """
+    copy = Graph(g.vertex_count, g.edges)
+    object.__setattr__(copy, "_pair_store", {})
+    return copy
+
+
 def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
     """Edmonds-Karp on the paired-arc network.
 
@@ -68,8 +92,21 @@ def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
     capacity of arc a (removed edges get capacity 0 in both directions, the
     others 0, 1 or 2) and parent_arc[x] != -1 exactly for the vertices that
     the last augmenting BFS, the one that fails to reach t, reached from s:
-    the source side of a minimum cut.
+    the source side of a minimum cut.  On a graph with a pair store, the
+    flow with no edges removed is shared between calls, so no caller may
+    change ``residual`` in place.
     """
+    store = g._pair_store
+    if store is None or removed:
+        return _edmonds_karp(g, s, t, removed)
+    entry = store.get((s, t))
+    if entry is None:
+        entry = store[(s, t)] = _PairEntry(_edmonds_karp(g, s, t, removed))
+    return entry.flow
+
+
+def _edmonds_karp(g: Graph, s: int, t: int, removed):
+    """``_max_flow`` computed afresh."""
     residual = bytearray(b"\x01" * (2 * g.edge_count))
     for e in removed:
         residual[2 * e] = 0
@@ -218,9 +255,34 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
 def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
     """``enumerate_min_cuts`` and the max flow it was read from, as
     (certificates, (value, residual)), for a caller that goes on to search
-    the same network."""
+    the same network.
+
+    A fresh walk takes the first limit + 1 closed sets in a fixed order,
+    so on a graph with a pair store the prefix of a stored walk answers a
+    request as a fresh walk would.
+    """
     _check_pair(g, u, v)
+    limit = max(limit, 0)  # any limit <= 0 lists nothing
     value, residual, _ = _max_flow(g, u, v)
+    store = g._pair_store
+    entry = None if store is None else store[(u, v)]
+    # a stored walk serves any limit up to its own, and every limit if it
+    # finished before emitting its own limit + 1 sides
+    if entry is None or entry.walk_limit < min(limit, len(entry.emitted)):
+        emitted = _walk_min_cuts(g, u, v, residual, limit)
+        if entry is not None:
+            entry.emitted, entry.walk_limit = emitted, limit
+    else:
+        emitted = entry.emitted
+    cuts = sorted(set(emitted[: limit + 1]))[:limit]
+    certs = [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
+    return certs, (value, residual)
+
+
+def _walk_min_cuts(g: Graph, u: int, v: int, residual, limit: int) -> list:
+    """The minimum u-v cuts of the maximum flow ``residual``, as sorted
+    EdgeId tuples in the order the closed-set walk reaches their source
+    sides, stopping after limit + 1 sides."""
     n = g.vertex_count
 
     succ: list[set[int]] = [set() for _ in range(n)]
@@ -288,11 +350,7 @@ def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
         else:
             stack += [("include", i), ("visit", i + 1)]
 
-    cuts = sorted(
-        {tuple(sorted(_crossing_edges(g, side))) for side in sides}
-    )[:limit]
-    certs = [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
-    return certs, (value, residual)
+    return [tuple(sorted(_crossing_edges(g, side))) for side in sides]
 
 
 def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:

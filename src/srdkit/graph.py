@@ -19,10 +19,11 @@ class Graph:
     """Immutable undirected multigraph on vertices 0..vertex_count-1.
 
     Parallel edges are permitted, self-loops are not.  EdgeId i refers to
-    ``edges[i]``.
+    ``edges[i]``.  ``_pair_store`` is None except on the private copies
+    made by ``connectivity._with_pair_store``.
     """
 
-    __slots__ = ("vertex_count", "edges", "adj")
+    __slots__ = ("vertex_count", "edges", "adj", "_pair_store")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
@@ -41,6 +42,7 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "adj", tuple(tuple(nb) for nb in adj))
+        object.__setattr__(self, "_pair_store", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

@@ -21,6 +21,7 @@ from .colorings import (
 )
 from .connectivity import (
     _crossing_edges,
+    _with_pair_store,
     edge_connectivity,
     enumerate_min_cuts,
 )
@@ -204,12 +205,17 @@ def _upper_bound_witness(g: Graph, threshold: int) -> tuple[EdgeColoring, int]:
 
 def _solve(g, modes, max_edges, threshold) -> dict:
     """{mode: SolveResult} for each of ``modes`` ("srd", "rd").  The bound
-    stage (the verified upper witness and λ+) runs once for all of them."""
+    stage (the verified upper witness and λ+) runs once for all of them.
+    Within the edge budget everything runs on a copy of ``g`` with a pair
+    store, so the construction, the verifier and the srd tables share each
+    pair's max flow and minimum cuts; the tables keep those lists anyway."""
     if g.vertex_count < 2:
         raise GraphStructureError("need at least two vertices")
     if not is_connected(g):
         raise GraphStructureError("solver requires a connected graph")
 
+    if g.edge_count <= max_edges:
+        g = _with_pair_store(g)
     upper_witness, lower = _upper_bound_witness(g, threshold)
     upper = upper_witness.num_colors
     results = {}

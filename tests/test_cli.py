@@ -240,6 +240,13 @@ class TestVerify:
         code, _ = run(["verify", k4_file, str(c)])
         assert code == 2
 
+    def test_negative_threshold_is_exit_2(self, k4_file, tmp_path):
+        # as solve does: no negative threshold silently acting as 0
+        c = tmp_path / "c.txt"
+        c.write_text("1\n2\n3\n3\n2\n1\n")
+        code, text = run(["verify", k4_file, str(c), "--threshold", "-5"])
+        assert (code, text) == (2, "error: --threshold must be non-negative\n")
+
 
 class TestSolve:
     def test_both_modes_on_k4(self, k4_file):
@@ -458,6 +465,16 @@ class TestReduce:
             ["reduce-3sat", str(cnf), "--out-prefix", str(tmp_path / "i"), "--check"]
         )
         assert (code, text) == (3, "error: 21 variables is past the brute-force cap of 20\n")
+
+    def test_check_error_leaves_no_files(self, tmp_path):
+        # the files are written once the check has returned, so an error
+        # line never leaves unnamed files behind
+        cnf = tmp_path / "wide.cnf"
+        clauses = "".join(f"{3 * i + 1} -{3 * i + 2} {3 * i + 3} 0\n" for i in range(7))
+        cnf.write_text("p cnf 21 7\n" + clauses)
+        code, _ = run(["reduce-3sat", str(cnf), "--check"])
+        assert code == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cnf"]
 
     def test_bad_cnf_is_exit_2(self, tmp_path):
         cnf = tmp_path / "f.cnf"

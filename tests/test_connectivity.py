@@ -8,6 +8,9 @@ except ImportError:
     nx = None
 
 from srdkit.connectivity import (
+    _enumerate_min_cuts,
+    _max_flow,
+    _with_pair_store,
     count_min_cuts,
     edge_connectivity,
     enumerate_min_cuts,
@@ -249,6 +252,54 @@ def multigraph_pairs(draw):
     u = draw(vertex)
     v = draw(vertex.filter(lambda x: x != u))
     return Graph(n, edges), u, v
+
+
+@st.composite
+def store_requests(draw):
+    """A multigraph on 2-8 vertices, not always connected, and the limits
+    1-5 and 10,001 in a drawn order."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=14))
+    limits = draw(st.permutations([1, 2, 3, 4, 5, 10_001]))
+    return Graph(n, edges), limits
+
+
+class TestPairStore:
+    """A graph with a pair store answers every flow and min-cut request as a
+    fresh call on the plain graph would, whatever order the limits come in."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(store_requests())
+    def test_matches_fresh_calls(self, case):
+        g, limits = case
+        stored = _with_pair_store(g)
+        for u in range(g.vertex_count):
+            for v in range(g.vertex_count):
+                if u == v:
+                    continue
+                for limit in limits:
+                    certs, (value, residual) = _enumerate_min_cuts(stored, u, v, limit)
+                    want, (want_value, want_residual) = _enumerate_min_cuts(g, u, v, limit)
+                    assert certs == want, (u, v, limit)
+                    assert (value, residual) == (want_value, want_residual)
+                assert _max_flow(stored, u, v) == _max_flow(g, u, v)
+                assert local_edge_connectivity(stored, u, v) == want_value
+        assert g._pair_store is None
+
+    def test_larger_limit_after_an_early_stop_walks_again(self):
+        g = cycle_graph(12)
+        stored = _with_pair_store(g)
+        assert len(enumerate_min_cuts(stored, 0, 6, limit=20)) == 20
+        assert enumerate_min_cuts(stored, 0, 6, limit=5) == enumerate_min_cuts(g, 0, 6, limit=5)
+        assert len(enumerate_min_cuts(stored, 0, 6)) == 36
+
+    def test_removed_edges_bypass_the_store(self):
+        g = cycle_graph(4)
+        stored = _with_pair_store(g)
+        assert local_edge_connectivity(stored, 0, 2) == 2
+        assert local_edge_connectivity(stored, 0, 2, removed={0}) == 1
+        assert list(stored._pair_store) == [(0, 2)]
 
 
 @pytest.mark.skipif(nx is None, reason="networkx is not installed")

@@ -10,6 +10,7 @@ import inspect
 import itertools
 import pickle
 import sys
+from collections import Counter
 
 import pytest
 
@@ -34,7 +35,9 @@ from srdkit import (
     star_graph,
     upper_edge_connectivity,
 )
-from srdkit import solver
+from srdkit import connectivity, solver
+from srdkit.cli import run
+from srdkit.graph import serialize_graph
 from srdkit.solver import _pair_cut_tables, _search_level
 from srdkit.verifier import DEFAULT_THRESHOLD
 from oracles import (
@@ -387,6 +390,49 @@ class TestLambdaPlus:
         )
         res = srd_number(complete_graph(4))
         assert (res.value, res.lower_bound, res.upper_bound) == (3, 3, 6)
+
+
+class TestPairStore:
+    """Within the edge budget the solver works on a copy of the graph with a
+    pair store: each pair's max flow and min-cut walk run once per solve."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Per kind ("flow", "walk"): (stored?, pair) of each computation."""
+        seen = {"flow": Counter(), "walk": Counter()}
+        for kind, name in (("flow", "_edmonds_karp"), ("walk", "_walk_min_cuts")):
+            real = getattr(connectivity, name)
+
+            def counted(g, s, t, *args, _kind=kind, _real=real):
+                seen[_kind][(g._pair_store is not None, (s, t))] += 1
+                return _real(g, s, t, *args)
+
+            monkeypatch.setattr(connectivity, name, counted)
+        return seen
+
+    def test_solve_both_on_the_grid_runs_each_pair_once(self, monkeypatch, tmp_path):
+        seen = self.spy(monkeypatch)
+        path = tmp_path / "grid.txt"
+        path.write_text(serialize_graph(grid_graph(2, 3)))
+        code, text = run(["solve", str(path), "--mode", "both"])
+        assert (code, text.splitlines()[2]) == (0, "rd=3 srd=3")
+        pairs = {(True, p): 1 for p in itertools.combinations(range(6), 2)}
+        assert seen["walk"] == pairs
+        # besides one flow per pair, only conjecture_scan's λ for its bound
+        # chain, n - 1 flows on the caller's graph
+        lam = {(False, (0, v)): 1 for v in range(1, 6)}
+        assert seen["flow"] == {**pairs, **lam}
+
+    @pytest.mark.parametrize("max_edges, stored", [(5, False), (6, True)])
+    def test_only_within_the_edge_budget(self, monkeypatch, max_edges, stored):
+        # K4 has 6 edges, and λ+ = 3 < 4 colors from the construction
+        seen = self.spy(monkeypatch)
+        g = complete_graph(4)
+        res = srd_number(g, max_edges)
+        assert res.complete == stored and (res.lower_bound, res.upper_bound) == (3, 4)
+        keys = seen["flow"] + seen["walk"]
+        assert keys and {key[0] for key in keys} == {stored}
+        assert g._pair_store is None
 
 
 class TestPrunedSearch:
