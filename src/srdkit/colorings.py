@@ -15,6 +15,7 @@ from .graph import (
     Graph,
     SubgraphView,
     _bfs,
+    _open_arcs,
     blocks,
     complete_graph,
     complete_multipartite_graph,
@@ -641,38 +642,46 @@ def color_regular(g: Graph, budget: int = 5_000_000) -> EdgeColoring:
 
 
 def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
-    """Smallest nontrivial minimum cut over all vertex pairs, as the vertex
-    side containing the pair's first vertex, or None when every minimum cut
-    of every pair is some vertex star.
+    """Smallest nontrivial minimum cut over all vertex pairs of a connected
+    graph, as the vertex side containing the pair's first vertex, or None
+    when every minimum cut of every pair is some vertex star.
 
     Deterministic: smallest (cut size, edge tuple, pair) wins.  Raises when
-    a pair has too many minimum cuts to enumerate exhaustively, because
-    missing one could misclassify the graph.
+    a pair with ``limit`` or more minimum cuts, too many to enumerate
+    exhaustively, has λ no larger than the best cut, because a cut missed
+    there could misclassify the graph.
     """
-    from .connectivity import enumerate_min_cuts, local_edge_connectivity
+    from .connectivity import _enumerate_min_cuts
 
     n = g.vertex_count
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    lam = {p: local_edge_connectivity(g, *p) for p in pairs}
-    pairs.sort(key=lambda p: (lam[p], p))
-
-    best = None  # (value, cut_tuple, pair, side)
-    for p in pairs:
-        if best is not None and lam[p] > best[0]:
-            break
-        certs = enumerate_min_cuts(g, *p, limit=limit)
-        if len(certs) >= limit:
-            raise ColoringError(
-                f"pair {p} has at least {limit} minimum cuts; "
-                "refusing to classify the graph"
-            )
-        for cert in certs:
-            side = frozenset(_bfs(g, p[0], cert.cut))
-            if 2 <= len(side) <= n - 2:
-                key = (cert.value, tuple(sorted(cert.cut)), p, side)
-                if best is None or key[:3] < best[:3]:
-                    best = key
-    return None if best is None else best[3]
+    stars = [frozenset(eid for _, eid in nb) for nb in g.adj]
+    best = None  # (value, cut tuple, pair)
+    overflow = None  # least (value, pair) with limit or more cuts
+    for u in range(n):
+        for v in range(u + 1, n):
+            certs, (value, _) = _enumerate_min_cuts(g, u, v, limit)
+            if len(certs) >= limit:
+                if overflow is None or value < overflow[0]:
+                    overflow = (value, (u, v))
+                continue
+            # a minimum cut of a connected graph is a bond, so it has a
+            # one-vertex side only when it is that vertex's star; the
+            # certificates come sorted, so the first other one is the pair's
+            for cert in certs:
+                if cert.cut != stars[u] and cert.cut != stars[v]:
+                    key = (value, tuple(sorted(cert.cut)), (u, v))
+                    if best is None or key < best:
+                        best = key
+                    break
+    if overflow is not None and (best is None or overflow[0] <= best[0]):
+        raise ColoringError(
+            f"pair {overflow[1]} has at least {limit} minimum cuts; "
+            "refusing to classify the graph"
+        )
+    if best is None:
+        return None
+    _, cut, (u, _) = best
+    return frozenset(_bfs(g, u, _open_arcs(g, cut)))
 
 
 def _spare_one_star(g: Graph, budget: int) -> EdgeColoring:

@@ -8,11 +8,10 @@ equals the number of pairwise edge-disjoint u-v paths, i.e. lambda(u, v).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, components, is_connected
+from .graph import Graph, _bfs, _open_arcs, is_connected
 
 
 @dataclass(frozen=True)
@@ -24,38 +23,11 @@ class CutCertificate:
     value: int
 
 
-def _residual_bfs(g: Graph, residual, s: int, t: int) -> list[int]:
-    """Breadth-first walk from s over the arcs with residual capacity.
-
-    Returns parent_arc: the arc that first reached each vertex, -2 for s and
-    -1 for the vertices not reached.  The walk stops as soon as it reaches
-    t, so the tree path to t is a shortest augmenting path; when t is not
-    reached, the walk has reached every vertex reachable from s.
-    """
-    adj = g.adj
-    edges = g.edges
-    parent_arc = [-1] * g.vertex_count
-    parent_arc[s] = -2
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for w, eid in adj[x]:
-            if parent_arc[w] != -1:
-                continue
-            arc = 2 * eid if x == edges[eid][0] else 2 * eid + 1
-            if residual[arc]:
-                parent_arc[w] = arc
-                if w == t:
-                    return parent_arc
-                queue.append(w)
-    return parent_arc
-
-
-def _push(g: Graph, residual, s: int, t: int, parent_arc):
-    """Send one unit from s to t along the tree path of ``parent_arc``."""
+def _push(g: Graph, residual, s: int, t: int, tree):
+    """Send one unit from s to t along the path of ``_bfs``'s ``tree``."""
     edges = g.edges
     while t != s:
-        arc = parent_arc[t]
+        arc = tree[t]
         residual[arc] -= 1
         residual[arc ^ 1] += 1
         t = edges[arc >> 1][arc & 1]
@@ -88,13 +60,12 @@ def _with_pair_store(g: Graph) -> Graph:
 def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
     """Edmonds-Karp on the paired-arc network.
 
-    Returns (value, residual, parent_arc) where residual[a] is the leftover
+    Returns (value, residual, tree) where residual[a] is the leftover
     capacity of arc a (removed edges get capacity 0 in both directions, the
-    others 0, 1 or 2) and parent_arc[x] != -1 exactly for the vertices that
-    the last augmenting BFS, the one that fails to reach t, reached from s:
-    the source side of a minimum cut.  On a graph with a pair store, the
-    flow with no edges removed is shared between calls, so no caller may
-    change ``residual`` in place.
+    others 0, 1 or 2) and tree is the walk of the last augmenting BFS, the
+    one that fails to reach t: its keys are the source side of a minimum
+    cut.  On a graph with a pair store, the flow with no edges removed is
+    shared between calls, so no caller may change ``residual`` in place.
     """
     store = g._pair_store
     if store is None or removed:
@@ -107,16 +78,13 @@ def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
 
 def _edmonds_karp(g: Graph, s: int, t: int, removed):
     """``_max_flow`` computed afresh."""
-    residual = bytearray(b"\x01" * (2 * g.edge_count))
-    for e in removed:
-        residual[2 * e] = 0
-        residual[2 * e + 1] = 0
+    residual = _open_arcs(g, removed)
     value = 0
     while True:
-        parent_arc = _residual_bfs(g, residual, s, t)
-        if parent_arc[t] == -1:
-            return value, residual, parent_arc
-        _push(g, residual, s, t, parent_arc)
+        tree = _bfs(g, s, residual, target=t)
+        if t not in tree:
+            return value, residual, tree
+        _push(g, residual, s, t, tree)
         value += 1
 
 
@@ -147,16 +115,16 @@ def _max_flow_without(g: Graph, s: int, t: int, residual, value: int, e: int):
     if forward == 1:
         return value, residual
     x, y = g.edges[e] if forward == 0 else g.edges[e][::-1]
-    tree = _residual_bfs(g, residual, x, y)
-    if tree[y] != -1:
+    tree = _bfs(g, x, residual, target=y)
+    if y in tree:
         _push(g, residual, x, y, tree)
         return value, residual
     if x != s:
-        assert tree[s] != -1, "no residual path back to the source"
+        assert s in tree, "no residual path back to the source"
         _push(g, residual, x, s, tree)
     if y != t:
-        tree = _residual_bfs(g, residual, t, y)
-        assert tree[y] != -1, "no residual path from the sink"
+        tree = _bfs(g, t, residual, target=y)
+        assert y in tree, "no residual path from the sink"
         _push(g, residual, t, y, tree)
     return value - 1, residual
 
@@ -184,9 +152,8 @@ def local_edge_connectivity(g: Graph, u: int, v: int, removed=frozenset()) -> in
 def min_edge_cut(g: Graph, u: int, v: int) -> CutCertificate:
     """One minimum u-v cut, taken from the source side of a maximum flow."""
     _check_pair(g, u, v)
-    value, _, parent_arc = _max_flow(g, u, v)
-    side = frozenset(x for x, arc in enumerate(parent_arc) if arc != -1)
-    cut = _crossing_edges(g, side)
+    value, _, tree = _max_flow(g, u, v)
+    cut = _crossing_edges(g, frozenset(tree))
     assert len(cut) == value, "max-flow/min-cut certificate mismatch"
     return CutCertificate((u, v), cut, value)
 
@@ -285,12 +252,7 @@ def _walk_min_cuts(g: Graph, u: int, v: int, residual, limit: int) -> list:
     sides, stopping after limit + 1 sides."""
     n = g.vertex_count
 
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for eid, (a, b) in enumerate(g.edges):
-        if residual[2 * eid]:
-            succ[a].add(b)
-        if residual[2 * eid + 1]:
-            succ[b].add(a)
+    succ = [{w for w, arc in arcs if residual[arc]} for arcs in g._arcs]
     comp = _tarjan_scc(n, [tuple(s) for s in succ])
     ncomp = max(comp) + 1 if n else 0
     csucc: list[set[int]] = [set() for _ in range(ncomp)]
@@ -381,13 +343,12 @@ def upper_edge_connectivity(g: Graph) -> int:
 def separates(g: Graph, cut, u: int, v: int) -> bool:
     """Does removing the EdgeId set ``cut`` disconnect u from v?"""
     _check_pair(g, u, v)
-    return v not in _bfs(g, u, frozenset(cut), target=v)
+    return v not in _bfs(g, u, _open_arcs(g, cut), target=v)
 
 
 def is_edge_cut(g: Graph, cut) -> bool:
-    """Does removing ``cut`` increase the number of components?"""
-    cut = frozenset(cut)
-    remaining = [e for i, e in enumerate(g.edges) if i not in cut]
-    before = len(components(g))
-    after = len(components(Graph(g.vertex_count, remaining)))
-    return after > before
+    """Does removing ``cut`` increase the number of components?  It does
+    exactly when some removed edge's two ends are no longer joined."""
+    capacity = _open_arcs(g, cut)
+    removed = [g.edges[e] for e in range(g.edge_count) if not capacity[2 * e]]
+    return any(b not in _bfs(g, a, capacity, target=b) for a, b in removed)

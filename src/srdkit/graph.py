@@ -19,17 +19,19 @@ class Graph:
     """Immutable undirected multigraph on vertices 0..vertex_count-1.
 
     Parallel edges are permitted, self-loops are not.  EdgeId i refers to
-    ``edges[i]``.  ``_pair_store`` is None except on the private copies
-    made by ``connectivity._with_pair_store``.
+    ``edges[i]``.  ``_arcs[x]`` lists x's (neighbour, arc) pairs in ``adj``
+    order for ``_bfs``.  ``_pair_store`` is None except on the private
+    copies made by ``connectivity._with_pair_store``.
     """
 
-    __slots__ = ("vertex_count", "edges", "adj", "_pair_store")
+    __slots__ = ("vertex_count", "edges", "adj", "_arcs", "_pair_store")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise GraphStructureError("vertex_count must be non-negative")
         edges = tuple((int(u), int(v)) for u, v in edges)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+        arcs: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphStructureError(
@@ -39,9 +41,12 @@ class Graph:
                 raise GraphStructureError(f"edge {eid} is a self-loop at {u}")
             adj[u].append((v, eid))
             adj[v].append((u, eid))
+            arcs[u].append((v, 2 * eid))
+            arcs[v].append((u, 2 * eid + 1))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "adj", tuple(tuple(nb) for nb in adj))
+        object.__setattr__(self, "_arcs", tuple(tuple(nb) for nb in arcs))
         object.__setattr__(self, "_pair_store", None)
 
     def __setattr__(self, name, value):
@@ -148,22 +153,36 @@ def serialize_graph(g: Graph) -> str:
 # connectivity structure
 
 
-def _bfs(g: Graph, start: int, removed=(), target=None) -> dict:
-    """Breadth-first walk from ``start`` that skips the EdgeIds in ``removed``.
+def _open_arcs(g: Graph, removed=()) -> bytearray:
+    """Arc capacities of G minus the EdgeIds in ``removed``: 1 on every arc
+    but both arcs of a removed edge.  Ids outside 0..m-1 name no edge and
+    are ignored."""
+    m = g.edge_count
+    capacity = bytearray(b"\x01" * (2 * m))
+    for e in removed:
+        if 0 <= e < m:
+            capacity[2 * e] = capacity[2 * e + 1] = 0
+    return capacity
 
-    Returns {vertex: (parent, EdgeId)} for every vertex reached, with
-    (-1, -1) for ``start``.  Each vertex keeps the first parent that
-    discovered it, and the walk stops as soon as ``target`` is discovered,
-    so following parents back from the target gives a shortest path.
+
+def _bfs(g: Graph, start: int, capacity, target=None) -> dict:
+    """Breadth-first walk from ``start`` over the arcs a with capacity[a] > 0.
+
+    Returns {vertex: arc that first reached it} for every vertex reached,
+    with -1 for ``start``; arc a runs from edges[a >> 1][a & 1].  The walk
+    stops as soon as ``target`` is reached, so following arcs back from the
+    target gives a shortest path; otherwise it reaches every vertex that
+    ``start`` reaches.
     """
-    tree = {start: (-1, -1)}
+    tree = {start: -1}
+    arcs = g._arcs
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for w, eid in g.adj[x]:
-            if w in tree or eid in removed:
+        for w, a in arcs[x]:
+            if w in tree or not capacity[a]:
                 continue
-            tree[w] = (x, eid)
+            tree[w] = a
             if w == target:
                 return tree
             queue.append(w)
@@ -172,12 +191,13 @@ def _bfs(g: Graph, start: int, removed=(), target=None) -> dict:
 
 def components(g: Graph) -> tuple[frozenset[int], ...]:
     """Connected components as vertex sets, ordered by smallest member."""
+    capacity = _open_arcs(g)
     seen = [False] * g.vertex_count
     out = []
     for start in range(g.vertex_count):
         if seen[start]:
             continue
-        comp = frozenset(_bfs(g, start))
+        comp = frozenset(_bfs(g, start, capacity))
         for v in comp:
             seen[v] = True
         out.append(comp)

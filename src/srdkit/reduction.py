@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .colorings import EdgeColoring
 from .connectivity import local_edge_connectivity
 from .errors import BudgetExceededError, ExtractionError, ReductionError
-from .graph import Graph, _bfs
+from .graph import Graph, _bfs, _open_arcs
 from .verifier import find_rainbow_min_cut, is_rainbow
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -298,7 +298,7 @@ def extract_assignment(inst: ReductionInstance, cut) -> tuple:
     if not is_rainbow(inst.coloring, cut):
         raise ExtractionError("cut repeats a color")
 
-    reachable = _bfs(inst.graph, inst.s, cut)
+    reachable = _bfs(inst.graph, inst.s, _open_arcs(inst.graph, cut))
     if inst.t in reachable:
         raise ExtractionError("edge set does not separate s from t")
 

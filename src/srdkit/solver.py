@@ -22,11 +22,10 @@ from .colorings import (
 from .connectivity import (
     _crossing_edges,
     _with_pair_store,
-    edge_connectivity,
     enumerate_min_cuts,
 )
 from .errors import BudgetExceededError, ColoringError, GraphStructureError
-from .graph import Graph, _bfs, blocks, is_connected
+from .graph import Graph, _bfs, _open_arcs, blocks, is_connected
 from .verifier import DEFAULT_THRESHOLD, is_rd_coloring, is_srd_coloring
 
 DEFAULT_MAX_EDGES = 12
@@ -93,7 +92,8 @@ def _pair_cut_tables(g: Graph, mode: str, threshold: int):
         side = {0} | {v for v in range(1, n) if bits >> (v - 1) & 1}
         cut = tuple(sorted(_crossing_edges(g, side)))
         other = min(set(range(n)) - side)
-        if len(_bfs(g, 0, cut)) + len(_bfs(g, other, cut)) == n:  # a bond
+        capacity = _open_arcs(g, cut)
+        if len(_bfs(g, 0, capacity)) + len(_bfs(g, other, capacity)) == n:  # a bond
             for i, (u, v) in enumerate(pairs):
                 if (u in side) != (v in side):
                     tables[i].append(cut)
@@ -340,7 +340,8 @@ def conjecture_scan(
 ) -> list:
     """rd vs srd for each graph; any inequality is double-checked and
     flagged, never silently dropped, and the bound chain
-    λ ≤ λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph."""
+    λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph.  λ ≤ λ+ needs
+    no check: they are the minimum and the maximum of the same λ(u, v)."""
     records = []
     for g in graphs:
         results = _solve(g, ("rd", "srd"), max_edges, threshold)
@@ -348,13 +349,11 @@ def conjecture_scan(
         if rd.value is None or srd.value is None:
             records.append(ScanRecord(g, rd, srd, None, "budget"))
             continue
-        lam = edge_connectivity(g)
         lam_plus = rd.lower_bound  # read off _solve's upper-bound verification
-        chain = lam <= lam_plus <= rd.value <= srd.value <= g.edge_count
-        if not chain:
+        if not lam_plus <= rd.value <= srd.value <= g.edge_count:
             raise AssertionError(
                 f"bound chain violated on {g!r}: "
-                f"{lam} <= {lam_plus} <= {rd.value} <= {srd.value} <= {g.edge_count}"
+                f"{lam_plus} <= {rd.value} <= {srd.value} <= {g.edge_count}"
             )
         note = ""
         equal = rd.value == srd.value

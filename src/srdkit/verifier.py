@@ -28,7 +28,7 @@ from .connectivity import (
     _max_flow_without,
 )
 from .errors import BudgetExceededError, GraphStructureError
-from .graph import Graph, _bfs, is_connected
+from .graph import Graph, _bfs, _open_arcs, is_connected
 
 
 @dataclass
@@ -83,9 +83,11 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
     one frame per branching state on the current path, each with its own
     flow, so no recursion limit applies.  ``chosen``, ``used`` and
     ``excluded`` are shared sets that a frame extends while its children
-    run and restores when it is popped.
+    run and restores when it is popped; ``open_arcs`` is G - ``chosen`` as
+    arc capacities, for the path walks.
     """
     chosen, used, excluded = set(), set(), set()
+    open_arcs = _open_arcs(g)
     stack = []  # [flow residual, flow value, branch edges, next index]
 
     def enter(value, residual):
@@ -101,11 +103,13 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
             return frozenset(chosen)
         if value > cap - len(chosen):
             return None
-        tree = _bfs(g, u, chosen, target=v)
+        tree = _bfs(g, u, open_arcs, target=v)
         branch = []
         x = v
         while x != u:
-            x, e = tree[x]
+            arc = tree[x]
+            e = arc >> 1
+            x = g.edges[e][arc & 1]
             if e not in excluded and c[e] not in used:
                 branch.append(e)
         branch.reverse()
@@ -123,6 +127,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
             # the previous child is done: drop it and exclude it
             prev = branch[i - 1]
             chosen.discard(prev)
+            open_arcs[2 * prev] = open_arcs[2 * prev + 1] = 1
             used.discard(c[prev])
             excluded.add(prev)
         if i == len(branch):
@@ -132,6 +137,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
         e = branch[i]
         frame[3] = i + 1
         chosen.add(e)
+        open_arcs[2 * e] = open_arcs[2 * e + 1] = 0
         used.add(c[e])
         hit = enter(*_max_flow_without(g, u, v, residual, value, e))
     return hit

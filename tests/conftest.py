@@ -37,6 +37,20 @@ def small_graphs(draw, min_vertices=2, max_vertices=5, connected=True,
     return Graph(n, edges)
 
 
+@st.composite
+def walk_cases(draw):
+    """A multigraph on 1-8 vertices, maybe disconnected; a set of EdgeIds
+    to remove, some of which may name no edge (negative, or past the last);
+    and two vertices."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, max_size=16 if n > 1 else 0))
+    m = len(edges)
+    removed = draw(st.sets(st.integers(-m - 2, m + 2)))
+    return Graph(n, edges), removed, draw(vertex), draw(vertex)
+
+
 @pytest.fixture
 def graphs_strategy():
     return small_graphs

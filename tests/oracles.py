@@ -7,17 +7,19 @@ the package under test.  The exceptions are the differential references:
 runs the package's max flow from zero at every state,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
 counting prune, ``reference_connected_graphs``, the isomorphism census
-without orbit marking, and ``reference_canonical_colorings`` and
+without orbit marking, ``reference_canonical_colorings`` and
 ``reference_search_level``, the solver's canonical enumeration and level
-search written as recursions.
+search written as recursions, and ``reference_min_nontrivial_pair_cut``,
+the construction's cut choice with a λ flow for every pair before its
+enumeration.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 
 from srdkit.colorings import EdgeColoring
-from srdkit.connectivity import _max_flow
-from srdkit.errors import BudgetExceededError, GraphStructureError
+from srdkit.connectivity import _max_flow, enumerate_min_cuts, local_edge_connectivity
+from srdkit.errors import BudgetExceededError, ColoringError, GraphStructureError
 from srdkit.verifier import is_rd_coloring, is_srd_coloring
 
 
@@ -439,3 +441,33 @@ def reference_search_level(g, tables, mode, k, threshold):
     if rec(0, 0):
         return EdgeColoring(tuple(colors)), tested
     return None, tested
+
+
+def reference_min_nontrivial_pair_cut(g, limit=200_000):
+    """``colorings._min_nontrivial_pair_cut`` the long way: a λ flow for
+    every pair, then the pairs in (λ, pair) order, each enumerated and each
+    of its cuts' sides found, until λ exceeds the best cut found.  Raises at
+    the first pair it enumerates that has ``limit`` or more minimum cuts."""
+    n = g.vertex_count
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lam = {p: local_edge_connectivity(g, *p) for p in pairs}
+    pairs.sort(key=lambda p: (lam[p], p))
+
+    best = None  # (value, cut_tuple, pair, side)
+    for p in pairs:
+        if best is not None and lam[p] > best[0]:
+            break
+        certs = enumerate_min_cuts(g, *p, limit=limit)
+        if len(certs) >= limit:
+            raise ColoringError(
+                f"pair {p} has at least {limit} minimum cuts; "
+                "refusing to classify the graph"
+            )
+        for cert in certs:
+            labels = _component_labels(n, g.edges, cert.cut)
+            side = frozenset(x for x in range(n) if labels[x] == labels[p[0]])
+            if 2 <= len(side) <= n - 2:
+                key = (cert.value, tuple(sorted(cert.cut)), p, side)
+                if best is None or key[:3] < best[:3]:
+                    best = key
+    return None if best is None else best[3]

@@ -41,6 +41,8 @@ from srdkit import (
     serialize_coloring,
     star_graph,
 )
+from srdkit.colorings import _min_nontrivial_pair_cut
+from srdkit.solver import all_connected_graphs
 
 from conftest import small_graphs
 from oracles import (
@@ -48,6 +50,7 @@ from oracles import (
     all_labeled_graphs,
     oracle_is_srd,
     reference_chromatic_index,
+    reference_min_nontrivial_pair_cut,
 )
 
 
@@ -432,6 +435,61 @@ class TestGeneralUpper:
             assert c.num_colors <= g.edge_count - 1
             fast = FastSrdOracle(n, edges)
             assert fast.is_srd(list(c.colors))
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A connected multigraph on 3-7 vertices: a random tree plus up to 8
+    more edges, parallel ones allowed."""
+    n = draw(st.integers(3, 7))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    return Graph(n, edges + draw(st.lists(edge, max_size=8)))
+
+
+def pair_cut_outcomes(g, limit):
+    """(this side, reference side), or the error message in place of either."""
+    out = []
+    for choose in (_min_nontrivial_pair_cut, reference_min_nontrivial_pair_cut):
+        try:
+            out.append(choose(g, limit))
+        except ColoringError as exc:
+            out.append(str(exc))
+    return tuple(out)
+
+
+class TestMinNontrivialPairCut:
+    """One enumeration per pair picks the cut the reference's λ-ordered
+    sweep picks, and refuses exactly when the reference does."""
+
+    LIMITS = (1, 2, 3, 5, 200_000)
+
+    def test_matches_reference_on_five_and_six_vertices(self):
+        refused = 0
+        for g in (*all_connected_graphs(5), *all_connected_graphs(6)):
+            for limit in self.LIMITS:
+                got, want = pair_cut_outcomes(g, limit)
+                assert got == want, (g, limit)
+                refused += isinstance(want, str)
+        assert refused > 0
+
+    @given(connected_multigraphs(), st.sampled_from(LIMITS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_multigraphs(self, g, limit):
+        got, want = pair_cut_outcomes(g, limit)
+        assert got == want
+
+    def test_refusal_names_the_least_pair_that_could_hold_the_cut(self):
+        # on C6 every λ is 2; pairs at distance 1, 2, 3 have 5, 8, 9 cuts
+        g = cycle_graph(6)
+        with pytest.raises(ColoringError, match=r"pair \(0, 1\) has at least 5 "):
+            _min_nontrivial_pair_cut(g, 5)
+        # (0, 1) now lists its 5 cuts and finds a nontrivial one of size 2
+        with pytest.raises(ColoringError, match=r"pair \(0, 2\) has at least 6 "):
+            _min_nontrivial_pair_cut(g, 6)
+        # the least cut of the least pair: edges 0 = (0, 1) and 2 = (2, 3)
+        assert _min_nontrivial_pair_cut(g, 10) == frozenset({0, 3, 4, 5})
 
 
 class TestColorByBlocks:

@@ -33,8 +33,14 @@ from srdkit.graph import (
     star_graph,
 )
 
-from conftest import small_graphs
-from oracles import all_labeled_graphs, oracle_all_min_cuts, oracle_lambda
+from conftest import small_graphs, walk_cases
+from oracles import (
+    all_labeled_graphs,
+    oracle_all_min_cuts,
+    oracle_component_count,
+    oracle_lambda,
+    oracle_separates,
+)
 
 
 def k4_minus_edge():
@@ -193,6 +199,24 @@ class TestSeparatesAndCuts:
         g = cycle_graph(4)
         assert not is_edge_cut(g, {0})
         assert is_edge_cut(g, {0, 2})
+
+    def test_ids_outside_the_edge_list_are_ignored(self):
+        g = path_graph(3)  # edges 0 = (0, 1), 1 = (1, 2)
+        for stray in (-1, -2, 2, 5):
+            assert local_edge_connectivity(g, 0, 2, removed={stray}) == 1
+            assert not separates(g, {stray}, 0, 2)
+            assert not is_edge_cut(g, {stray})
+            assert separates(g, {stray, 1}, 0, 2)
+            assert is_edge_cut(g, {stray, 0})
+
+    @given(walk_cases())
+    def test_against_oracles(self, case):
+        g, removed, u, v = case
+        n, edges = g.vertex_count, list(g.edges)
+        split = oracle_component_count(n, edges, removed) > oracle_component_count(n, edges)
+        assert is_edge_cut(g, removed) == split
+        if u != v:
+            assert separates(g, removed, u, v) == oracle_separates(n, edges, removed, u, v)
 
 
 class TestContractionInteraction:

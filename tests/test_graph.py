@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,8 @@ from srdkit.errors import (
 )
 from srdkit.graph import (
     Graph,
+    _bfs,
+    _open_arcs,
     blocks,
     complete_graph,
     complete_multipartite_graph,
@@ -28,7 +32,7 @@ from srdkit.graph import (
     star_graph,
 )
 
-from conftest import small_graphs
+from conftest import small_graphs, walk_cases
 from oracles import all_labeled_graphs, oracle_cut_vertices
 
 
@@ -104,6 +108,41 @@ class TestComponents:
 
     def test_single_vertex(self):
         assert is_connected(Graph(1, []))
+
+
+def plain_distances(g, start, removed):
+    """Hop counts from ``start`` in G minus ``removed``, by a walk over
+    ``g.adj`` that knows nothing of arcs."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for w, eid in g.adj[x]:
+            if eid not in removed and w not in dist:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist
+
+
+class TestBfs:
+    @given(walk_cases())
+    def test_open_arcs_walk_matches_a_plain_walk(self, case):
+        g, removed, start, target = case
+        dist = plain_distances(g, start, removed)
+        capacity = _open_arcs(g, removed)
+        assert set(_bfs(g, start, capacity)) == set(dist)
+        tree = _bfs(g, start, capacity, target=target)
+        if target not in dist:
+            assert target not in tree
+            return
+        # back from the target, each arc is open and ends where the last began
+        x, length = target, 0
+        while x != start:
+            arc = tree[x]
+            tail, head = g.edges[arc >> 1][arc & 1], g.edges[arc >> 1][1 - (arc & 1)]
+            assert capacity[arc] and head == x
+            x, length = tail, length + 1
+        assert length == dist[target]
 
 
 class TestBlocks:

@@ -418,10 +418,7 @@ class TestPairStore:
         assert (code, text.splitlines()[2]) == (0, "rd=3 srd=3")
         pairs = {(True, p): 1 for p in itertools.combinations(range(6), 2)}
         assert seen["walk"] == pairs
-        # besides one flow per pair, only conjecture_scan's λ for its bound
-        # chain, n - 1 flows on the caller's graph
-        lam = {(False, (0, v)): 1 for v in range(1, 6)}
-        assert seen["flow"] == {**pairs, **lam}
+        assert seen["flow"] == pairs
 
     @pytest.mark.parametrize("max_edges, stored", [(5, False), (6, True)])
     def test_only_within_the_edge_budget(self, monkeypatch, max_edges, stored):
