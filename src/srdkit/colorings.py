@@ -16,6 +16,7 @@ from .graph import (
     SubgraphView,
     _bfs,
     _open_arcs,
+    _reached,
     blocks,
     complete_graph,
     complete_multipartite_graph,
@@ -681,7 +682,7 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
     if best is None:
         return None
     _, cut, (u, _) = best
-    return frozenset(_bfs(g, u, _open_arcs(g, cut)))
+    return _reached(_bfs(g, u, _open_arcs(g, cut)))
 
 
 def _spare_one_star(g: Graph, budget: int) -> EdgeColoring:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, is_connected
+from .graph import Graph, _bfs, _open_arcs, _reached, is_connected
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,10 @@ def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
     Returns (value, residual, tree) where residual[a] is the leftover
     capacity of arc a (removed edges get capacity 0 in both directions, the
     others 0, 1 or 2) and tree is the walk of the last augmenting BFS, the
-    one that fails to reach t: its keys are the source side of a minimum
-    cut.  On a graph with a pair store, the flow with no edges removed is
-    shared between calls, so no caller may change ``residual`` in place.
+    one that fails to reach t: the vertices it reached are the source side
+    of a minimum cut.  On a graph with a pair store, the flow with no edges
+    removed is shared between calls, so no caller may change ``residual``
+    in place.
     """
     store = g._pair_store
     if store is None or removed:
@@ -82,7 +83,7 @@ def _edmonds_karp(g: Graph, s: int, t: int, removed):
     value = 0
     while True:
         tree = _bfs(g, s, residual, target=t)
-        if t not in tree:
+        if tree[t] is None:
             return value, residual, tree
         _push(g, residual, s, t, tree)
         value += 1
@@ -96,8 +97,9 @@ def _max_flow_without(g: Graph, s: int, t: int, residual, value: int, e: int):
     network without it, on a copy.  With no net flow on e, f stays maximum.
     If f sends its unit over e from x to y, the copy first tries to reroute
     that unit along a residual x-y path, keeping the value.  Failing that,
-    it cancels the unit by pushing it from x back to s, along the tree of
-    the failed walk, and from t to y, and the value drops by one.
+    it cancels the unit: it pushes it from x back to s, along the tree of
+    the failed walk, and follows the flow out of y to t, cancelling each
+    arc it passes, and the value drops by one.
 
     That flow is maximum: if a flow f' of the same value avoided e, then
     f' - f would be a circulation in f's residual network sending one unit
@@ -106,8 +108,11 @@ def _max_flow_without(g: Graph, s: int, t: int, residual, value: int, e: int):
     cancel paths exist: closing f with an arc t -> s gives a circulation,
     and its cycle through e, having no residual x-y path to close it, runs
     y ~> t -> s ~> x along flow, whose reverse is a residual x-s path.
-    After that push, y lacks one unit of inflow and t has one unit too
-    many, so a flow path y ~> t remains, and its reverse is the t-y path.
+    After that push y sends one unit more than it takes in.  A vertex
+    other than t with such a surplus has an arc carrying a unit out of it
+    (s sends out at least as much as it takes in), and cancelling that
+    unit hands the surplus to the arc's head.  So the walk can stop only at
+    t, and it does stop, as it cancels a different arc at every step.
     """
     residual = bytearray(residual)
     forward = residual[2 * e]
@@ -116,16 +121,21 @@ def _max_flow_without(g: Graph, s: int, t: int, residual, value: int, e: int):
         return value, residual
     x, y = g.edges[e] if forward == 0 else g.edges[e][::-1]
     tree = _bfs(g, x, residual, target=y)
-    if y in tree:
+    if tree[y] is not None:
         _push(g, residual, x, y, tree)
         return value, residual
     if x != s:
-        assert s in tree, "no residual path back to the source"
+        assert tree[s] is not None, "no residual path back to the source"
         _push(g, residual, x, s, tree)
-    if y != t:
-        tree = _bfs(g, t, residual, target=y)
-        assert y in tree, "no residual path from the sink"
-        _push(g, residual, t, y, tree)
+    arcs = g._arcs
+    while y != t:
+        for w, a in arcs[y]:
+            if residual[a ^ 1] == 2:  # a carries a unit out of y
+                break
+        else:
+            raise AssertionError("no flow out of a vertex with a surplus")
+        residual[a] = residual[a ^ 1] = 1
+        y = w
     return value - 1, residual
 
 
@@ -153,7 +163,7 @@ def min_edge_cut(g: Graph, u: int, v: int) -> CutCertificate:
     """One minimum u-v cut, taken from the source side of a maximum flow."""
     _check_pair(g, u, v)
     value, _, tree = _max_flow(g, u, v)
-    cut = _crossing_edges(g, frozenset(tree))
+    cut = _crossing_edges(g, _reached(tree))
     assert len(cut) == value, "max-flow/min-cut certificate mismatch"
     return CutCertificate((u, v), cut, value)
 
@@ -230,13 +240,13 @@ def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
     """
     _check_pair(g, u, v)
     limit = max(limit, 0)  # any limit <= 0 lists nothing
-    value, residual, _ = _max_flow(g, u, v)
+    value, residual, tree = _max_flow(g, u, v)
     store = g._pair_store
     entry = None if store is None else store[(u, v)]
     # a stored walk serves any limit up to its own, and every limit if it
     # finished before emitting its own limit + 1 sides
     if entry is None or entry.walk_limit < min(limit, len(entry.emitted)):
-        emitted = _walk_min_cuts(g, u, v, residual, limit)
+        emitted = _walk_min_cuts(g, u, v, residual, tree, limit)
         if entry is not None:
             entry.emitted, entry.walk_limit = emitted, limit
     else:
@@ -246,73 +256,77 @@ def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
     return certs, (value, residual)
 
 
-def _walk_min_cuts(g: Graph, u: int, v: int, residual, limit: int) -> list:
+def _walk_min_cuts(g: Graph, u: int, v: int, residual, tree, limit: int) -> list:
     """The minimum u-v cuts of the maximum flow ``residual``, as sorted
     EdgeId tuples in the order the closed-set walk reaches their source
-    sides, stopping after limit + 1 sides."""
+    sides, stopping after limit + 1 sides.  ``tree`` is the flow's last
+    walk, the one from u that did not reach v."""
     n = g.vertex_count
-
-    succ = [{w for w, arc in arcs if residual[arc]} for arcs in g._arcs]
-    comp = _tarjan_scc(n, [tuple(s) for s in succ])
-    ncomp = max(comp) + 1 if n else 0
-    csucc: list[set[int]] = [set() for _ in range(ncomp)]
-    for a in range(n):
-        for b in succ[a]:
-            if comp[a] != comp[b]:
-                csucc[comp[a]].add(comp[b])
+    edges = g.edges
+    # every edge of a minimum cut carries a unit out of its source side
+    flow_edges = [e for e, r in enumerate(residual[::2]) if r != 1]
 
     # The source side must hold all that u reaches in the residual, and the
-    # sink side all that reaches v; here those are just the components of u
-    # and v.  An edge's two arcs have 2 units of residual between them, so
-    # across any vertex set the residual out minus the residual in is twice
-    # the net flow in.  Take A, the vertices that reach u: no arc enters A,
-    # and A holds u and v (a flow path reversed is residual) unless the flow
-    # is zero, so its net inflow is 0 and no arc leaves A either: all that
-    # u reaches reaches u.  The same count on the set that v reaches shows
-    # that all that reaches v is reached from v.
-    must_in, must_out = {comp[u]}, {comp[v]}
-    assert not (must_in & must_out), "residual u->v path left after max flow"
+    # sink side all that reaches v: the vertices the flow's last walk
+    # reached, and those that a walk from v reaches over the residual with
+    # each edge's two arcs swapped.  When those two cover V they are the
+    # only minimum cut's sides, and they serve as the walk's two
+    # components; otherwise the components come from an SCC pass.
+    swapped = bytearray(len(residual))
+    swapped[::2], swapped[1::2] = residual[1::2], residual[::2]
+    if tree.count(None) + _bfs(g, v, swapped).count(None) == n:
+        comp = [0 if arc is not None else 1 for arc in tree]
+        csucc: list[set[int]] = [set(), set()]
+    else:
+        # The forced sides are then the components of u and v.  An edge's
+        # two arcs have 2 units of residual between them, so across any
+        # vertex set the residual out minus the residual in is twice the
+        # net flow in.  Take A, the vertices that reach u: no arc enters A,
+        # and A holds u and v (a flow path reversed is residual) unless the
+        # flow is zero, so its net inflow is 0 and no arc leaves A either:
+        # all that u reaches reaches u.  The same count on the set that v
+        # reaches shows that all that reaches v is reached from v.
+        succ = [{w for w, arc in arcs if residual[arc]} for arcs in g._arcs]
+        comp = _tarjan_scc(n, [tuple(s) for s in succ])
+        csucc = [set() for _ in range(max(comp) + 1)]
+        for a in range(n):
+            for b in succ[a]:
+                if comp[a] != comp[b]:
+                    csucc[comp[a]].add(comp[b])
+    assert comp[u] != comp[v], "residual u->v path left after max flow"
 
     # Tarjan gives successors lower ids, so ascending ids decide sinks first
-    free = sorted(set(range(ncomp)) - must_in - must_out)
-    free_succ = {c: [d for d in csucc[c] if d not in must_in] for c in free}
-    # all free successors of a free comp are free (a successor in must_out
-    # would put the comp itself in must_out)
-
-    comp_vertices: list[list[int]] = [[] for _ in range(ncomp)]
-    for vert in range(n):
-        comp_vertices[comp[vert]].append(vert)
-
-    sides: list[frozenset[int]] = []
-    chosen: set[int] = set()
-
-    def emit():
-        verts = set()
-        for c in must_in:
-            verts.update(comp_vertices[c])
-        for c in chosen:
-            verts.update(comp_vertices[c])
-        sides.append(frozenset(verts))
+    free = sorted(set(range(len(csucc))) - {comp[u], comp[v]})
+    # a free comp's successors are free or u's (one of v's would put the
+    # comp itself in v's side), so a free comp may join the source side
+    # once all its successors are in
+    inside = bytearray(len(csucc))  # 1 for the comps on the source side
+    inside[comp[u]] = 1
+    crossing = [
+        (e, comp[edges[e][0]], comp[edges[e][1]])
+        for e in flow_edges
+        if comp[edges[e][0]] != comp[edges[e][1]]
+    ]
+    cuts: list[tuple[int, ...]] = []
 
     # Depth-first over the include/exclude decisions for free[0], free[1],
     # ...: "visit i" decides free[i], leaving it out before putting it in,
     # and stops after limit + 1 sides.  An explicit stack keeps long chains
     # of free components clear of the recursion limit.
     stack = [("visit", 0)]
-    while stack and len(sides) <= limit:
+    while stack and len(cuts) <= limit:
         action, i = stack.pop()
         if action == "drop":
-            chosen.discard(free[i])
+            inside[free[i]] = 0
         elif action == "include":
-            if all(d in chosen for d in free_succ[free[i]]):
-                chosen.add(free[i])
+            if all(inside[d] for d in csucc[free[i]]):
+                inside[free[i]] = 1
                 stack += [("drop", i), ("visit", i + 1)]
         elif i == len(free):
-            emit()
+            cuts.append(tuple(e for e, a, b in crossing if inside[a] != inside[b]))
         else:
             stack += [("include", i), ("visit", i + 1)]
-
-    return [tuple(sorted(_crossing_edges(g, side))) for side in sides]
+    return cuts
 
 
 def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:
@@ -343,7 +357,7 @@ def upper_edge_connectivity(g: Graph) -> int:
 def separates(g: Graph, cut, u: int, v: int) -> bool:
     """Does removing the EdgeId set ``cut`` disconnect u from v?"""
     _check_pair(g, u, v)
-    return v not in _bfs(g, u, _open_arcs(g, cut), target=v)
+    return _bfs(g, u, _open_arcs(g, cut), target=v)[v] is None
 
 
 def is_edge_cut(g: Graph, cut) -> bool:
@@ -351,4 +365,4 @@ def is_edge_cut(g: Graph, cut) -> bool:
     exactly when some removed edge's two ends are no longer joined."""
     capacity = _open_arcs(g, cut)
     removed = [g.edges[e] for e in range(g.edge_count) if not capacity[2 * e]]
-    return any(b not in _bfs(g, a, capacity, target=b) for a, b in removed)
+    return any(_bfs(g, a, capacity, target=b)[b] is None for a, b in removed)

@@ -9,7 +9,6 @@ not a convenience.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ContractionError, GraphParseError, GraphStructureError
@@ -165,28 +164,33 @@ def _open_arcs(g: Graph, removed=()) -> bytearray:
     return capacity
 
 
-def _bfs(g: Graph, start: int, capacity, target=None) -> dict:
+def _bfs(g: Graph, start: int, capacity, target=None) -> list:
     """Breadth-first walk from ``start`` over the arcs a with capacity[a] > 0.
 
-    Returns {vertex: arc that first reached it} for every vertex reached,
-    with -1 for ``start``; arc a runs from edges[a >> 1][a & 1].  The walk
-    stops as soon as ``target`` is reached, so following arcs back from the
-    target gives a shortest path; otherwise it reaches every vertex that
-    ``start`` reaches.
+    Returns the walk's tree as a per-vertex list: tree[x] is the arc that
+    first reached x, -1 for ``start`` and None where the walk did not
+    reach; arc a runs from edges[a >> 1][a & 1].  The walk stops as soon as
+    ``target`` is reached, so following arcs back from the target gives a
+    shortest path; otherwise it reaches every vertex that ``start``
+    reaches.
     """
-    tree = {start: -1}
+    tree = [None] * g.vertex_count
+    tree[start] = -1
     arcs = g._arcs
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
+    queue = [start]
+    for x in queue:  # the queue grows while it is read
         for w, a in arcs[x]:
-            if w in tree or not capacity[a]:
-                continue
-            tree[w] = a
-            if w == target:
-                return tree
-            queue.append(w)
+            if tree[w] is None and capacity[a]:
+                tree[w] = a
+                if w == target:
+                    return tree
+                queue.append(w)
     return tree
+
+
+def _reached(tree) -> frozenset[int]:
+    """The vertices a ``_bfs`` tree reached."""
+    return frozenset(x for x, arc in enumerate(tree) if arc is not None)
 
 
 def components(g: Graph) -> tuple[frozenset[int], ...]:
@@ -197,7 +201,7 @@ def components(g: Graph) -> tuple[frozenset[int], ...]:
     for start in range(g.vertex_count):
         if seen[start]:
             continue
-        comp = frozenset(_bfs(g, start, capacity))
+        comp = _reached(_bfs(g, start, capacity))
         for v in comp:
             seen[v] = True
         out.append(comp)
@@ -205,7 +209,7 @@ def components(g: Graph) -> tuple[frozenset[int], ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return g.vertex_count == 0 or None not in _bfs(g, 0, _open_arcs(g))
 
 
 @dataclass(frozen=True)

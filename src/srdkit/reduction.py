@@ -299,13 +299,13 @@ def extract_assignment(inst: ReductionInstance, cut) -> tuple:
         raise ExtractionError("cut repeats a color")
 
     reachable = _bfs(inst.graph, inst.s, _open_arcs(inst.graph, cut))
-    if inst.t in reachable:
+    if reachable[inst.t] is not None:
         raise ExtractionError("edge set does not separate s from t")
 
     assignment = []
     for j in range(1, inst.formula.variable_count + 1):
-        zero_side = inst.x[(j, 0)] in reachable
-        one_side = inst.x[(j, 1)] in reachable
+        zero_side = reachable[inst.x[(j, 0)]] is not None
+        one_side = reachable[inst.x[(j, 1)]] is not None
         if not zero_side and not one_side:
             raise ExtractionError(
                 f"both value vertices of x{j} are severed; "

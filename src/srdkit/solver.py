@@ -93,7 +93,8 @@ def _pair_cut_tables(g: Graph, mode: str, threshold: int):
         cut = tuple(sorted(_crossing_edges(g, side)))
         other = min(set(range(n)) - side)
         capacity = _open_arcs(g, cut)
-        if len(_bfs(g, 0, capacity)) + len(_bfs(g, other, capacity)) == n:  # a bond
+        # a bond: the walks from 0 and from other reach all n vertices
+        if _bfs(g, 0, capacity).count(None) + _bfs(g, other, capacity).count(None) == n:
             for i, (u, v) in enumerate(pairs):
                 if (u in side) != (v in side):
                     tables[i].append(cut)

@@ -86,6 +86,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
     run and restores when it is popped; ``open_arcs`` is G - ``chosen`` as
     arc capacities, for the path walks.
     """
+    colors = c.colors
     chosen, used, excluded = set(), set(), set()
     open_arcs = _open_arcs(g)
     stack = []  # [flow residual, flow value, branch edges, next index]
@@ -110,7 +111,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
             arc = tree[x]
             e = arc >> 1
             x = g.edges[e][arc & 1]
-            if e not in excluded and c[e] not in used:
+            if e not in excluded and colors[e] not in used:
                 branch.append(e)
         branch.reverse()
         stack.append([residual, value, branch, 0])
@@ -128,7 +129,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
             prev = branch[i - 1]
             chosen.discard(prev)
             open_arcs[2 * prev] = open_arcs[2 * prev + 1] = 1
-            used.discard(c[prev])
+            used.discard(colors[prev])
             excluded.add(prev)
         if i == len(branch):
             stack.pop()
@@ -138,7 +139,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
         frame[3] = i + 1
         chosen.add(e)
         open_arcs[2 * e] = open_arcs[2 * e + 1] = 0
-        used.add(c[e])
+        used.add(colors[e])
         hit = enter(*_max_flow_without(g, u, v, residual, value, e))
     return hit
 
@@ -244,9 +245,11 @@ def is_rd_coloring(
     stats: SearchStats | None = None,
 ) -> VerificationReport:
     """Does every vertex pair have a rainbow cut of some size?"""
+    stats = stats if stats is not None else SearchStats()
+    cap = len(c.distinct_colors())  # a rainbow cut has at most one edge per color
 
     def find(u, v):
-        cut = find_rainbow_cut(g, c, u, v, stats=stats)
+        cut = _dfs_rainbow_cut(g, c, u, v, cap, stats)
         if cut is None:
             return None
         return CutCertificate(pair=(u, v), cut=cut, value=len(cut))

@@ -9,16 +9,24 @@ runs the package's max flow from zero at every state,
 counting prune, ``reference_connected_graphs``, the isomorphism census
 without orbit marking, ``reference_canonical_colorings`` and
 ``reference_search_level``, the solver's canonical enumeration and level
-search written as recursions, and ``reference_min_nontrivial_pair_cut``,
-the construction's cut choice with a λ flow for every pair before its
-enumeration.
+search written as recursions, ``reference_min_nontrivial_pair_cut``, the
+construction's cut choice with a λ flow for every pair before its
+enumeration, ``reference_bfs``, the graph walk that keeps its tree in a
+dict, and ``reference_walk_min_cuts``, the min-cut walk that finds its
+forced sides by an SCC pass over the whole residual every time.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 
 from srdkit.colorings import EdgeColoring
-from srdkit.connectivity import _max_flow, enumerate_min_cuts, local_edge_connectivity
+from srdkit.connectivity import (
+    _crossing_edges,
+    _max_flow,
+    _tarjan_scc,
+    enumerate_min_cuts,
+    local_edge_connectivity,
+)
 from srdkit.errors import BudgetExceededError, ColoringError, GraphStructureError
 from srdkit.verifier import is_rd_coloring, is_srd_coloring
 
@@ -471,3 +479,64 @@ def reference_min_nontrivial_pair_cut(g, limit=200_000):
                 if best is None or key[:3] < best[:3]:
                     best = key
     return None if best is None else best[3]
+
+
+def reference_bfs(g, start, capacity, target=None):
+    """``graph._bfs`` with its tree in a dict: {vertex: arc that first
+    reached it} for the vertices reached, -1 for ``start``, in the same
+    FIFO order over ``g._arcs`` and with the same stop at ``target``."""
+    tree = {start: -1}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for w, a in g._arcs[x]:
+            if w in tree or not capacity[a]:
+                continue
+            tree[w] = a
+            if w == target:
+                return tree
+            queue.append(w)
+    return tree
+
+
+def reference_walk_min_cuts(g, u, v, residual, limit):
+    """``connectivity._walk_min_cuts`` without its shortcuts: an SCC pass
+    over the whole residual for every pair, even one with a single minimum
+    cut, and each side's cut read from all edges.  Returns the cuts as
+    sorted EdgeId tuples in the order the closed-set walk reaches their
+    source sides, stopping after limit + 1 sides."""
+    n = g.vertex_count
+    succ = [{w for w, arc in arcs if residual[arc]} for arcs in g._arcs]
+    comp = _tarjan_scc(n, [tuple(s) for s in succ])
+    ncomp = max(comp) + 1 if n else 0
+    csucc = [set() for _ in range(ncomp)]
+    for a in range(n):
+        for b in succ[a]:
+            if comp[a] != comp[b]:
+                csucc[comp[a]].add(comp[b])
+    must_in, must_out = {comp[u]}, {comp[v]}
+    free = sorted(set(range(ncomp)) - must_in - must_out)
+    free_succ = {c: [d for d in csucc[c] if d not in must_in] for c in free}
+    comp_vertices = [[] for _ in range(ncomp)]
+    for vert in range(n):
+        comp_vertices[comp[vert]].append(vert)
+
+    sides = []
+    chosen = set()
+    stack = [("visit", 0)]
+    while stack and len(sides) <= limit:
+        action, i = stack.pop()
+        if action == "drop":
+            chosen.discard(free[i])
+        elif action == "include":
+            if all(d in chosen for d in free_succ[free[i]]):
+                chosen.add(free[i])
+                stack += [("drop", i), ("visit", i + 1)]
+        elif i == len(free):
+            verts = set()
+            for c in must_in | chosen:
+                verts.update(comp_vertices[c])
+            sides.append(frozenset(verts))
+        else:
+            stack += [("include", i), ("visit", i + 1)]
+    return [tuple(sorted(_crossing_edges(g, side))) for side in sides]

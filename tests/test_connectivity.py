@@ -10,6 +10,7 @@ except ImportError:
 from srdkit.connectivity import (
     _enumerate_min_cuts,
     _max_flow,
+    _walk_min_cuts,
     _with_pair_store,
     count_min_cuts,
     edge_connectivity,
@@ -40,6 +41,7 @@ from oracles import (
     oracle_component_count,
     oracle_lambda,
     oracle_separates,
+    reference_walk_min_cuts,
 )
 
 
@@ -168,6 +170,35 @@ class TestEnumerateMinCuts:
                 _, expect = oracle_all_min_cuts(n, edges, u, v)
                 got = enumerate_min_cuts(g, u, v)
                 assert [c.cut for c in got] == expect
+
+
+@st.composite
+def walk_graphs(draw):
+    """A multigraph on 2-10 vertices, maybe disconnected."""
+    n = draw(st.integers(2, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    return Graph(n, edges)
+
+
+class TestWalkEmissionOrder:
+    """The min-cut walk that reads its forced sides off the flow emits the
+    same cuts in the same order as the walk with a full SCC pass: a prefix
+    of that list serves pair-store requests, and a truncated enumeration is
+    taken from it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_graphs())
+    def test_matches_the_full_scc_walk(self, g):
+        for u in range(g.vertex_count):
+            for v in range(g.vertex_count):
+                if u == v:
+                    continue
+                _, residual, tree = _max_flow(g, u, v)
+                for limit in (0, 1, 2, 3, 5, 10_001):
+                    got = _walk_min_cuts(g, u, v, residual, tree, limit)
+                    want = reference_walk_min_cuts(g, u, v, residual, limit)
+                    assert got == want, (u, v, limit)
 
 
 class TestGlobalValues:

@@ -33,7 +33,7 @@ from srdkit.graph import (
 )
 
 from conftest import small_graphs, walk_cases
-from oracles import all_labeled_graphs, oracle_cut_vertices
+from oracles import all_labeled_graphs, oracle_cut_vertices, reference_bfs
 
 
 def bowtie():
@@ -130,10 +130,11 @@ class TestBfs:
         g, removed, start, target = case
         dist = plain_distances(g, start, removed)
         capacity = _open_arcs(g, removed)
-        assert set(_bfs(g, start, capacity)) == set(dist)
+        walk = _bfs(g, start, capacity)
+        assert {x for x, arc in enumerate(walk) if arc is not None} == set(dist)
         tree = _bfs(g, start, capacity, target=target)
         if target not in dist:
-            assert target not in tree
+            assert tree[target] is None
             return
         # back from the target, each arc is open and ends where the last began
         x, length = target, 0
@@ -143,6 +144,19 @@ class TestBfs:
             assert capacity[arc] and head == x
             x, length = tail, length + 1
         assert length == dist[target]
+
+    @given(walk_cases())
+    def test_same_tree_as_the_dict_walk(self, case):
+        # the same arc for every reached vertex, None for the others, from
+        # every start, run to the end and stopped at the target
+        g, removed, _, target = case
+        capacity = _open_arcs(g, removed)
+        for start in range(g.vertex_count):
+            for stop in (None, target):
+                tree = _bfs(g, start, capacity, target=stop)
+                want = reference_bfs(g, start, capacity, target=stop)
+                assert len(tree) == g.vertex_count
+                assert {x: arc for x, arc in enumerate(tree) if arc is not None} == want
 
 
 class TestBlocks:

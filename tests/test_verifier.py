@@ -280,6 +280,69 @@ def _checked_repair(g, s, t, residual, value, e):
     return value, residual
 
 
+def _unit_flow(g, paths):
+    """Arc capacities of the flow that sends one unit along each vertex
+    path in ``paths``, each step over the first unused edge joining its two
+    vertices."""
+    residual = bytearray(b"\x01" * (2 * g.edge_count))
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            e = next(
+                e for e, ends in enumerate(g.edges)
+                if set(ends) == {a, b} and residual[2 * e] == 1
+            )
+            forward = g.edges[e] == (a, b)
+            residual[2 * e], residual[2 * e + 1] = (0, 2) if forward else (2, 0)
+    return residual
+
+
+class TestFlowRepairCases:
+    """Hand-built maximum flows whose unit on the removed edge goes around a
+    directed flow cycle, or through s, on its way to t."""
+
+    @pytest.mark.parametrize(
+        "edges, s, t, paths, e, after",
+        [
+            # s x y a b c a t: the cancel walk from y runs the cycle a b c
+            (
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (3, 6)],
+                0, 6, [(0, 1, 2, 3, 4, 5, 3, 6)], 1, 0,
+            ),
+            # the same with x = s, and a second path that keeps a unit
+            (
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (2, 5), (0, 5)],
+                0, 5, [(0, 1, 2, 3, 4, 2, 5), (0, 5)], 0, 1,
+            ),
+            # s x y s w t: the unit comes back through s, and the reroute
+            # x s y keeps it
+            (
+                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)],
+                0, 4, [(0, 1, 2, 0, 3, 4)], 1, 1,
+            ),
+            # s a b s x y t: the unit runs a flow cycle through s before it
+            # reaches x, and is cancelled back to s
+            (
+                [(0, 3), (3, 4), (4, 0), (0, 1), (1, 2), (2, 5)],
+                0, 5, [(0, 3, 4, 0, 1, 2, 5)], 4, 0,
+            ),
+            # two parallel units x y, and a cycle y a b y after them
+            (
+                [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (4, 2),
+                 (2, 5), (2, 5)],
+                0, 5, [(0, 1, 2, 3, 4, 2, 5), (0, 1, 2, 5)], 2, 1,
+            ),
+        ],
+    )
+    def test_repair_is_a_maximum_flow(self, edges, s, t, paths, e, after):
+        g = Graph(max(max(ends) for ends in edges) + 1, edges)
+        residual = _unit_flow(g, paths)
+        value = len(paths)
+        assert value == local_edge_connectivity(g, s, t)  # a maximum flow
+        assert residual[2 * e] != 1  # that uses e
+        value, _ = _checked_repair(g, s, t, residual, value, e)
+        assert value == after
+
+
 class TestRepairedFlowSearch:
     """The DFS that repairs its parent's flow against the reference DFS
     that runs a fresh max flow at every state."""
