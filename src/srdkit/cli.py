@@ -121,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--mode", choices=["srd", "rd", "both"], default="srd")
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
     p.add_argument("--witness-out", help="write the optimal coloring here")
 
     p = sub.add_parser("scan", parents=[common], help="rd vs srd over all graphs of an order")
@@ -323,18 +322,18 @@ def _cmd_verify(cfg: RunConfig):
 
 def _cmd_solve(cfg: RunConfig):
     opts = cfg.options
-    if opts["max_edges"] < 0 or opts["threshold"] < 0:
+    if opts["max_edges"] < 0:
         raise _UsageError("budgets must be non-negative")
     g = _load_graph(opts["graph"])
     mode = opts["mode"]
     if opts["witness_out"] and mode == "both":
         raise _UsageError("--witness-out needs a single --mode (srd or rd)")
     if mode == "both":
-        (rec,) = conjecture_scan([g], opts["max_edges"], threshold=opts["threshold"])
+        (rec,) = conjecture_scan([g], opts["max_edges"])
         results = {"rd": rec.rd, "srd": rec.srd}
     else:
         solve = srd_number if mode == "srd" else rd_number
-        results = {mode: solve(g, opts["max_edges"], threshold=opts["threshold"])}
+        results = {mode: solve(g, opts["max_edges"])}
     lines = [
         f"graph {opts['graph']} n={g.vertex_count} m={g.edge_count}",
         " ".join(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .connectivity import _enumerate_min_cuts, edge_connectivity
 from .errors import (
     BudgetExceededError,
     ColoringError,
@@ -623,8 +624,6 @@ def color_regular(g: Graph, budget: int = 5_000_000) -> EdgeColoring:
     Uses the fewest colors the budget allows: the exact chromatic index
     when the search completes, otherwise max_degree + 1.
     """
-    from .connectivity import edge_connectivity
-
     if g.vertex_count < 2 or not is_connected(g):
         raise ColoringError("graph must be connected")
     degrees = {g.degree(v) for v in range(g.vertex_count)}
@@ -652,8 +651,6 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
     exhaustively, has λ no larger than the best cut, because a cut missed
     there could misclassify the graph.
     """
-    from .connectivity import _enumerate_min_cuts
-
     n = g.vertex_count
     stars = [frozenset(eid for _, eid in nb) for nb in g.adj]
     best = None  # (value, cut tuple, pair)

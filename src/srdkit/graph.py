@@ -176,16 +176,23 @@ def _bfs(g: Graph, start: int, capacity, target=None) -> list:
     """
     tree = [None] * g.vertex_count
     tree[start] = -1
+    _walk(g, tree, [start], capacity, target)
+    return tree
+
+
+def _walk(g: Graph, tree: list, queue: list, capacity, target=None) -> list:
+    """The walk behind ``_bfs``, extending ``tree`` from the vertices in
+    ``queue``, which it returns grown by the vertices it reached, in order.
+    A tree kept across walks skips what earlier walks reached."""
     arcs = g._arcs
-    queue = [start]
     for x in queue:  # the queue grows while it is read
         for w, a in arcs[x]:
             if tree[w] is None and capacity[a]:
                 tree[w] = a
                 if w == target:
-                    return tree
+                    return queue
                 queue.append(w)
-    return tree
+    return queue
 
 
 def _reached(tree) -> frozenset[int]:
@@ -194,17 +201,15 @@ def _reached(tree) -> frozenset[int]:
 
 
 def components(g: Graph) -> tuple[frozenset[int], ...]:
-    """Connected components as vertex sets, ordered by smallest member."""
+    """Connected components as vertex sets, ordered by smallest member:
+    one tree shared by all the walks, so each vertex is reached once."""
     capacity = _open_arcs(g)
-    seen = [False] * g.vertex_count
+    tree = [None] * g.vertex_count
     out = []
     for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        comp = _reached(_bfs(g, start, capacity))
-        for v in comp:
-            seen[v] = True
-        out.append(comp)
+        if tree[start] is None:
+            tree[start] = -1
+            out.append(frozenset(_walk(g, tree, [start], capacity)))
     return tuple(out)
 
 
@@ -328,11 +333,15 @@ def blocks(g: Graph) -> BlockDecomposition:
             u, v = g.edges[eid]
             verts.add(u)
             verts.add(v)
-        view = induced_subgraph(g, verts)
         # an induced subgraph of the block's vertex set could pick up edges
         # from other blocks only at cut vertices; blocks share no edge, and
         # two vertices of one block joined by an edge put that edge in the
-        # block, so the induced edge set equals the block's edge set.
+        # block, so the induced edge set equals the block's edge set, and
+        # the view is built from the block's own EdgeIds in their order.
+        order = tuple(sorted(verts))
+        local = {v: i for i, v in enumerate(order)}
+        edges = [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in eids_sorted]
+        view = SubgraphView(Graph(len(order), edges), order, local, eids_sorted)
         block_objs.append(Block(eids_sorted, frozenset(verts), view))
         for cv in verts & cut:
             tree.append((idx, cv))
@@ -441,9 +450,12 @@ def is_class1_by_core(g: Graph) -> bool:
     """
     core = max_degree_core(g).graph
     comps = components(core)
+    label = {v: i for i, comp in enumerate(comps) for v in comp}
+    edge_counts = [0] * len(comps)
+    for u, _ in core.edges:
+        edge_counts[label[u]] += 1
     all_cycles = len(comps) > 0
-    for comp in comps:
-        ec = sum(1 for u, v in core.edges if u in comp)
+    for comp, ec in zip(comps, edge_counts):
         if ec > len(comp):
             return False  # component has two independent cycles
         if not (len(comp) >= 3 and ec == len(comp)

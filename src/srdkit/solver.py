@@ -69,23 +69,25 @@ def canonical_colorings(m: int, k: int):
         p += 1
 
 
-def _pair_cut_tables(g: Graph, mode: str, threshold: int):
+def _pair_cut_tables(g: Graph, mode: str):
     """Each pair's cuts (sorted EdgeId tuples) one rainbow member of which
-    settles it, or None when a pair has more than ``threshold``: minimum cuts
-    for srd; for rd the bonds δ(S) with G[S] and G[V∖S] connected, enough as
-    every cut contains one.  Bonds come from walking the 2^(n-1) sides that
-    hold vertex 0, done only when that many fit in ``threshold``."""
+    settles it, or None when a pair has more than the verifier's
+    ``DEFAULT_THRESHOLD``: minimum cuts for srd; for rd the bonds δ(S) with
+    G[S] and G[V∖S] connected, enough as every cut contains one.  Bonds come
+    from walking the 2^(n-1) sides that hold vertex 0, done only when that
+    many fit in the threshold.  The srd walks are the ones the verifier
+    probes with its default threshold, so a pair store serves both."""
     n = g.vertex_count
     pairs = list(itertools.combinations(range(n), 2))
     if mode == "srd":
         tables = []
         for u, v in pairs:
-            certs = enumerate_min_cuts(g, u, v, limit=threshold + 1)
-            if len(certs) > threshold:
+            certs = enumerate_min_cuts(g, u, v, limit=DEFAULT_THRESHOLD + 1)
+            if len(certs) > DEFAULT_THRESHOLD:
                 return None
             tables.append(tuple(tuple(sorted(cert.cut)) for cert in certs))
         return tables
-    if 2 ** (n - 1) > threshold:
+    if 2 ** (n - 1) > DEFAULT_THRESHOLD:
         return None
     tables = [[] for _ in pairs]
     for bits in range(2 ** (n - 1) - 1):
@@ -101,7 +103,7 @@ def _pair_cut_tables(g: Graph, mode: str, threshold: int):
     return tables
 
 
-def _search_level(g, tables, mode, k, threshold):
+def _search_level(g, tables, mode, k):
     """First canonical exactly-k coloring that passes, and the candidates a
     sequential scan would have consumed.  A DFS over restricted-growth
     prefixes kills a cut once two of its edges share a color and skips a
@@ -130,7 +132,7 @@ def _search_level(g, tables, mode, k, threshold):
     def verified() -> bool:
         c = EdgeColoring(tuple(colors))
         if mode == "srd":
-            return is_srd_coloring(g, c, threshold=threshold).verdict
+            return is_srd_coloring(g, c).verdict
         return is_rd_coloring(g, c).verdict
 
     # Restricted-growth prefixes on an explicit stack, as in
@@ -186,7 +188,7 @@ def _search_level(g, tables, mode, k, threshold):
     return None, tested
 
 
-def _upper_bound_witness(g: Graph, threshold: int) -> tuple[EdgeColoring, int]:
+def _upper_bound_witness(g: Graph) -> tuple[EdgeColoring, int]:
     """A verified rainbow-min-cut coloring, preferring the constructive
     e-1 scheme and falling back to all-distinct colors (always valid), and
     λ+(G), read off the verification: each pair's witness has λ(u, v) edges."""
@@ -194,17 +196,17 @@ def _upper_bound_witness(g: Graph, threshold: int) -> tuple[EdgeColoring, int]:
     if g.vertex_count >= 3:
         try:
             cand = normalize_colors(color_general_upper(g))
-            report = is_srd_coloring(g, cand, threshold=threshold)
+            report = is_srd_coloring(g, cand)
         except ColoringError:
             pass
     if report is None or not report.verdict:
         cand = EdgeColoring(tuple(range(1, g.edge_count + 1)))
-        report = is_srd_coloring(g, cand, threshold=threshold)
+        report = is_srd_coloring(g, cand)
         assert report.verdict, "all-distinct colors failed verification"
     return cand, max(cert.value for cert in report.witnesses.values())
 
 
-def _solve(g, modes, max_edges, threshold) -> dict:
+def _solve(g, modes, max_edges) -> dict:
     """{mode: SolveResult} for each of ``modes`` ("srd", "rd").  The bound
     stage (the verified upper witness and λ+) runs once for all of them.
     Within the edge budget everything runs on a copy of ``g`` with a pair
@@ -217,17 +219,17 @@ def _solve(g, modes, max_edges, threshold) -> dict:
 
     if g.edge_count <= max_edges:
         g = _with_pair_store(g)
-    upper_witness, lower = _upper_bound_witness(g, threshold)
+    upper_witness, lower = _upper_bound_witness(g)
     upper = upper_witness.num_colors
     results = {}
     for mode in modes:
         if lower < upper and g.edge_count > max_edges:
             results[mode] = SolveResult(None, None, 0, lower, upper, False)
             continue
-        tables = _pair_cut_tables(g, mode, threshold) if lower < upper else None
+        tables = _pair_cut_tables(g, mode) if lower < upper else None
         value, witness, tested = upper, upper_witness, 0
         for k in range(lower, upper):
-            found, used = _search_level(g, tables, mode, k, threshold)
+            found, used = _search_level(g, tables, mode, k)
             tested += used
             if found is not None:
                 value, witness = k, found
@@ -236,32 +238,17 @@ def _solve(g, modes, max_edges, threshold) -> dict:
     return results
 
 
-def srd_number(
-    g: Graph,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    *,
-    threshold: int = DEFAULT_THRESHOLD,
-) -> SolveResult:
+def srd_number(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SolveResult:
     """Exact srd(G): fewest colors so every pair has a rainbow minimum cut."""
-    return _solve(g, ("srd",), max_edges, threshold)["srd"]
+    return _solve(g, ("srd",), max_edges)["srd"]
 
 
-def rd_number(
-    g: Graph,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    *,
-    threshold: int = DEFAULT_THRESHOLD,
-) -> SolveResult:
+def rd_number(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SolveResult:
     """Exact rd(G): fewest colors so every pair has a rainbow cut."""
-    return _solve(g, ("rd",), max_edges, threshold)["rd"]
+    return _solve(g, ("rd",), max_edges)["rd"]
 
 
-def srd_by_blocks(
-    g: Graph,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    *,
-    threshold: int = DEFAULT_THRESHOLD,
-) -> SolveResult:
+def srd_by_blocks(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SolveResult:
     """srd(G) as the maximum over blocks, with a witness glued from the
     block witnesses over one shared palette.
 
@@ -272,10 +259,7 @@ def srd_by_blocks(
     decomposition = blocks(g)
     if not decomposition.blocks:
         raise GraphStructureError("graph has no edges")
-    results = [
-        srd_number(blk.subgraph.graph, max_edges, threshold=threshold)
-        for blk in decomposition.blocks
-    ]
+    results = [srd_number(blk.subgraph.graph, max_edges) for blk in decomposition.blocks]
     tested = sum(r.colorings_tested for r in results)
     lower = max(r.lower_bound for r in results)
     upper = max(r.upper_bound for r in results)
@@ -333,19 +317,14 @@ class ScanRecord:
     note: str  # "", "budget", or "counterexample-candidate"
 
 
-def conjecture_scan(
-    graphs,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    *,
-    threshold: int = DEFAULT_THRESHOLD,
-) -> list:
+def conjecture_scan(graphs, max_edges: int = DEFAULT_MAX_EDGES) -> list:
     """rd vs srd for each graph; any inequality is double-checked and
     flagged, never silently dropped, and the bound chain
     λ+ ≤ rd ≤ srd ≤ e is asserted for every completed graph.  λ ≤ λ+ needs
     no check: they are the minimum and the maximum of the same λ(u, v)."""
     records = []
     for g in graphs:
-        results = _solve(g, ("rd", "srd"), max_edges, threshold)
+        results = _solve(g, ("rd", "srd"), max_edges)
         rd, srd = results["rd"], results["srd"]
         if rd.value is None or srd.value is None:
             records.append(ScanRecord(g, rd, srd, None, "budget"))
@@ -361,7 +340,7 @@ def conjecture_scan(
         if not equal:
             if not is_rd_coloring(g, rd.witness).verdict:
                 raise AssertionError(f"rd witness failed re-verification on {g!r}")
-            if not is_srd_coloring(g, srd.witness, threshold=threshold).verdict:
+            if not is_srd_coloring(g, srd.witness).verdict:
                 raise AssertionError(f"srd witness failed re-verification on {g!r}")
             note = "counterexample-candidate"
         records.append(ScanRecord(g, rd, srd, equal, note))

@@ -28,6 +28,7 @@ from srdkit.verifier import is_srd_coloring
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PATH5 = "5 4\n0 1\n1 2\n2 3\n3 4\n"
 BOWTIE = "5 6\n0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n"
+MULTI = "3 5\n0 1\n0 1\n1 2\n2 0\n1 2\n"
 FIG_CNF = "c one clause\np cnf 3 1\n1 -2 3 0\n"
 
 
@@ -241,7 +242,7 @@ class TestVerify:
         assert code == 2
 
     def test_negative_threshold_is_exit_2(self, k4_file, tmp_path):
-        # as solve does: no negative threshold silently acting as 0
+        # no negative threshold silently acting as 0
         c = tmp_path / "c.txt"
         c.write_text("1\n2\n3\n3\n2\n1\n")
         code, text = run(["verify", k4_file, str(c), "--threshold", "-5"])
@@ -277,12 +278,21 @@ class TestSolve:
             (K4, []),
             (BOWTIE, []),
             (PATH5, []),
-            (K4, ["--threshold", "0"]),
             (K4, ["--max-edges", "3"]),
-            ("3 5\n0 1\n0 1\n1 2\n2 0\n1 2\n", []),
+            (MULTI, []),
         ],
     )
     def test_both_merges_the_single_mode_reports(self, tmp_path, graph, extra):
+        self.check_both_merges(tmp_path, graph, extra)
+
+    @pytest.mark.parametrize("graph", [K4, BOWTIE, MULTI])
+    def test_both_merges_without_the_tables(self, tmp_path, monkeypatch, graph):
+        # no pair fits a table cap of 0: every candidate goes to the verifier
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 0)
+        self.check_both_merges(tmp_path, graph, [])
+
+    @staticmethod
+    def check_both_merges(tmp_path, graph, extra):
         path = tmp_path / "g.txt"
         path.write_text(graph)
         argv = ["solve", str(path), *extra]
@@ -301,6 +311,10 @@ class TestSolve:
         want = json.loads(rd_json)
         want["results"].update(json.loads(srd_json)["results"])
         assert json.loads(both_json) == want
+
+    def test_threshold_is_not_a_solve_option(self, k4_file):
+        # the threshold picks a strategy, never an answer; verify keeps it
+        assert run(["solve", k4_file, "--threshold", "0"]) == (2, "")
 
     def test_witness_out_verifies(self, k4_file, tmp_path):
         w = tmp_path / "w.txt"

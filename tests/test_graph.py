@@ -9,6 +9,8 @@ from srdkit.errors import (
     GraphStructureError,
 )
 from srdkit.graph import (
+    Block,
+    BlockDecomposition,
     Graph,
     _bfs,
     _open_arcs,
@@ -100,6 +102,19 @@ class TestParsing:
         assert parse_graph(serialize_graph(g)) == g
 
 
+@st.composite
+def multigraphs(draw, connected):
+    """Multigraphs with parallel edges: a random tree on 1-12 vertices plus
+    extra edges when ``connected``, else at most n edges on 1-30 vertices,
+    so usually many components."""
+    n = draw(st.integers(1, 12 if connected else 30))
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if connected else []
+    edges += draw(st.lists(edge, max_size=n if n > 1 else 0))
+    return Graph(n, draw(st.permutations(edges)))
+
+
 class TestComponents:
     def test_split(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -108,6 +123,16 @@ class TestComponents:
 
     def test_single_vertex(self):
         assert is_connected(Graph(1, []))
+
+    @given(multigraphs(connected=False))
+    def test_same_tuple_as_a_plain_walk(self, g):
+        want, seen = [], set()
+        for start in range(g.vertex_count):
+            if start not in seen:
+                comp = frozenset(plain_distances(g, start, ()))
+                seen |= comp
+                want.append(comp)
+        assert components(g) == tuple(want)
 
 
 def plain_distances(g, start, removed):
@@ -214,6 +239,19 @@ class TestBlocks:
                     len(dec.blocks) + len(dec.cut_vertices) - 1
                 )
 
+    @given(multigraphs(connected=True))
+    def test_same_decomposition_as_induced_subgraphs(self, g):
+        dec = blocks(g)
+        want = BlockDecomposition(
+            tuple(
+                Block(b.edge_ids, b.vertices, induced_subgraph(g, b.vertices))
+                for b in dec.blocks
+            ),
+            dec.cut_vertices,
+            dec.tree_edges,
+        )
+        assert dec == want
+
     def test_cut_vertices_match_oracle(self):
         for n, edges in all_labeled_graphs(5):
             g = Graph(n, edges)
@@ -266,6 +304,25 @@ class TestCore:
         k222 = complete_multipartite_graph([2, 2, 2])
         minus = induced_subgraph(k222, range(1, 6)).graph
         assert is_class1_by_core(minus)
+
+    @given(st.one_of(multigraphs(connected=False), multigraphs(connected=True)))
+    def test_same_verdict_as_a_count_per_component(self, g):
+        # the test as it read with one pass over the core's edges per component
+        core = max_degree_core(g).graph
+        comps = components(core)
+        all_cycles = len(comps) > 0
+        want = True
+        for comp in comps:
+            ec = sum(1 for u, v in core.edges if u in comp)
+            if ec > len(comp):
+                want = False
+                break
+            if not (len(comp) >= 3 and ec == len(comp)
+                    and all(core.degree(v) == 2 for v in comp)):
+                all_cycles = False
+        else:
+            want = not all_cycles
+        assert is_class1_by_core(g) == want
 
     def test_two_independent_cycles_in_core(self):
         # theta-ish core: K_4 has e > n in its core, handled above; here a

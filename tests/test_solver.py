@@ -6,6 +6,7 @@ candidate counter is identical from one run to the next.
 """
 
 import contextlib
+import functools
 import inspect
 import itertools
 import pickle
@@ -312,13 +313,22 @@ class TestConjectureScan:
             assert lam <= lam_plus <= rec.rd.value
             assert rec.rd.value <= rec.srd.value <= rec.graph.edge_count
 
-    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0, 2])
-    def test_same_results_as_the_single_mode_solves(self, threshold):
-        # one bound stage for both modes gives what two separate solves give
+    @pytest.mark.parametrize("cap", [DEFAULT_THRESHOLD, 0, 2])
+    def test_same_results_as_the_single_mode_solves(self, monkeypatch, cap):
+        # one bound stage for both modes gives what two separate solves give,
+        # with the per-pair tables and with the per-leaf verifier
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", cap)
         for g in self.GRAPHS:
-            (rec,) = conjecture_scan([g], threshold=threshold)
-            assert rec.rd == rd_number(g, threshold=threshold), g
-            assert rec.srd == srd_number(g, threshold=threshold), g
+            (rec,) = conjecture_scan([g])
+            assert rec.rd == rd_number(g), g
+            assert rec.srd == srd_number(g), g
+
+    def test_verifier_path_gives_what_the_tables_give(self, monkeypatch):
+        modes = ("rd", "srd")
+        tabled = [solver._solve(g, modes, 12) for g in self.GRAPHS]
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 0)
+        assert all(_pair_cut_tables(g, mode) is None for g in self.GRAPHS for mode in modes)
+        assert [solver._solve(g, modes, 12) for g in self.GRAPHS] == tabled
 
     def test_budget_overrun_is_flagged_not_dropped(self):
         records = conjecture_scan([cycle_graph(4), complete_graph(6)])
@@ -352,14 +362,15 @@ class TestDeterminism:
         )
         assert first.witness == again.witness
 
-    def test_threshold_is_keyword_only(self):
-        # a stray positional third argument fails instead of becoming the
-        # enumeration threshold
-        for solve in (srd_number, rd_number, srd_by_blocks):
+    def test_threshold_is_not_a_solver_option(self):
+        # the threshold picks a strategy, never an answer, so the solver
+        # takes none: neither by keyword nor as a third argument
+        for solve in (srd_number, rd_number, srd_by_blocks, conjecture_scan):
+            g = [complete_graph(4)] if solve is conjecture_scan else complete_graph(4)
             with pytest.raises(TypeError):
-                solve(complete_graph(4), 12, 2)
-        with pytest.raises(TypeError):
-            conjecture_scan([complete_graph(3)], 12, 2)
+                solve(g, threshold=0)
+            with pytest.raises(TypeError):
+                solve(g, 12, 2)
 
 
 class TestLambdaPlus:
@@ -376,11 +387,17 @@ class TestLambdaPlus:
     ]
 
     @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0, 2])
-    def test_equals_the_pairwise_maximum(self, threshold):
+    def test_equals_the_pairwise_maximum(self, monkeypatch, threshold):
+        # the solver's verifications and tables with this threshold: at 0
+        # the upper witness's verification takes the DFS path
+        monkeypatch.setattr(
+            solver, "is_srd_coloring", functools.partial(is_srd_coloring, threshold=threshold)
+        )
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", threshold)
         for g in self.GRAPHS:
             want = upper_edge_connectivity(g)
             for solve in (srd_number, rd_number):
-                assert solve(g, threshold=threshold).lower_bound == want, g
+                assert solve(g).lower_bound == want, g
 
     def test_all_distinct_fallback(self, monkeypatch):
         # a construction that fails verification leaves the all-distinct
@@ -461,20 +478,24 @@ class TestPrunedSearch:
     @pytest.mark.parametrize(
         "solve, g", [(srd_number, complete_graph(4)), (rd_number, grid_graph(2, 4))]
     )
-    def test_verifier_fallback_matches_tables(self, solve, g):
-        tabled, fallback = solve(g), solve(g, threshold=0)
+    def test_verifier_fallback_matches_tables(self, monkeypatch, solve, g):
+        tabled = solve(g)
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 0)
+        fallback = solve(g)
         assert (fallback.value, fallback.witness, fallback.colorings_tested) == (
             tabled.value,
             tabled.witness,
             tabled.colorings_tested,
         )
 
-    def test_rd_tables_hold_only_bonds(self):
+    def test_rd_tables_hold_only_bonds(self, monkeypatch):
         # side {0, 2} of the path 0-1-2 is disconnected, so δ({0, 2}) is
         # a cut of pair (0, 2) but not a bond
         g = path_graph(3)
-        assert _pair_cut_tables(g, "rd", 4) == [[(0,)], [(0,), (1,)], [(1,)]]
-        assert _pair_cut_tables(g, "rd", 3) is None  # 2^(n-1) sides > 3
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 4)
+        assert _pair_cut_tables(g, "rd") == [[(0,)], [(0,), (1,)], [(1,)]]
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 3)
+        assert _pair_cut_tables(g, "rd") is None  # 2^(n-1) sides > 3
 
 
 class TestDeepSearch:
@@ -491,7 +512,7 @@ class TestDeepSearch:
                 assert res.complete
 
     def test_the_recursive_search_would_not(self):
-        tables = _pair_cut_tables(self.G, "srd", DEFAULT_THRESHOLD)
+        tables = _pair_cut_tables(self.G, "srd")
         with shallow_recursion_limit():
             with pytest.raises(RecursionError):
                 reference_search_level(self.G, tables, "srd", 266, DEFAULT_THRESHOLD)
@@ -500,7 +521,8 @@ class TestDeepSearch:
 class TestSearchLevelAgainstReference:
     """The explicit-stack level search visits the prefixes of the recursive
     one in the same order: same witness, same count, with and without
-    tables, on every level from 1 to the upper bound."""
+    tables, on every level from 1 to the upper bound.  Without tables each
+    leaf goes to the verifier at its default threshold, as in the solver."""
 
     GRAPHS = [
         *all_connected_graphs(5),
@@ -513,9 +535,8 @@ class TestSearchLevelAgainstReference:
     def test_same_witness_and_count(self, mode):
         for g in self.GRAPHS:
             upper = srd_number(g).upper_bound
-            for threshold in (DEFAULT_THRESHOLD, 0):
-                tables = _pair_cut_tables(g, mode, threshold)
+            for tables in (_pair_cut_tables(g, mode), None):
                 for k in range(1, upper + 1):
-                    got = _search_level(g, tables, mode, k, threshold)
-                    want = reference_search_level(g, tables, mode, k, threshold)
-                    assert got == want, (g, mode, threshold, k)
+                    got = _search_level(g, tables, mode, k)
+                    want = reference_search_level(g, tables, mode, k, DEFAULT_THRESHOLD)
+                    assert got == want, (g, mode, tables is None, k)
