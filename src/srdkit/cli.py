@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .colorings import (
+    EdgeColoring,
     color_cactus,
     color_complete,
     color_complete_multipartite,
@@ -33,8 +34,8 @@ from .connectivity import (
     local_edge_connectivity,
     upper_edge_connectivity,
 )
-from .errors import BudgetExceededError, GraphParseError, SrdKitError
-from .graph import blocks, export_dot, parse_graph, serialize_graph
+from .errors import BudgetExceededError, ColoringError, GraphParseError, SrdKitError
+from .graph import blocks, export_dot, is_connected, parse_graph, serialize_graph
 from .reduction import (
     DEFAULT_NODE_BUDGET,
     build_reduction,
@@ -231,6 +232,12 @@ def _cmd_color(cfg: RunConfig):
             coloring = color_cactus(g)
         elif family == "regular":
             coloring = color_regular(g, budget=budget)
+        elif family == "auto" and g.vertex_count == 2:
+            if not is_connected(g):
+                raise ColoringError("graph must be connected")
+            # every edge joins the two vertices, so the one cut is all of
+            # them, and only distinct colors make it rainbow
+            coloring = EdgeColoring(tuple(range(1, g.edge_count + 1)))
         else:  # auto and general both take the dispatching construction
             coloring = color_general_upper(g, budget=budget)
     elif family == "complete":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, _reached, is_connected
+from .graph import Graph, _bfs, _open_arcs, _reached, _walk, is_connected
 
 
 @dataclass(frozen=True)
@@ -266,17 +266,24 @@ def _walk_min_cuts(g: Graph, u: int, v: int, residual, tree, limit: int) -> list
     # every edge of a minimum cut carries a unit out of its source side
     flow_edges = [e for e, r in enumerate(residual[::2]) if r != 1]
 
-    # The source side must hold all that u reaches in the residual, and the
-    # sink side all that reaches v: the vertices the flow's last walk
-    # reached, and those that a walk from v reaches over the residual with
-    # each edge's two arcs swapped.  When those two cover V they are the
-    # only minimum cut's sides, and they serve as the walk's two
-    # components; otherwise the components come from an SCC pass.
+    # The source side S0 must hold all that u reaches in the residual, and
+    # the sink side T0 all that reaches v: the vertices the flow's last
+    # walk reached, and those that a walk from v reaches over the residual
+    # with each edge's two arcs swapped.  The rest, F, is free.  When F is
+    # empty, S0 and T0 are the only minimum cut's sides; when it forms one
+    # strongly connected block the pair has two minimum cuts, d(S0) and
+    # d(V - T0).  Either way S0, T0 and F serve as the walk's components;
+    # otherwise the components come from an SCC pass.
     swapped = bytearray(len(residual))
     swapped[::2], swapped[1::2] = residual[1::2], residual[::2]
-    if tree.count(None) + _bfs(g, v, swapped).count(None) == n:
-        comp = [0 if arc is not None else 1 for arc in tree]
-        csucc: list[set[int]] = [set(), set()]
+    comp = [
+        0 if a is not None else 1 if b is not None else 2
+        for a, b in zip(tree, _bfs(g, v, swapped))
+    ]
+    loose = [x for x in range(n) if comp[x] == 2]  # F
+    if not loose or _one_block(g, comp, loose, residual, swapped):
+        # F's successors lie in F or S0, so F may always join the source side
+        csucc: list[set[int]] = [set() for _ in range(3 if loose else 2)]
     else:
         # The forced sides are then the components of u and v.  An edge's
         # two arcs have 2 units of residual between them, so across any
@@ -327,6 +334,19 @@ def _walk_min_cuts(g: Graph, u: int, v: int, residual, tree, limit: int) -> list
         else:
             stack += [("include", i), ("visit", i + 1)]
     return cuts
+
+
+def _one_block(g: Graph, comp, loose: list, residual, swapped) -> bool:
+    """Do the free vertices ``loose`` (comp 2) form one strongly connected
+    block?  They do when the walks from one of them over them alone,
+    forward over the residual and backward over ``swapped``, each reach
+    them all."""
+    for capacity in (residual, swapped):
+        tree = [None if c == 2 else -1 for c in comp]  # S0 and T0 pre-marked
+        tree[loose[0]] = -1
+        if len(_walk(g, tree, [loose[0]], capacity)) < len(loose):
+            return False
+    return True
 
 
 def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:

@@ -7,10 +7,12 @@ completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
 (srd) and the number of colors for a rainbow cut of any size (rd).  For
 minimum cuts the verifier first enumerates all of them and tests each for
 rainbowness while their number stays below a threshold, and runs the DFS
-only beyond it, starting from the enumeration's max flow.  The DFS has one
-max flow, at its root; every other state repairs a copy of its parent's
-flow for the edge it adds, which costs a few graph walks instead of a flow
-from zero.  It visits each rainbow edge subset at most once, so with k
+only beyond it, starting from the enumeration's max flow.  The DFS runs
+at most one max flow per search: the srd search at its root, the rd
+search only at the first state whose degree bound does not settle its
+prune.  Below it every state repairs a copy of its parent's flow for the
+edge it adds, which costs a few graph walks instead of a flow from zero.
+It visits each rainbow edge subset at most once, so with k
 colors and classes of sizes s_1..s_k it explores at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
 """
@@ -73,51 +75,82 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
     and is pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
     cut; with ``cap`` = the number of colors, any rainbow cut fits;
     ``cap`` = None takes λ(u, v) from the root's flow.  ``node_budget``
-    bounds the states, raising BudgetExceededError.  Only the root runs a
-    max flow, unless the caller hands it one as ``root`` = (value,
-    residual): each child repairs a copy of its parent's, and only states
-    that branch walk the graph for their path.  A root with residual 0
-    raises GraphStructureError (u, v disconnected).
+    bounds the states, raising BudgetExceededError.  A root with residual
+    0 raises GraphStructureError (u, v disconnected).
+
+    A search runs at most one max flow, and none if the caller hands it
+    one as ``root`` = (value, residual): a state with a flow passes each
+    child a repaired copy, and only states that branch walk the graph for
+    their path.  With ``cap`` fixed and no ``root``, flows start late:
+    λ(G - chosen) is at most the smaller degree of u and v in G - chosen,
+    and while that bound is within ``cap`` - |chosen| the prune cannot fire,
+    so the state runs no flow and its path walk tells whether λ is 0.  The
+    first state whose bound does not settle the prune takes the max flow
+    of G, computed once per search, and repairs it along ``chosen``.
 
     The states are visited depth first with an explicit stack that holds
     one frame per branching state on the current path, each with its own
-    flow, so no recursion limit applies.  ``chosen``, ``used`` and
+    flow or None, so no recursion limit applies.  ``chosen``, ``used`` and
     ``excluded`` are shared sets that a frame extends while its children
     run and restores when it is popped; ``open_arcs`` is G - ``chosen`` as
-    arc capacities, for the path walks.
+    arc capacities, for the path walks, and ``degree`` holds the degrees
+    of G - ``chosen`` while no state on the path has a flow.
     """
     colors = c.colors
+    edges = g.edges
     chosen, used, excluded = set(), set(), set()
     open_arcs = _open_arcs(g)
-    stack = []  # [flow residual, flow value, branch edges, next index]
+    stack = []  # [flow residual or None, flow value, branch edges, next index]
+    first_flow = None  # G's max flow, once a state without one needs it
+    degree = None  # degrees of G - chosen, for a search that starts without a flow
+
+    def flow_of_chosen():
+        """A max flow of G - chosen: G's, repaired one edge at a time."""
+        nonlocal first_flow
+        if first_flow is None:
+            first_flow = _max_flow(g, u, v)[:2]
+        value, residual = first_flow
+        for e in chosen:
+            value, residual = _max_flow_without(g, u, v, residual, value, e)
+        return value, residual
 
     def enter(value, residual):
-        """Count a state; return its cut, or push a frame if it branches."""
+        """Count a state; return its cut, or push a frame if it branches.
+        ``value`` and ``residual`` are None for a state without a flow."""
         stats.nodes += 1
         if node_budget is not None and stats.nodes > node_budget:
             raise BudgetExceededError(
                 f"rainbow min-cut search exceeded {node_budget} states"
             )
-        if value == 0:
+        room = cap - len(chosen)
+        if value is None and min(degree[u], degree[v]) > room:
+            value, residual = flow_of_chosen()
+        if value is not None and value > room:
+            return None
+        tree = None if value == 0 else _bfs(g, u, open_arcs, target=v)
+        if tree is None or tree[v] is None:  # λ(G - chosen) = 0
             if not chosen:
                 raise GraphStructureError(f"vertices {u} and {v} are disconnected")
             return frozenset(chosen)
-        if value > cap - len(chosen):
-            return None
-        tree = _bfs(g, u, open_arcs, target=v)
         branch = []
         x = v
         while x != u:
             arc = tree[x]
             e = arc >> 1
-            x = g.edges[e][arc & 1]
+            x = edges[e][arc & 1]
             if e not in excluded and colors[e] not in used:
                 branch.append(e)
         branch.reverse()
         stack.append([residual, value, branch, 0])
         return None
 
-    value, residual = root if root is not None else _max_flow(g, u, v)[:2]
+    if root is not None:
+        value, residual = root
+    elif cap is None:
+        value, residual = _max_flow(g, u, v)[:2]
+    else:
+        value = residual = None
+        degree = [len(arcs) for arcs in g.adj]
     if cap is None:
         cap = value
     hit = enter(value, residual)
@@ -131,6 +164,10 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
             open_arcs[2 * prev] = open_arcs[2 * prev + 1] = 1
             used.discard(colors[prev])
             excluded.add(prev)
+            if residual is None:
+                a, b = edges[prev]
+                degree[a] += 1
+                degree[b] += 1
         if i == len(branch):
             stack.pop()
             excluded.difference_update(branch)
@@ -140,7 +177,13 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
         chosen.add(e)
         open_arcs[2 * e] = open_arcs[2 * e + 1] = 0
         used.add(colors[e])
-        hit = enter(*_max_flow_without(g, u, v, residual, value, e))
+        if residual is None:
+            a, b = edges[e]
+            degree[a] -= 1
+            degree[b] -= 1
+            hit = enter(None, None)
+        else:
+            hit = enter(*_max_flow_without(g, u, v, residual, value, e))
     return hit
 
 

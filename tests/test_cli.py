@@ -198,6 +198,35 @@ class TestColor:
         assert code == 0
         assert parse_coloring(text, edge_count=1200).num_colors == 2
 
+    @pytest.mark.parametrize(
+        "text, m", [("2 1\n0 1\n", 1), ("2 3\n0 1\n1 0\n0 1\n", 3)]
+    )
+    def test_auto_on_two_vertices_colors_all_edges_apart(self, tmp_path, text, m):
+        # K2, and a 3-fold parallel edge
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        out = tmp_path / "c.txt"
+        code, _ = run(
+            ["color", "--family", "auto", "--graph", str(g), "--out", str(out)]
+        )
+        assert code == 0
+        assert parse_coloring(out.read_text(), edge_count=m).num_colors == m
+        for mode in ("srd", "rd"):
+            vcode, vtext = run(["verify", "--mode", mode, str(g), str(out)])
+            assert vcode == 0
+            assert "verdict true" in vtext
+        # general keeps its n >= 3 requirement
+        code, text = run(["color", "--family", "general", "--graph", str(g)])
+        assert code == 2
+        assert "at least 3 vertices" in text
+
+    def test_auto_on_two_unjoined_vertices_is_exit_2(self, tmp_path):
+        g = tmp_path / "g.txt"
+        g.write_text("2 0\n")
+        code, text = run(["color", "--family", "auto", "--graph", str(g)])
+        assert code == 2
+        assert "connected" in text
+
     def test_family_without_graph_is_usage_error(self):
         code, text = run(["color", "--family", "cactus"])
         assert code == 2

@@ -7,6 +7,7 @@ try:
 except ImportError:
     nx = None
 
+from srdkit import connectivity
 from srdkit.connectivity import (
     _enumerate_min_cuts,
     _max_flow,
@@ -199,6 +200,46 @@ class TestWalkEmissionOrder:
                     got = _walk_min_cuts(g, u, v, residual, tree, limit)
                     want = reference_walk_min_cuts(g, u, v, residual, limit)
                     assert got == want, (u, v, limit)
+
+
+class TestOneFreeBlock:
+    """A pair whose free vertices, outside the forced sides S0 and T0,
+    form one strongly connected block has the two minimum cuts d(S0) and
+    d(V - T0); the walk emits them in that order without an SCC pass."""
+
+    @staticmethod
+    def _pairs():
+        for n in (3, 4, 6):
+            g = complete_graph(n)
+            yield g, [(u, v) for u in range(n) for v in range(n) if u != v]
+        # the interior vertices in the middle row or column: one diagonal
+        # to a corner has a third minimum cut, around the corner's block
+        g = grid_graph(5, 5)
+        inner = [
+            grid_vertex(5, 5, r, c)
+            for r in range(1, 4)
+            for c in range(1, 4)
+            if 2 in (r, c)
+        ]
+        yield g, [(u, v) for u in inner for v in inner if u != v]
+
+    def test_no_scc_pass_and_the_full_walk_order(self, monkeypatch):
+        passes = []
+        real = connectivity._tarjan_scc
+
+        def counted(*args):
+            passes.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(connectivity, "_tarjan_scc", counted)
+        for g, pairs in self._pairs():
+            for u, v in pairs:
+                _, residual, tree = _max_flow(g, u, v)
+                for limit in (0, 1, 2, 10_001):
+                    got = _walk_min_cuts(g, u, v, residual, tree, limit)
+                    assert got == reference_walk_min_cuts(g, u, v, residual, limit)
+                    assert len(got) == min(limit + 1, 2)
+        assert passes == []
 
 
 class TestGlobalValues:

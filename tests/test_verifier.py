@@ -200,10 +200,12 @@ def flow_calls(monkeypatch):
 
 
 class TestFlowsPerSearch:
-    """A pair search runs one max flow, whether the enumeration decides it,
-    the DFS runs alone, or the DFS takes over from an enumeration that
-    overflowed its threshold; every DFS state but the root repairs its
-    parent's flow."""
+    """A pair search runs at most one max flow.  The srd search runs one,
+    whether the enumeration decides it, the DFS runs alone, or the DFS
+    takes over from an enumeration that overflowed its threshold; every
+    DFS state below the flow repairs its parent's.  The any-size (rd)
+    search runs none while the degrees of u and v in G - chosen settle its
+    prune, and one, of G, at the first state where they do not."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
         proper = EdgeColoring((1, 2, 3, 3, 2, 1))
@@ -228,13 +230,30 @@ class TestFlowsPerSearch:
         assert st.enumerated == 0 and st.nodes > 1
         assert len(flow_calls) == 1
 
-    def test_any_size_search_runs_one_flow(self, flow_calls):
+    def test_any_size_search_runs_no_flow_where_degrees_settle_the_prune(
+        self, flow_calls
+    ):
+        # degree 2 at both ends, 2 colors: no state can exceed its room
         g = cycle_graph(6)
         st = SearchStats()
         cut = find_rainbow_cut(g, EdgeColoring((1, 2) * 3), 0, 3, stats=st)
         assert cut is not None and separates(g, cut, 0, 3)
         assert st.nodes > 1
-        assert len(flow_calls) == 1
+        assert flow_calls == []
+
+    def test_any_size_search_runs_one_flow_where_the_root_needs_it(
+        self, flow_calls
+    ):
+        # two K4s joined by two edges: u and v have degree 3, 2 colors
+        left = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        right = [(a + 4, b + 4) for a, b in left]
+        g = Graph(8, left + right + [(3, 4), (2, 5)])
+        c = EdgeColoring((1, 2) * 6 + (1, 2))
+        st = SearchStats()
+        cut = find_rainbow_cut(g, c, 0, 7, stats=st)
+        assert cut == frozenset({12, 13})
+        assert st.nodes > 1
+        assert flow_calls == [(0, 7)]
 
 
 @st.composite
@@ -344,19 +363,31 @@ class TestFlowRepairCases:
 
 
 class TestRepairedFlowSearch:
-    """The DFS that repairs its parent's flow against the reference DFS
-    that runs a fresh max flow at every state."""
+    """The DFS that repairs its parent's flow, and whose any-size search
+    flows only where its degree bound does not settle the prune, against
+    the reference DFS that runs a fresh max flow at every state.  Either
+    search runs at most one max flow."""
 
     @settings(max_examples=150, deadline=None)
     @given(colored_multigraph_pairs())
     def test_same_cut_nodes_and_errors_as_fresh_flows(self, case):
         g, c, u, v, budget = case
         lam = local_edge_connectivity(g, u, v)
+        calls = []
+        real = verifier._max_flow
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
         with mock.patch.object(verifier, "_max_flow_without", _checked_repair):
             for cap, ref_cap in ((None, lam), (len(c.distinct_colors()),) * 2):
-                new = _search_outcome(
-                    lambda st: verifier._dfs_rainbow_cut(g, c, u, v, cap, st, budget)
-                )
+                calls.clear()
+                with mock.patch.object(verifier, "_max_flow", counted):
+                    new = _search_outcome(
+                        lambda st: verifier._dfs_rainbow_cut(g, c, u, v, cap, st, budget)
+                    )
+                assert len(calls) <= 1
                 ref = _search_outcome(
                     lambda st: reference_rainbow_cut_dfs(g, c, u, v, ref_cap, st, budget)
                 )
