@@ -47,8 +47,8 @@ class _PairEntry:
 def _with_pair_store(g: Graph) -> Graph:
     """A copy of ``g`` that keeps every pair's max flow and min-cut walk.
 
-    On the copy, ``_max_flow`` with no edges removed and
-    ``_enumerate_min_cuts`` compute each ordered pair once and answer every
+    On the copy, ``_max_flow`` and ``_enumerate_min_cuts`` compute each
+    ordered pair once and answer every
     later request from that result, the same answer a fresh call gives.
     The store lives and dies with the copy.
     """
@@ -57,29 +57,29 @@ def _with_pair_store(g: Graph) -> Graph:
     return copy
 
 
-def _max_flow(g: Graph, s: int, t: int, removed=frozenset()):
-    """Edmonds-Karp on the paired-arc network.
+def _max_flow(g: Graph, s: int, t: int):
+    """Edmonds-Karp on the paired-arc network of G.
 
     Returns (value, residual, tree) where residual[a] is the leftover
-    capacity of arc a (removed edges get capacity 0 in both directions, the
-    others 0, 1 or 2) and tree is the walk of the last augmenting BFS, the
-    one that fails to reach t: the vertices it reached are the source side
-    of a minimum cut.  On a graph with a pair store, the flow with no edges
-    removed is shared between calls, so no caller may change ``residual``
-    in place.
+    capacity of arc a (0, 1 or 2) and tree is the walk of the last
+    augmenting BFS, the one that fails to reach t: the vertices it reached
+    are the source side of a minimum cut.  A max flow of G less some edges
+    is a repair of this one (``_max_flow_without``).  On a graph with a
+    pair store the flow is shared between calls, so no caller may change
+    ``residual`` in place.
     """
     store = g._pair_store
-    if store is None or removed:
-        return _edmonds_karp(g, s, t, removed)
+    if store is None:
+        return _edmonds_karp(g, s, t)
     entry = store.get((s, t))
     if entry is None:
-        entry = store[(s, t)] = _PairEntry(_edmonds_karp(g, s, t, removed))
+        entry = store[(s, t)] = _PairEntry(_edmonds_karp(g, s, t))
     return entry.flow
 
 
-def _edmonds_karp(g: Graph, s: int, t: int, removed):
+def _edmonds_karp(g: Graph, s: int, t: int):
     """``_max_flow`` computed afresh."""
-    residual = _open_arcs(g, removed)
+    residual = _open_arcs(g)
     value = 0
     while True:
         tree = _bfs(g, s, residual, target=t)
@@ -152,10 +152,10 @@ def _check_pair(g: Graph, u: int, v: int):
         raise GraphStructureError("local edge connectivity needs two distinct vertices")
 
 
-def local_edge_connectivity(g: Graph, u: int, v: int, removed=frozenset()) -> int:
+def local_edge_connectivity(g: Graph, u: int, v: int) -> int:
     """lambda(u, v): maximum number of pairwise edge-disjoint u-v paths."""
     _check_pair(g, u, v)
-    value, _, _ = _max_flow(g, u, v, removed)
+    value, _, _ = _max_flow(g, u, v)
     return value
 
 

@@ -7,10 +7,11 @@ completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
 (srd) and the number of colors for a rainbow cut of any size (rd).  For
 minimum cuts the verifier first enumerates all of them and tests each for
 rainbowness while their number stays below a threshold, and runs the DFS
-only beyond it, starting from the enumeration's max flow.  The DFS runs
-at most one max flow per search: the srd search at its root, the rd
-search only at the first state whose degree bound does not settle its
-prune.  Below it every state repairs a copy of its parent's flow for the
+only beyond it, handing it the enumeration's max flow.  Both searches
+follow one rule: a state runs no flow while the degrees of u and v in
+G - chosen settle its prune, the first state where they do not takes G's
+max flow (at most one per search) and repairs it along its chosen edges,
+and every state below it repairs a copy of its parent's flow for the
 edge it adds, which costs a few graph walks instead of a flow from zero.
 It visits each rainbow edge subset at most once, so with k
 colors and classes of sizes s_1..s_k it explores at most
@@ -63,7 +64,7 @@ def is_rainbow(c: EdgeColoring, edge_set) -> bool:
     return True
 
 
-def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
+def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     """Complete search for a rainbow u-v cut of at most ``cap`` edges.
 
     Branches over the edges of a live shortest path whose colors are still
@@ -73,20 +74,19 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
     Removing an edge lowers the residual connectivity by at most one, so a
     state whose residual exceeds the edges still allowed has no completion
     and is pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
-    cut; with ``cap`` = the number of colors, any rainbow cut fits;
-    ``cap`` = None takes λ(u, v) from the root's flow.  ``node_budget``
-    bounds the states, raising BudgetExceededError.  A root with residual
-    0 raises GraphStructureError (u, v disconnected).
+    cut; with ``cap`` = the number of colors, any rainbow cut fits.
+    ``node_budget`` bounds the states, raising BudgetExceededError.  A
+    root with λ(u, v) = 0 raises GraphStructureError (u, v disconnected).
 
     A search runs at most one max flow, and none if the caller hands it
-    one as ``root`` = (value, residual): a state with a flow passes each
-    child a repaired copy, and only states that branch walk the graph for
-    their path.  With ``cap`` fixed and no ``root``, flows start late:
-    λ(G - chosen) is at most the smaller degree of u and v in G - chosen,
-    and while that bound is within ``cap`` - |chosen| the prune cannot fire,
-    so the state runs no flow and its path walk tells whether λ is 0.  The
-    first state whose bound does not settle the prune takes the max flow
-    of G, computed once per search, and repairs it along ``chosen``.
+    G's as ``flow`` = (value, residual).  λ(G - chosen) is at most the
+    smaller degree of u and v in G - chosen, and while that bound is within
+    ``cap`` - |chosen| the prune cannot fire, so the state runs no flow and
+    its path walk tells whether λ is 0.  The first state whose bound does
+    not settle the prune takes G's flow and repairs it along ``chosen``;
+    below it each state passes its children a repaired copy of its own.
+    Either way the states and their paths are the same: the flow only
+    decides prunes the degree bound leaves open.
 
     The states are visited depth first with an explicit stack that holds
     one frame per branching state on the current path, each with its own
@@ -100,16 +100,15 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
     edges = g.edges
     chosen, used, excluded = set(), set(), set()
     open_arcs = _open_arcs(g)
+    degree = [len(arcs) for arcs in g.adj]
     stack = []  # [flow residual or None, flow value, branch edges, next index]
-    first_flow = None  # G's max flow, once a state without one needs it
-    degree = None  # degrees of G - chosen, for a search that starts without a flow
 
     def flow_of_chosen():
         """A max flow of G - chosen: G's, repaired one edge at a time."""
-        nonlocal first_flow
-        if first_flow is None:
-            first_flow = _max_flow(g, u, v)[:2]
-        value, residual = first_flow
+        nonlocal flow
+        if flow is None:
+            flow = _max_flow(g, u, v)[:2]
+        value, residual = flow
         for e in chosen:
             value, residual = _max_flow_without(g, u, v, residual, value, e)
         return value, residual
@@ -144,16 +143,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, root=None):
         stack.append([residual, value, branch, 0])
         return None
 
-    if root is not None:
-        value, residual = root
-    elif cap is None:
-        value, residual = _max_flow(g, u, v)[:2]
-    else:
-        value = residual = None
-        degree = [len(arcs) for arcs in g.adj]
-    if cap is None:
-        cap = value
-    hit = enter(value, residual)
+    hit = enter(None, None)
     while hit is None and stack:
         frame = stack[-1]
         residual, value, branch, i = frame
@@ -210,7 +200,6 @@ def find_rainbow_min_cut(
     DFS states, raising BudgetExceededError instead of answering."""
     stats = _check_pair_search(g, c, u, v, stats)
 
-    flow = None  # without one, the DFS runs its own at its root
     if threshold > 0:
         certs, flow = _enumerate_min_cuts(g, u, v, threshold + 1)
         # λ = 0 goes on to the DFS, whose root rejects a disconnected pair
@@ -220,10 +209,11 @@ def find_rainbow_min_cut(
                 if is_rainbow(c, cert.cut):
                     return cert
             return None
+    else:
+        flow = _max_flow(g, u, v)[:2]
 
-    # cap None: the DFS takes λ from its root's flow
     cut = _dfs_rainbow_cut(
-        g, c, u, v, None, stats, node_budget=node_budget, root=flow
+        g, c, u, v, flow[0], stats, node_budget=node_budget, flow=flow
     )
     if cut is None:
         return None

@@ -4,7 +4,8 @@ Everything here works from raw (vertex_count, edge list, color tuple) data
 and uses only subset enumeration plus union-find, so it shares no logic with
 the package under test.  The exceptions are the differential references:
 ``reference_rainbow_cut_dfs`` for the verifier's rainbow-cut DFS, which
-runs the package's max flow from zero at every state,
+runs the package's max flow from zero at every state on G rebuilt without
+the chosen edges (``lambda_without``),
 ``reference_chromatic_index``, the chromatic-index backtracking without its
 counting prune, ``reference_connected_graphs``, the isomorphism census
 without orbit marking, ``reference_canonical_colorings`` and
@@ -22,12 +23,12 @@ from itertools import combinations, permutations
 from srdkit.colorings import EdgeColoring
 from srdkit.connectivity import (
     _crossing_edges,
-    _max_flow,
     _tarjan_scc,
     enumerate_min_cuts,
     local_edge_connectivity,
 )
 from srdkit.errors import BudgetExceededError, ColoringError, GraphStructureError
+from srdkit.graph import Graph
 from srdkit.verifier import is_rd_coloring, is_srd_coloring
 
 
@@ -197,6 +198,13 @@ def all_labeled_graphs(n, connected_only=True):
     return out
 
 
+def lambda_without(g, u, v, removed):
+    """λ(u, v) of G without the EdgeIds in ``removed``, on a graph rebuilt
+    from the other edges."""
+    kept = [ends for e, ends in enumerate(g.edges) if e not in removed]
+    return local_edge_connectivity(Graph(g.vertex_count, kept), u, v)
+
+
 def reference_rainbow_cut_dfs(g, colors, u, v, cap, stats, node_budget=None):
     """The rainbow cut (or None) of the verifier's rainbow-cut DFS, found
     the slow way: recursive, with a fresh max flow of G - chosen at every
@@ -230,7 +238,7 @@ def reference_rainbow_cut_dfs(g, colors, u, v, cap, stats, node_budget=None):
             raise BudgetExceededError(
                 f"rainbow min-cut search exceeded {node_budget} states"
             )
-        residual = _max_flow(g, u, v, chosen)[0]
+        residual = lambda_without(g, u, v, chosen)
         if residual == 0:
             if not chosen:
                 raise GraphStructureError(f"vertices {u} and {v} are disconnected")

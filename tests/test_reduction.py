@@ -9,6 +9,7 @@ the other.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from srdkit import (
     ExtractionError,
     Graph,
     ReductionError,
+    SearchStats,
     build_reduction,
     check_equivalence,
     cut_from_assignment,
@@ -29,6 +31,9 @@ from srdkit import (
     sat_brute_force,
     separates,
 )
+from srdkit import verifier
+
+from test_acceptance import _exhaustive_family
 
 FIGURE_CLAUSE = CnfFormula(3, ((1, -2, 3),))
 UNSAT = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
@@ -409,3 +414,33 @@ class TestEquivalence:
         again = [check_equivalence(build_reduction(phi)) for phi in formulas]
         assert seq == again
         assert all(rep.consistent is True for rep in seq)
+
+
+class TestCheckWork:
+    """The machine-independent work of the reduction check's cut search
+    (threshold 0) over the 236-formula exhaustive family: DFS states, max
+    flows (one per search, for λ) and flow repairs."""
+
+    def test_exhaustive_family_counts(self):
+        calls = {"flow": 0, "repair": 0}
+
+        def counting(kind, real):
+            def counted(*args):
+                calls[kind] += 1
+                return real(*args)
+
+            return counted
+
+        stats = SearchStats()
+        with mock.patch.object(
+            verifier, "_max_flow", counting("flow", verifier._max_flow)
+        ), mock.patch.object(
+            verifier, "_max_flow_without", counting("repair", verifier._max_flow_without)
+        ):
+            for phi in _exhaustive_family():
+                inst = build_reduction(phi)
+                find_rainbow_min_cut(
+                    inst.graph, inst.coloring, inst.s, inst.t, threshold=0, stats=stats
+                )
+        assert stats.nodes == 105_939
+        assert calls == {"flow": 236, "repair": 108_011}

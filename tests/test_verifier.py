@@ -20,6 +20,7 @@ from srdkit import (
     GraphStructureError,
     SearchStats,
     build_reduction,
+    color_complete,
     color_general_upper,
     color_grid,
     color_regular,
@@ -43,6 +44,7 @@ from srdkit import connectivity, verifier
 
 from oracles import (
     all_labeled_graphs,
+    lambda_without,
     oracle_is_rd,
     oracle_is_srd,
     reference_rainbow_cut_dfs,
@@ -200,12 +202,13 @@ def flow_calls(monkeypatch):
 
 
 class TestFlowsPerSearch:
-    """A pair search runs at most one max flow.  The srd search runs one,
-    whether the enumeration decides it, the DFS runs alone, or the DFS
-    takes over from an enumeration that overflowed its threshold; every
-    DFS state below the flow repairs its parent's.  The any-size (rd)
-    search runs none while the degrees of u and v in G - chosen settle its
-    prune, and one, of G, at the first state where they do not."""
+    """A pair search runs at most one max flow.  The srd search runs one
+    for λ, whether the enumeration decides it, the DFS runs alone, or the
+    DFS takes over from an enumeration that overflowed its threshold, and
+    hands it to the DFS.  Both searches follow one rule: a DFS state runs
+    no flow while the degrees of u and v in G - chosen settle its prune;
+    the first state where they do not takes G's flow and repairs it along
+    its chosen edges, and every state below it repairs its parent's."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
         proper = EdgeColoring((1, 2, 3, 3, 2, 1))
@@ -220,6 +223,25 @@ class TestFlowsPerSearch:
         find_rainbow_min_cut(g, c, 0, 1, threshold=0, stats=st)
         assert st.nodes > 1
         assert len(flow_calls) == 1
+
+    def test_srd_search_repairs_no_flow_where_degrees_settle_every_prune(
+        self, flow_calls, monkeypatch
+    ):
+        # K16 with 15 colors: λ = 15 = the degree of every vertex
+        repairs = []
+        real = verifier._max_flow_without
+
+        def counted(*args):
+            repairs.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(verifier, "_max_flow_without", counted)
+        st = SearchStats()
+        report = is_srd_coloring(*color_complete(16), threshold=0, stats=st)
+        assert report.verdict
+        assert st.nodes == 1920
+        assert len(flow_calls) == 120  # one per pair, for λ
+        assert repairs == []
 
     def test_enumeration_overflow_hands_its_flow_to_the_dfs(self, flow_calls):
         g = cycle_graph(6)
@@ -287,7 +309,7 @@ def _checked_repair(g, s, t, residual, value, e):
     value, residual = connectivity._max_flow_without(g, s, t, residual, value, e)
     removed = {x for x in range(g.edge_count) if residual[2 * x] == residual[2 * x + 1] == 0}
     assert e in removed
-    assert value == local_edge_connectivity(g, s, t, removed=removed)
+    assert value == lambda_without(g, s, t, removed)
     net = [0] * g.vertex_count  # outflow minus inflow
     for x, (a, b) in enumerate(g.edges):
         if x not in removed:
@@ -363,16 +385,15 @@ class TestFlowRepairCases:
 
 
 class TestRepairedFlowSearch:
-    """The DFS that repairs its parent's flow, and whose any-size search
-    flows only where its degree bound does not settle the prune, against
-    the reference DFS that runs a fresh max flow at every state.  Either
-    search runs at most one max flow."""
+    """The DFS that flows only where its degree bound does not settle the
+    prune and repairs its parent's flow below that, against the reference
+    DFS that runs a fresh max flow at every state.  A search runs at most
+    one max flow, and none when the caller hands it G's."""
 
     @settings(max_examples=150, deadline=None)
     @given(colored_multigraph_pairs())
     def test_same_cut_nodes_and_errors_as_fresh_flows(self, case):
         g, c, u, v, budget = case
-        lam = local_edge_connectivity(g, u, v)
         calls = []
         real = verifier._max_flow
 
@@ -380,16 +401,25 @@ class TestRepairedFlowSearch:
             calls.append(args[1:3])
             return real(*args, **kwargs)
 
+        g_flow = connectivity._max_flow(g, u, v)[:2]
+        lam = g_flow[0]
+        searches = (
+            (lam, None),  # srd, flowing on its own
+            (lam, g_flow),  # srd, handed G's flow
+            (len(c.distinct_colors()), None),  # any size
+        )
         with mock.patch.object(verifier, "_max_flow_without", _checked_repair):
-            for cap, ref_cap in ((None, lam), (len(c.distinct_colors()),) * 2):
+            for cap, flow in searches:
                 calls.clear()
                 with mock.patch.object(verifier, "_max_flow", counted):
                     new = _search_outcome(
-                        lambda st: verifier._dfs_rainbow_cut(g, c, u, v, cap, st, budget)
+                        lambda st: verifier._dfs_rainbow_cut(
+                            g, c, u, v, cap, st, budget, flow=flow
+                        )
                     )
-                assert len(calls) <= 1
+                assert len(calls) <= (1 if flow is None else 0)
                 ref = _search_outcome(
-                    lambda st: reference_rainbow_cut_dfs(g, c, u, v, ref_cap, st, budget)
+                    lambda st: reference_rainbow_cut_dfs(g, c, u, v, cap, st, budget)
                 )
                 assert new == ref
 
