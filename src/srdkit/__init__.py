@@ -93,7 +93,7 @@ from .verifier import (  # noqa: F401
     is_rd_coloring,
     is_srd_coloring,
 )
-from .cli import RunConfig, main, run  # noqa: F401
+from .cli import main, run  # noqa: F401
 from .errors import (  # noqa: F401
     BudgetExceededError,
     ColoringError,

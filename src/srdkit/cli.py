@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 from .colorings import (
@@ -44,16 +43,6 @@ from .reduction import (
 )
 from .solver import DEFAULT_MAX_EDGES, all_connected_graphs, conjecture_scan, rd_number, srd_number
 from .verifier import DEFAULT_THRESHOLD, is_rd_coloring, is_srd_coloring
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand handler needs, already validated."""
-
-    command: str
-    seed: int
-    as_json: bool
-    options: dict
 
 
 class _UsageError(Exception):
@@ -161,16 +150,17 @@ def _bool(x) -> str:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, text lines, json payload)
+# subcommand handlers: each takes the parsed arguments and returns
+# (exit code, text lines, json payload)
 
 
-def _cmd_lambda(cfg: RunConfig):
-    path = cfg.options["graph"]
+def _cmd_lambda(args):
+    path = args.graph
     g = _load_graph(path)
     lines = [f"graph {path} n={g.vertex_count} m={g.edge_count}"]
     payload = {"graph": path, "n": g.vertex_count, "m": g.edge_count}
-    if cfg.options["pair"] is not None:
-        u, v = cfg.options["pair"]
+    if args.pair is not None:
+        u, v = args.pair
         value = local_edge_connectivity(g, u, v)
         lines.append(f"lambda({u},{v})={value}")
         payload.update(pair=[u, v], value=value)
@@ -182,8 +172,8 @@ def _cmd_lambda(cfg: RunConfig):
     return 0, lines, payload
 
 
-def _cmd_blocks(cfg: RunConfig):
-    path = cfg.options["graph"]
+def _cmd_blocks(args):
+    path = args.graph
     g = _load_graph(path)
     dec = blocks(g)
     lines = [
@@ -208,22 +198,22 @@ def _cmd_blocks(cfg: RunConfig):
     return 0, lines, payload
 
 
-def _require(options, key, family):
-    if options.get(key) is None:
+def _require(args, key, family):
+    value = getattr(args, key)
+    if value is None:
         raise _UsageError(f"--family {family} requires --{key.replace('_', '-')}")
-    return options[key]
+    return value
 
 
-def _cmd_color(cfg: RunConfig):
-    opts = cfg.options
-    family = opts["family"]
-    budget = opts["budget"]
+def _cmd_color(args):
+    family = args.family
+    budget = args.budget
     if budget < 1:
         raise _UsageError("--budget must be positive")
     params = {}
 
     if family in ("auto", "tree", "cactus", "general", "regular"):
-        path = _require(opts, "graph", family)
+        path = _require(args, "graph", family)
         g = _load_graph(path)
         params["graph"] = path
         if family == "tree":
@@ -232,20 +222,22 @@ def _cmd_color(cfg: RunConfig):
             coloring = color_cactus(g)
         elif family == "regular":
             coloring = color_regular(g, budget=budget)
-        elif family == "auto" and g.vertex_count == 2:
-            if not is_connected(g):
-                raise ColoringError("graph must be connected")
+        elif family == "auto" and g.vertex_count <= 2:
+            if g.vertex_count < 2 or not is_connected(g):
+                raise ColoringError(
+                    "--family auto needs a connected graph on at least 2 vertices"
+                )
             # every edge joins the two vertices, so the one cut is all of
             # them, and only distinct colors make it rainbow
             coloring = EdgeColoring(tuple(range(1, g.edge_count + 1)))
         else:  # auto and general both take the dispatching construction
             coloring = color_general_upper(g, budget=budget)
     elif family == "complete":
-        n = _require(opts, "n", family)
+        n = _require(args, "n", family)
         params["n"] = n
         g, coloring = color_complete(n)
     elif family == "multipartite":
-        raw = _require(opts, "sizes", family)
+        raw = _require(args, "sizes", family)
         try:
             sizes = tuple(int(x) for x in raw.split(","))
         except ValueError:
@@ -253,8 +245,8 @@ def _cmd_color(cfg: RunConfig):
         params["sizes"] = list(sizes)
         g, coloring = color_complete_multipartite(sizes, budget=budget)
     else:  # grid
-        rows = _require(opts, "rows", family)
-        cols = _require(opts, "cols", family)
+        rows = _require(args, "rows", family)
+        cols = _require(args, "cols", family)
         params.update(rows=rows, cols=cols)
         g, coloring = color_grid(rows, cols)
 
@@ -267,14 +259,14 @@ def _cmd_color(cfg: RunConfig):
         f"# n={g.vertex_count} m={g.edge_count} colors={coloring.num_colors}",
     ]
     wrote = []
-    if opts["graph_out"]:
-        Path(opts["graph_out"]).write_text(serialize_graph(g))
-        wrote.append(opts["graph_out"])
-        lines.append(f"# wrote {opts['graph_out']}")
-    if opts["out"]:
-        Path(opts["out"]).write_text(serialize_coloring(coloring))
-        wrote.append(opts["out"])
-        lines.append(f"# wrote {opts['out']}")
+    if args.graph_out:
+        Path(args.graph_out).write_text(serialize_graph(g))
+        wrote.append(args.graph_out)
+        lines.append(f"# wrote {args.graph_out}")
+    if args.out:
+        Path(args.out).write_text(serialize_coloring(coloring))
+        wrote.append(args.out)
+        lines.append(f"# wrote {args.out}")
     else:
         # no destination: the report body *is* the coloring file
         lines.extend(serialize_coloring(coloring).splitlines())
@@ -290,24 +282,23 @@ def _cmd_color(cfg: RunConfig):
     return 0, lines, payload
 
 
-def _cmd_verify(cfg: RunConfig):
-    opts = cfg.options
-    if opts["threshold"] < 0:
+def _cmd_verify(args):
+    if args.threshold < 0:
         raise _UsageError("--threshold must be non-negative")
-    g = _load_graph(opts["graph"])
-    coloring = parse_coloring(_read(opts["coloring"]), g.edge_count)
-    mode = opts["mode"]
+    g = _load_graph(args.graph)
+    coloring = parse_coloring(_read(args.coloring), g.edge_count)
+    mode = args.mode
     if mode == "srd":
-        rep = is_srd_coloring(g, coloring, threshold=opts["threshold"])
+        rep = is_srd_coloring(g, coloring, threshold=args.threshold)
     else:
         rep = is_rd_coloring(g, coloring)
     lines = [
-        f"graph {opts['graph']} n={g.vertex_count} m={g.edge_count}",
+        f"graph {args.graph} n={g.vertex_count} m={g.edge_count}",
         f"mode {mode}",
         f"verdict {_bool(rep.verdict)}",
     ]
     payload = {
-        "graph": opts["graph"],
+        "graph": args.graph,
         "mode": mode,
         "verdict": rep.verdict,
         "witnesses": [],
@@ -327,27 +318,26 @@ def _cmd_verify(cfg: RunConfig):
     return 1, lines, payload
 
 
-def _cmd_solve(cfg: RunConfig):
-    opts = cfg.options
-    if opts["max_edges"] < 0:
+def _cmd_solve(args):
+    if args.max_edges < 0:
         raise _UsageError("budgets must be non-negative")
-    g = _load_graph(opts["graph"])
-    mode = opts["mode"]
-    if opts["witness_out"] and mode == "both":
+    g = _load_graph(args.graph)
+    mode = args.mode
+    if args.witness_out and mode == "both":
         raise _UsageError("--witness-out needs a single --mode (srd or rd)")
     if mode == "both":
-        (rec,) = conjecture_scan([g], opts["max_edges"])
+        (rec,) = conjecture_scan([g], args.max_edges)
         results = {"rd": rec.rd, "srd": rec.srd}
     else:
         solve = srd_number if mode == "srd" else rd_number
-        results = {mode: solve(g, opts["max_edges"])}
+        results = {mode: solve(g, args.max_edges)}
     lines = [
-        f"graph {opts['graph']} n={g.vertex_count} m={g.edge_count}",
+        f"graph {args.graph} n={g.vertex_count} m={g.edge_count}",
         " ".join(
             f"{name}={'?' if r.value is None else r.value}" for name, r in results.items()
         ),
     ]
-    payload = {"graph": opts["graph"], "results": {}}
+    payload = {"graph": args.graph, "results": {}}
     for name, r in results.items():
         lines.append(
             f"{name} bounds=[{r.lower_bound},{r.upper_bound}] "
@@ -360,25 +350,24 @@ def _cmd_solve(cfg: RunConfig):
             "tested": r.colorings_tested,
             "complete": r.complete,
         }
-    if opts["witness_out"]:
+    if args.witness_out:
         witness = results[mode].witness
         if witness is not None:
-            Path(opts["witness_out"]).write_text(serialize_coloring(witness))
-            lines.append(f"wrote {opts['witness_out']}")
-            payload["wrote"] = [opts["witness_out"]]
+            Path(args.witness_out).write_text(serialize_coloring(witness))
+            lines.append(f"wrote {args.witness_out}")
+            payload["wrote"] = [args.witness_out]
     code = 0 if all(r.complete for r in results.values()) else 3
     return code, lines, payload
 
 
-def _cmd_scan(cfg: RunConfig):
-    opts = cfg.options
-    n = opts["n"]
+def _cmd_scan(args):
+    n = args.n
     if n < 1:
         raise _UsageError("--n must be at least 1")
-    if opts["max_edges"] < 0:
+    if args.max_edges < 0:
         raise _UsageError("--max-edges must be non-negative")
     graphs = [g for g in all_connected_graphs(n) if g.edge_count > 0]
-    records = conjecture_scan(graphs, max_edges=opts["max_edges"])
+    records = conjecture_scan(graphs, max_edges=args.max_edges)
     lines = []
     payload_records = []
     budget = counterexamples = equal = 0
@@ -419,22 +408,21 @@ def _cmd_scan(cfg: RunConfig):
         code = 3
     else:
         code = 0
-    if opts["out"]:
-        header = f"# srdkit scan seed={cfg.seed}"
-        Path(opts["out"]).write_text("\n".join([header, *lines]) + "\n")
+    if args.out:
+        header = f"# srdkit scan seed={args.seed}"
+        Path(args.out).write_text("\n".join([header, *lines]) + "\n")
     return code, lines, payload
 
 
-def _cmd_reduce(cfg: RunConfig):
-    opts = cfg.options
-    if opts["node_budget"] < 1:
+def _cmd_reduce(args):
+    if args.node_budget < 1:
         raise _UsageError("--node-budget must be positive")
-    phi = parse_dimacs_cnf(_read(opts["cnf"]))
+    phi = parse_dimacs_cnf(_read(args.cnf))
     inst = build_reduction(phi)
     g = inst.graph
-    prefix = opts["out_prefix"]
+    prefix = args.out_prefix
     if prefix is None:
-        stem = Path(opts["cnf"])
+        stem = Path(args.cnf)
         prefix = str(stem.with_suffix("")) if stem.suffix else str(stem) + "-out"
 
     role_lines = [
@@ -456,7 +444,7 @@ def _cmd_reduce(cfg: RunConfig):
     ]
     lines += [f"wrote {path}" for path in outputs]
     payload = {
-        "cnf": opts["cnf"],
+        "cnf": args.cnf,
         "vars": phi.variable_count,
         "clauses": phi.num_clauses,
         "n": g.vertex_count,
@@ -469,8 +457,8 @@ def _cmd_reduce(cfg: RunConfig):
         "check": None,
     }
     code = 0
-    if opts["check"]:
-        rep = check_equivalence(inst, node_budget=opts["node_budget"])
+    if args.check:
+        rep = check_equivalence(inst, node_budget=args.node_budget)
         if rep.consistent is None:
             lines.append("check inconclusive (node budget exhausted)")
             code = 3
@@ -494,16 +482,15 @@ def _cmd_reduce(cfg: RunConfig):
     return code, lines, payload
 
 
-def _cmd_export_dot(cfg: RunConfig):
-    opts = cfg.options
-    g = _load_graph(opts["graph"])
+def _cmd_export_dot(args):
+    g = _load_graph(args.graph)
     coloring = None
-    if opts["coloring"]:
-        coloring = parse_coloring(_read(opts["coloring"]), g.edge_count)
+    if args.coloring:
+        coloring = parse_coloring(_read(args.coloring), g.edge_count)
     vertex_labels = color_labels = None
-    if opts["roles"]:
+    if args.roles:
         vertex_labels, color_labels = {}, {}
-        for lineno, raw in enumerate(_read(opts["roles"]).splitlines(), start=1):
+        for lineno, raw in enumerate(_read(args.roles).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -523,7 +510,7 @@ def _cmd_export_dot(cfg: RunConfig):
     text = export_dot(
         g, coloring, vertex_labels=vertex_labels, color_labels=color_labels
     )
-    return 0, text.splitlines(), {"graph": opts["graph"], "dot": text}
+    return 0, text.splitlines(), {"graph": args.graph, "dot": text}
 
 
 _HANDLERS = {
@@ -542,22 +529,16 @@ def run(argv) -> tuple:
     """Execute one CLI invocation; returns (exit code, report text)."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage or help
         return (0 if exc.code in (0, None) else 2), ""
 
-    if ns.jobs < 1:
+    if args.jobs < 1:
         return 2, "error: --jobs must be at least 1\n"
 
-    cfg = RunConfig(
-        command=ns.command,
-        seed=ns.seed,
-        as_json=ns.json,
-        options=vars(ns),
-    )
     try:
-        code, lines, payload = _HANDLERS[cfg.command](cfg)
+        code, lines, payload = _HANDLERS[args.command](args)
     except _UsageError as exc:
         return 2, f"error: {exc}\n"
     except BudgetExceededError as exc:
@@ -569,11 +550,11 @@ def run(argv) -> tuple:
         traceback.print_exc()
         return 4, f"error: internal error: {type(exc).__name__}: {exc}\n"
 
-    if cfg.as_json:
-        body = {"command": cfg.command, "seed": cfg.seed, **payload}
+    if args.json:
+        body = {"command": args.command, "seed": args.seed, **payload}
         return code, json.dumps(body, sort_keys=True, indent=2) + "\n"
-    comment = "//" if cfg.command == "export-dot" else "#"
-    header = f"{comment} srdkit {cfg.command} seed={cfg.seed}"
+    comment = "//" if args.command == "export-dot" else "#"
+    header = f"{comment} srdkit {args.command} seed={args.seed}"
     return code, "\n".join([header, *lines]) + "\n"
 
 

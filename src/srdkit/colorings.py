@@ -16,6 +16,9 @@ from .graph import (
     Graph,
     SubgraphView,
     _bfs,
+    _cactus_cycles,
+    _multiplicity,
+    _odd_cycle,
     _open_arcs,
     _reached,
     blocks,
@@ -241,51 +244,12 @@ def greedy_fan_coloring(g: Graph) -> EdgeColoring:
     return EdgeColoring(tuple(ecol))
 
 
-def _two_color(g: Graph) -> list:
-    """Proper 2-coloring of the vertices, or NotBipartiteError carrying an
-    odd cycle as its witness."""
-    n = g.vertex_count
-    side = [-1] * n
-    parent = [-1] * n
-    depth = [0] * n
-    for root in range(n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for x in queue:
-                for w, _ in g.adj[x]:
-                    if side[w] == -1:
-                        side[w] = 1 - side[x]
-                        parent[w] = x
-                        depth[w] = depth[x] + 1
-                        nxt.append(w)
-                    elif side[w] == side[x]:
-                        # climb to the meeting point for an odd cycle
-                        a, b = x, w
-                        left, right = [a], [b]
-                        while depth[a] > depth[b]:
-                            a = parent[a]
-                            left.append(a)
-                        while depth[b] > depth[a]:
-                            b = parent[b]
-                            right.append(b)
-                        while a != b:
-                            a, b = parent[a], parent[b]
-                            left.append(a)
-                            right.append(b)
-                        cycle = left + right[-2::-1]
-                        raise NotBipartiteError(tuple(cycle))
-            queue = nxt
-    return side
-
-
 def bipartite_proper_coloring(g: Graph) -> EdgeColoring:
     """Proper coloring of a bipartite graph with exactly ``max_degree``
     colors, via alternating-path (Kempe chain) insertion."""
-    _two_color(g)
+    cycle = _odd_cycle(g)
+    if cycle is not None:
+        raise NotBipartiteError(cycle)
     m = g.edge_count
     if m == 0:
         return EdgeColoring(())
@@ -346,13 +310,7 @@ def exact_chromatic_index(
     if m == 0:
         return 0, EdgeColoring(())
     delta = g.max_degree()
-    mult = 1
-    if g.has_parallel_edges():
-        pairs: dict = {}
-        for a, b in g.edges:
-            key = (a, b) if a < b else (b, a)
-            pairs[key] = pairs.get(key, 0) + 1
-        mult = max(pairs.values())
+    mult = _multiplicity(g)
 
     n = g.vertex_count
     edges = g.edges
@@ -471,12 +429,12 @@ def color_cactus(g: Graph) -> EdgeColoring:
     A minimum cut between any pair is a bridge or two edges of one cycle,
     and every cycle carries both colors.
     """
-    if not is_cactus_with_cycle(g):
+    cycles = _cactus_cycles(g)
+    if not cycles:
         raise ColoringError("graph is not a cactus containing a cycle")
     colors = [1] * g.edge_count
-    for blk in blocks(g).blocks:
-        if len(blk.edge_ids) >= 2:
-            colors[min(blk.edge_ids)] = 2
+    for blk in cycles:
+        colors[min(blk.edge_ids)] = 2
     return EdgeColoring(tuple(colors))
 
 
@@ -499,10 +457,11 @@ def _round_robin_rounds(even_n: int) -> dict:
 def color_complete(n: int) -> tuple[Graph, EdgeColoring]:
     """K_n with n - 1 colors.
 
-    Even n: a 1-factorization, one color per perfect matching.  Odd n:
-    factorize K_{n-1} with n - 2 colors and give every edge at the last
-    vertex the color n - 1.  Either way each vertex sees all n - 1 colors,
-    so every E_v is rainbow.
+    Even n: a 1-factorization, one color per perfect matching, so every
+    E_v is rainbow.  Odd n: factorize K_{n-1} with n - 2 colors and give
+    every edge at the last vertex the color n - 1.  Every E_v but the last
+    vertex's is then rainbow, and no pair's minimum cut needs that star:
+    λ = n - 1 for every pair, so the other vertex's star is a minimum cut.
     """
     if n < 2:
         raise ColoringError("complete graphs need at least 2 vertices")
@@ -558,9 +517,11 @@ def color_complete_multipartite(
     n - n_2 colors when the smallest part is a single vertex and n - n_1
     colors otherwise.
 
-    Both cases delete one vertex of the smallest part, color the rest
-    properly, and give each reattached edge a color missing at its other
-    endpoint, which keeps every E_v rainbow.
+    Both cases delete vertex 0, which lies in the smallest part and so has
+    maximum degree, color the rest properly, and give each reattached edge
+    a color missing at its other endpoint.  Every E_v but vertex 0's is
+    then rainbow, and no pair's minimum cut needs that star: λ(0, v) is
+    deg v, so E_v is a minimum cut.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):

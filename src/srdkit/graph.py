@@ -9,7 +9,8 @@ not a convenience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from .errors import ContractionError, GraphParseError, GraphStructureError
 
@@ -68,13 +69,7 @@ class Graph:
         return max(len(nb) for nb in self.adj)
 
     def has_parallel_edges(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
+        return _multiplicity(self) > 1
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
@@ -91,6 +86,12 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(vertex_count={self.vertex_count}, edges={list(self.edges)})"
+
+
+def _multiplicity(g: Graph) -> int:
+    """μ(G): the most edges joining one vertex pair, 0 without edges."""
+    pairs = Counter((u, v) if u < v else (v, u) for u, v in g.edges)
+    return max(pairs.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,41 @@ def is_connected(g: Graph) -> bool:
     return g.vertex_count == 0 or None not in _bfs(g, 0, _open_arcs(g))
 
 
+def _odd_cycle(g: Graph) -> tuple[int, ...] | None:
+    """An odd cycle of G as its vertices in order, or None when G is
+    bipartite.
+
+    One tree is shared by the walks from each unreached vertex, as in
+    ``components``.  Depth parity in a breadth-first tree 2-colors each
+    component, so G is bipartite unless some edge joins two vertices of
+    equal parity.  The ends of an edge differ in depth by at most one, so
+    those two have equal depth, and the first such EdgeId with the tree
+    paths from its ends to their lowest common ancestor is a simple odd
+    cycle.
+    """
+    capacity = _open_arcs(g)
+    tree = [None] * g.vertex_count
+    depth = [0] * g.vertex_count
+
+    def up(x):
+        return g.edges[tree[x] >> 1][tree[x] & 1]
+
+    for start in range(g.vertex_count):
+        if tree[start] is None:
+            tree[start] = -1
+            for w in _walk(g, tree, [start], capacity)[1:]:
+                depth[w] = depth[up(w)] + 1
+    for a, b in g.edges:
+        if depth[a] == depth[b]:
+            left, right = [a], [b]
+            while a != b:
+                a, b = up(a), up(b)
+                left.append(a)
+                right.append(b)
+            return tuple(left + right[-2::-1])
+    return None
+
+
 @dataclass(frozen=True)
 class SubgraphView:
     """An induced subgraph plus the maps tying it back to its parent."""
@@ -227,18 +263,22 @@ class SubgraphView:
     edge_map: tuple[int, ...]  # local EdgeId -> parent EdgeId
 
 
+def _view(g: Graph, vertices: tuple, edge_ids: tuple) -> SubgraphView:
+    """The view of G on the ascending ``vertices`` and the ascending
+    ``edge_ids``, whose endpoints all lie among those vertices."""
+    local = {v: i for i, v in enumerate(vertices)}
+    edges = [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in edge_ids]
+    return SubgraphView(Graph(len(vertices), edges), vertices, local, edge_ids)
+
+
 def induced_subgraph(g: Graph, vertices) -> SubgraphView:
-    verts = tuple(sorted(set(vertices)))
-    if any(not (0 <= v < g.vertex_count) for v in verts):
+    inside = set(vertices)
+    if any(not (0 <= v < g.vertex_count) for v in inside):
         raise GraphStructureError("induced_subgraph: vertex out of range")
-    local = {v: i for i, v in enumerate(verts)}
-    edges = []
-    emap = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u in local and v in local:
-            edges.append((local[u], local[v]))
-            emap.append(eid)
-    return SubgraphView(Graph(len(verts), edges), verts, local, tuple(emap))
+    eids = tuple(
+        e for e, (u, v) in enumerate(g.edges) if u in inside and v in inside
+    )
+    return _view(g, tuple(sorted(inside)), eids)
 
 
 @dataclass(frozen=True)
@@ -327,22 +367,13 @@ def blocks(g: Graph) -> BlockDecomposition:
     block_objs = []
     tree = []
     for idx, eids in enumerate(block_edges):
-        eids_sorted = tuple(sorted(eids))
-        verts = set()
-        for eid in eids_sorted:
-            u, v = g.edges[eid]
-            verts.add(u)
-            verts.add(v)
-        # an induced subgraph of the block's vertex set could pick up edges
-        # from other blocks only at cut vertices; blocks share no edge, and
+        eids = tuple(sorted(eids))
+        verts = frozenset(x for e in eids for x in g.edges[e])
         # two vertices of one block joined by an edge put that edge in the
-        # block, so the induced edge set equals the block's edge set, and
-        # the view is built from the block's own EdgeIds in their order.
-        order = tuple(sorted(verts))
-        local = {v: i for i, v in enumerate(order)}
-        edges = [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in eids_sorted]
-        view = SubgraphView(Graph(len(order), edges), order, local, eids_sorted)
-        block_objs.append(Block(eids_sorted, frozenset(verts), view))
+        # block, so the block's own EdgeIds are the induced edge set, and
+        # the view needs no scan of the whole edge list
+        view = _view(g, tuple(sorted(verts)), eids)
+        block_objs.append(Block(eids, verts, view))
         for cv in verts & cut:
             tree.append((idx, cv))
     return BlockDecomposition(tuple(block_objs), frozenset(cut), tuple(tree))
@@ -404,30 +435,25 @@ def is_tree(g: Graph) -> bool:
     )
 
 
-def _block_is_cycle(sub: Graph) -> bool:
-    # a cycle block: as many edges as vertices, every vertex of degree 2
-    # (a pair of parallel edges counts: it is a 2-cycle)
-    return (
-        sub.vertex_count >= 2
-        and sub.edge_count == sub.vertex_count
-        and all(sub.degree(v) == 2 for v in range(sub.vertex_count))
-    )
+def _cactus_cycles(g: Graph) -> tuple[Block, ...] | None:
+    """The blocks of G with two or more edges, when G is connected and
+    each of them is a cycle; None otherwise.
+
+    Such a block is 2-connected, and by Whitney's ear decomposition it is
+    a cycle exactly when it has as many edges as vertices: one ear, no
+    more.  Two parallel edges are a 2-cycle.
+    """
+    if g.vertex_count == 0 or not is_connected(g):
+        return None
+    cycles = tuple(b for b in blocks(g).blocks if len(b.edge_ids) >= 2)
+    if any(len(b.edge_ids) != len(b.vertices) for b in cycles):
+        return None
+    return cycles
 
 
 def is_cactus_with_cycle(g: Graph) -> bool:
     """Connected, every block a single edge or a cycle, at least one cycle."""
-    if g.vertex_count == 0 or not is_connected(g):
-        return False
-    has_cycle = False
-    for blk in blocks(g).blocks:
-        sub = blk.subgraph.graph
-        if sub.edge_count == 1:
-            continue
-        if _block_is_cycle(sub):
-            has_cycle = True
-            continue
-        return False
-    return has_cycle
+    return bool(_cactus_cycles(g))
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +561,7 @@ def complete_multipartite_graph(parts) -> Graph:
     sizes = list(parts)
     if not sizes or any(p <= 0 for p in sizes):
         raise GraphStructureError("part sizes must be positive")
-    offsets = []
-    total = 0
-    for p in sizes:
-        offsets.append(total)
-        total += p
+    total = sum(sizes)
     part_of = []
     for i, p in enumerate(sizes):
         part_of.extend([i] * p)

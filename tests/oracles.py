@@ -13,8 +13,12 @@ without orbit marking, ``reference_canonical_colorings`` and
 search written as recursions, ``reference_min_nontrivial_pair_cut``, the
 construction's cut choice with a λ flow for every pair before its
 enumeration, ``reference_bfs``, the graph walk that keeps its tree in a
-dict, and ``reference_walk_min_cuts``, the min-cut walk that finds its
-forced sides by an SCC pass over the whole residual every time.
+dict, ``reference_walk_min_cuts``, the min-cut walk that finds its
+forced sides by an SCC pass over the whole residual every time, and the
+structure questions as the package once answered them on their own:
+``reference_two_color``, a level-by-level 2-coloring,
+``reference_is_cactus_with_cycle``, which tests each block for a cycle by
+its degrees, and ``reference_multiplicity``, a per-pair count in a dict.
 """
 
 from collections import deque
@@ -27,8 +31,13 @@ from srdkit.connectivity import (
     enumerate_min_cuts,
     local_edge_connectivity,
 )
-from srdkit.errors import BudgetExceededError, ColoringError, GraphStructureError
-from srdkit.graph import Graph
+from srdkit.errors import (
+    BudgetExceededError,
+    ColoringError,
+    GraphStructureError,
+    NotBipartiteError,
+)
+from srdkit.graph import Graph, blocks, is_connected
 from srdkit.verifier import is_rd_coloring, is_srd_coloring
 
 
@@ -548,3 +557,72 @@ def reference_walk_min_cuts(g, u, v, residual, limit):
         else:
             stack += [("include", i), ("visit", i + 1)]
     return [tuple(sorted(_crossing_edges(g, side))) for side in sides]
+
+
+def reference_two_color(g):
+    """Proper 2-coloring of the vertices by a level-by-level walk over
+    ``g.adj``, or NotBipartiteError carrying an odd cycle as its witness."""
+    n = g.vertex_count
+    side = [-1] * n
+    parent = [-1] * n
+    depth = [0] * n
+    for root in range(n):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for x in queue:
+                for w, _ in g.adj[x]:
+                    if side[w] == -1:
+                        side[w] = 1 - side[x]
+                        parent[w] = x
+                        depth[w] = depth[x] + 1
+                        nxt.append(w)
+                    elif side[w] == side[x]:
+                        # climb to the meeting point for an odd cycle
+                        a, b = x, w
+                        left, right = [a], [b]
+                        while depth[a] > depth[b]:
+                            a = parent[a]
+                            left.append(a)
+                        while depth[b] > depth[a]:
+                            b = parent[b]
+                            right.append(b)
+                        while a != b:
+                            a, b = parent[a], parent[b]
+                            left.append(a)
+                            right.append(b)
+                        raise NotBipartiteError(tuple(left + right[-2::-1]))
+            queue = nxt
+    return side
+
+
+def reference_is_cactus_with_cycle(g):
+    """Connected, every block a single edge or a cycle, at least one
+    cycle; a cycle block has as many edges as vertices and every vertex of
+    degree 2 in it (a pair of parallel edges is a 2-cycle)."""
+    if g.vertex_count == 0 or not is_connected(g):
+        return False
+    has_cycle = False
+    for blk in blocks(g).blocks:
+        sub = blk.subgraph.graph
+        if sub.edge_count == 1:
+            continue
+        if sub.edge_count == sub.vertex_count and all(
+            sub.degree(v) == 2 for v in range(sub.vertex_count)
+        ):
+            has_cycle = True
+            continue
+        return False
+    return has_cycle
+
+
+def reference_multiplicity(g):
+    """The most edges joining one vertex pair, 0 without edges."""
+    pairs = {}
+    for a, b in g.edges:
+        key = (a, b) if a < b else (b, a)
+        pairs[key] = pairs.get(key, 0) + 1
+    return max(pairs.values(), default=0)

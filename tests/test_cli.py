@@ -227,6 +227,20 @@ class TestColor:
         assert code == 2
         assert "connected" in text
 
+    @pytest.mark.parametrize("text", ["0 0\n", "1 0\n"])
+    def test_auto_below_two_vertices_says_what_auto_needs(self, tmp_path, text):
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        code, report = run(["color", "--family", "auto", "--graph", str(g)])
+        assert (code, report) == (
+            2,
+            "error: --family auto needs a connected graph on at least 2 vertices\n",
+        )
+        # general keeps its own n >= 3 message
+        code, report = run(["color", "--family", "general", "--graph", str(g)])
+        assert code == 2
+        assert "at least 3 vertices" in report
+
     def test_family_without_graph_is_usage_error(self):
         code, text = run(["color", "--family", "cactus"])
         assert code == 2

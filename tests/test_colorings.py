@@ -34,6 +34,7 @@ from srdkit import (
     grid_graph,
     is_proper,
     is_srd_coloring,
+    local_edge_connectivity,
     normalize_colors,
     parse_coloring,
     path_graph,
@@ -298,6 +299,39 @@ class TestFamilySchemes:
     def test_multipartite_is_srd(self, sizes):
         g, c = color_complete_multipartite(sizes)
         assert_oracle_srd(g, c)
+
+    @staticmethod
+    def assert_one_spared_star(g, c, spared, spared_rainbow):
+        """Every star but ``spared``'s is rainbow, and for each pair with
+        the spared vertex the other vertex's star is a minimum cut."""
+        def rainbow(v):
+            return len({c[eid] for _, eid in g.adj[v]}) == g.degree(v)
+
+        assert rainbow(spared) == spared_rainbow
+        for v in range(g.vertex_count):
+            if v != spared:
+                assert rainbow(v)
+                assert local_edge_connectivity(g, spared, v) == g.degree(v)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_complete_odd_spares_the_last_star(self, n):
+        g, c = color_complete(n)
+        assert {c[eid] for _, eid in g.adj[n - 1]} == {n - 1}
+        self.assert_one_spared_star(g, c, n - 1, spared_rainbow=False)
+
+    @pytest.mark.parametrize(
+        "sizes, spared_rainbow",
+        [
+            ((2, 3, 4), False),
+            ((3, 3, 3, 3), True),
+            ((2, 2, 2, 2, 2), True),
+            ((1, 1, 4, 5), False),
+            ((1, 2, 2), False),
+        ],
+    )
+    def test_multipartite_spares_vertex_0s_star(self, sizes, spared_rainbow):
+        g, c = color_complete_multipartite(sizes)
+        self.assert_one_spared_star(g, c, 0, spared_rainbow)
 
     def test_tight_multipartite_is_srd(self):
         # built on a 9-edge-coloring of the tight graph K_{2,3,3,3}

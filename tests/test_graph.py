@@ -3,16 +3,24 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
+try:
+    import networkx as nx
+except ImportError:  # networkx is a test-only cross-check
+    nx = None
+
 from srdkit.errors import (
     ContractionError,
     GraphParseError,
     GraphStructureError,
+    NotBipartiteError,
 )
 from srdkit.graph import (
     Block,
     BlockDecomposition,
     Graph,
     _bfs,
+    _multiplicity,
+    _odd_cycle,
     _open_arcs,
     blocks,
     complete_graph,
@@ -24,6 +32,7 @@ from srdkit.graph import (
     grid_graph,
     grid_vertex,
     induced_subgraph,
+    is_cactus_with_cycle,
     is_class1_by_core,
     is_connected,
     max_degree_core,
@@ -35,7 +44,14 @@ from srdkit.graph import (
 )
 
 from conftest import small_graphs, walk_cases
-from oracles import all_labeled_graphs, oracle_cut_vertices, reference_bfs
+from oracles import (
+    all_labeled_graphs,
+    oracle_cut_vertices,
+    reference_bfs,
+    reference_is_cactus_with_cycle,
+    reference_multiplicity,
+    reference_two_color,
+)
 
 
 def bowtie():
@@ -256,6 +272,57 @@ class TestBlocks:
         for n, edges in all_labeled_graphs(5):
             g = Graph(n, edges)
             assert blocks(g).cut_vertices == oracle_cut_vertices(n, edges), edges
+
+
+any_multigraphs = st.booleans().flatmap(lambda c: multigraphs(connected=c))
+
+
+def is_bipartite_by_reference(g):
+    try:
+        reference_two_color(g)
+    except NotBipartiteError:
+        return False
+    return True
+
+
+class TestStructureAgainstReferences:
+    """Each structure answer against the package's former, separate code
+    for it in oracles.py."""
+
+    @given(any_multigraphs)
+    def test_cactus_answer(self, g):
+        assert is_cactus_with_cycle(g) == reference_is_cactus_with_cycle(g)
+
+    def test_parallel_pairs_are_cycle_blocks(self):
+        assert is_cactus_with_cycle(Graph(2, [(0, 1), (0, 1)]))
+        assert is_cactus_with_cycle(Graph(3, [(0, 1), (1, 0), (1, 2), (2, 1)]))
+        assert not is_cactus_with_cycle(Graph(2, [(0, 1), (0, 1), (1, 0)]))
+        # a theta graph: as many edges as vertices plus one
+        assert not is_cactus_with_cycle(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+
+    @given(any_multigraphs)
+    def test_multiplicity(self, g):
+        assert _multiplicity(g) == reference_multiplicity(g)
+        assert g.has_parallel_edges() == (reference_multiplicity(g) > 1)
+
+    @given(any_multigraphs)
+    def test_odd_cycle_is_a_simple_odd_cycle_of_g(self, g):
+        cycle = _odd_cycle(g)
+        assert (cycle is None) == is_bipartite_by_reference(g)
+        if cycle is not None:
+            assert len(cycle) % 2 == 1 and len(cycle) >= 3
+            assert len(set(cycle)) == len(cycle)
+            pairs = {frozenset(e) for e in g.edges}
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert frozenset((a, b)) in pairs
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    @given(any_multigraphs)
+    def test_bipartite_agrees_with_networkx(self, g):
+        net = nx.MultiGraph()
+        net.add_nodes_from(range(g.vertex_count))
+        net.add_edges_from(g.edges)
+        assert (_odd_cycle(g) is None) == nx.is_bipartite(net)
 
 
 class TestContract:
