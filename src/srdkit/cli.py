@@ -42,7 +42,7 @@ from .reduction import (
     parse_dimacs_cnf,
 )
 from .solver import DEFAULT_MAX_EDGES, all_connected_graphs, conjecture_scan, rd_number, srd_number
-from .verifier import DEFAULT_THRESHOLD, is_rd_coloring, is_srd_coloring
+from .verifier import is_rd_coloring, is_srd_coloring
 
 
 class _UsageError(Exception):
@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--mode", choices=["srd", "rd"], default="srd")
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
 
     p = sub.add_parser("solve", parents=[common], help="exact srd/rd numbers")
     p.add_argument("graph")
@@ -283,13 +282,11 @@ def _cmd_color(args):
 
 
 def _cmd_verify(args):
-    if args.threshold < 0:
-        raise _UsageError("--threshold must be non-negative")
     g = _load_graph(args.graph)
     coloring = parse_coloring(_read(args.coloring), g.edge_count)
     mode = args.mode
     if mode == "srd":
-        rep = is_srd_coloring(g, coloring, threshold=args.threshold)
+        rep = is_srd_coloring(g, coloring)
     else:
         rep = is_rd_coloring(g, coloring)
     lines = [

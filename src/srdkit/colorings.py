@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import _enumerate_min_cuts, edge_connectivity
+from .connectivity import edge_connectivity, enumerate_min_cuts
 from .errors import (
     BudgetExceededError,
     ColoringError,
@@ -17,6 +17,7 @@ from .graph import (
     SubgraphView,
     _bfs,
     _cactus_cycles,
+    _int,
     _multiplicity,
     _odd_cycle,
     _open_arcs,
@@ -69,8 +70,8 @@ def parse_coloring(text: str, edge_count: int | None = None) -> EdgeColoring:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("colors"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "colors":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise GraphParseError("bad 'colors k' header", lineno)
             try:
@@ -79,7 +80,7 @@ def parse_coloring(text: str, edge_count: int | None = None) -> EdgeColoring:
                 raise GraphParseError("bad 'colors k' header", lineno) from None
             continue
         try:
-            c = int(line)
+            c = _int(line)
         except ValueError:
             raise GraphParseError(f"expected a color integer, got {raw!r}", lineno)
         if c < 1:
@@ -618,7 +619,8 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
     overflow = None  # least (value, pair) with limit or more cuts
     for u in range(n):
         for v in range(u + 1, n):
-            certs, (value, _) = _enumerate_min_cuts(g, u, v, limit)
+            certs = enumerate_min_cuts(g, u, v, limit)
+            value = certs[0].value  # a pair always has a minimum cut
             if len(certs) >= limit:
                 if overflow is None or value < overflow[0]:
                     overflow = (value, (u, v))
@@ -735,6 +737,6 @@ def color_by_blocks(g: Graph, block_colorings) -> EdgeColoring:
     for blk, sub in zip(decomposition.blocks, block_colorings):
         if len(sub) != len(blk.edge_ids):
             raise ColoringError("block coloring does not fit its block")
-        for local_eid, parent_eid in enumerate(blk.subgraph.edge_map):
+        for local_eid, parent_eid in enumerate(blk.edge_ids):
             colors[parent_eid] = sub[local_eid]
     return EdgeColoring(tuple(colors))

@@ -47,7 +47,7 @@ class _PairEntry:
 def _with_pair_store(g: Graph) -> Graph:
     """A copy of ``g`` that keeps every pair's max flow and min-cut walk.
 
-    On the copy, ``_max_flow`` and ``_enumerate_min_cuts`` compute each
+    On the copy, ``_max_flow`` and ``enumerate_min_cuts`` compute each
     ordered pair once and answer every
     later request from that result, the same answer a fresh call gives.
     The store lives and dies with the copy.
@@ -225,14 +225,6 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     enumerate closed sets of the residual SCC condensation.  The list is
     sorted lexicographically by sorted EdgeId tuple and truncated at
     ``limit`` (truncation keeps determinism but not completeness).
-    """
-    return _enumerate_min_cuts(g, u, v, limit)[0]
-
-
-def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
-    """``enumerate_min_cuts`` and the max flow it was read from, as
-    (certificates, (value, residual)), for a caller that goes on to search
-    the same network.
 
     A fresh walk takes the first limit + 1 closed sets in a fixed order,
     so on a graph with a pair store the prefix of a stored walk answers a
@@ -252,8 +244,7 @@ def _enumerate_min_cuts(g: Graph, u: int, v: int, limit: int):
     else:
         emitted = entry.emitted
     cuts = sorted(set(emitted[: limit + 1]))[:limit]
-    certs = [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
-    return certs, (value, residual)
+    return [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
 
 
 def _walk_min_cuts(g: Graph, u: int, v: int, residual, tree, limit: int) -> list:

@@ -10,7 +10,8 @@ not a convenience.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ContractionError, GraphParseError, GraphStructureError
 
@@ -98,6 +99,13 @@ def _multiplicity(g: Graph) -> int:
 # text format
 
 
+def _int(token: str) -> int:
+    """``int(token)``, without the digit-group underscores int() accepts."""
+    if "_" in token:
+        raise ValueError(f"underscore in {token!r}")
+    return int(token)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain edge-list format.
 
@@ -115,7 +123,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphParseError(f"expected two integers, got {raw!r}", lineno)
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise GraphParseError(f"expected two integers, got {raw!r}", lineno)
         if header is None:
@@ -287,7 +295,15 @@ class Block:
 
     edge_ids: tuple[int, ...]  # parent EdgeIds, sorted
     vertices: frozenset[int]
-    subgraph: SubgraphView
+    parent: Graph = field(repr=False)
+
+    @cached_property
+    def subgraph(self) -> SubgraphView:
+        """The block as a graph of its own, built when first read.  Two
+        vertices of one block joined by an edge put that edge in the block,
+        so the block's own EdgeIds are the induced edge set, and the view
+        needs no scan of the whole edge list."""
+        return _view(self.parent, tuple(sorted(self.vertices)), self.edge_ids)
 
 
 @dataclass(frozen=True)
@@ -369,11 +385,7 @@ def blocks(g: Graph) -> BlockDecomposition:
     for idx, eids in enumerate(block_edges):
         eids = tuple(sorted(eids))
         verts = frozenset(x for e in eids for x in g.edges[e])
-        # two vertices of one block joined by an edge put that edge in the
-        # block, so the block's own EdgeIds are the induced edge set, and
-        # the view needs no scan of the whole edge list
-        view = _view(g, tuple(sorted(verts)), eids)
-        block_objs.append(Block(eids, verts, view))
+        block_objs.append(Block(eids, verts, g))
         for cv in verts & cut:
             tree.append((idx, cv))
     return BlockDecomposition(tuple(block_objs), frozenset(cut), tuple(tree))

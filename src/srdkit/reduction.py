@@ -339,20 +339,15 @@ def check_equivalence(
     """Run the SAT oracle on ``inst.formula`` and the rainbow-cut search
     on ``inst``, as build_reduction made it, and compare.
 
-    The cut search always takes the exhaustive DFS route (threshold 0):
-    the clique makes the number of minimum cuts astronomically large, so
-    enumeration must not be attempted.  On agreement with a satisfiable
-    formula the witness cut is round-tripped through extract_assignment.
+    The cut search is the verifier's exhaustive DFS, which never lists the
+    minimum cuts: the clique makes their number astronomically large.  On
+    agreement with a satisfiable formula the witness cut is round-tripped
+    through extract_assignment.
     """
     model = sat_brute_force(inst.formula)
     try:
         cert = find_rainbow_min_cut(
-            inst.graph,
-            inst.coloring,
-            inst.s,
-            inst.t,
-            threshold=0,
-            node_budget=node_budget,
+            inst.graph, inst.coloring, inst.s, inst.t, node_budget=node_budget
         )
     except BudgetExceededError as exc:
         return EquivalenceReport(

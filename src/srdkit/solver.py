@@ -26,9 +26,10 @@ from .connectivity import (
 )
 from .errors import BudgetExceededError, ColoringError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, blocks, is_connected
-from .verifier import DEFAULT_THRESHOLD, is_rd_coloring, is_srd_coloring
+from .verifier import is_rd_coloring, is_srd_coloring
 
 DEFAULT_MAX_EDGES = 12
+DEFAULT_THRESHOLD = 10_000  # the most cuts a pair's table may hold
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,12 @@ def canonical_colorings(m: int, k: int):
 
 def _pair_cut_tables(g: Graph, mode: str):
     """Each pair's cuts (sorted EdgeId tuples) one rainbow member of which
-    settles it, or None when a pair has more than the verifier's
-    ``DEFAULT_THRESHOLD``: minimum cuts for srd; for rd the bonds δ(S) with
-    G[S] and G[V∖S] connected, enough as every cut contains one.  Bonds come
-    from walking the 2^(n-1) sides that hold vertex 0, done only when that
-    many fit in the threshold.  The srd walks are the ones the verifier
-    probes with its default threshold, so a pair store serves both."""
+    settles it, or None when a pair has more than ``DEFAULT_THRESHOLD``:
+    minimum cuts for srd; for rd the bonds δ(S) with G[S] and G[V∖S]
+    connected, enough as every cut contains one.  Bonds come from walking
+    the 2^(n-1) sides that hold vertex 0, done only when that many fit in
+    the cap.  On a graph with a pair store the srd walks start from the max
+    flows the verifier left there."""
     n = g.vertex_count
     pairs = list(itertools.combinations(range(n), 2))
     if mode == "srd":
@@ -211,7 +212,8 @@ def _solve(g, modes, max_edges) -> dict:
     stage (the verified upper witness and λ+) runs once for all of them.
     Within the edge budget everything runs on a copy of ``g`` with a pair
     store, so the construction, the verifier and the srd tables share each
-    pair's max flow and minimum cuts; the tables keep those lists anyway."""
+    pair's max flow, and the construction and the tables its minimum cuts;
+    the tables keep those lists anyway."""
     if g.vertex_count < 2:
         raise GraphStructureError("need at least two vertices")
     if not is_connected(g):

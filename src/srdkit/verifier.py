@@ -4,15 +4,13 @@ every vertex pair.
 One color-class DFS answers both questions: it picks at most one edge per
 color along live shortest paths and prunes any state that cannot be
 completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
-(srd) and the number of colors for a rainbow cut of any size (rd).  For
-minimum cuts the verifier first enumerates all of them and tests each for
-rainbowness while their number stays below a threshold, and runs the DFS
-only beyond it, handing it the enumeration's max flow.  Both searches
-follow one rule: a state runs no flow while the degrees of u and v in
-G - chosen settle its prune, the first state where they do not takes G's
-max flow (at most one per search) and repairs it along its chosen edges,
-and every state below it repairs a copy of its parent's flow for the
-edge it adds, which costs a few graph walks instead of a flow from zero.
+(srd), read off one max flow that the search then starts from, and the
+number of colors for a rainbow cut of any size (rd).  Both searches follow
+one rule: a state runs no flow while the degrees of u and v in G - chosen
+settle its prune, the first state where they do not takes G's max flow (at
+most one per search) and repairs it along its chosen edges, and every state
+below it repairs a copy of its parent's flow for the edge it adds, which
+costs a few graph walks instead of a flow from zero.
 It visits each rainbow edge subset at most once, so with k
 colors and classes of sizes s_1..s_k it explores at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
@@ -23,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .colorings import EdgeColoring, check_coloring_fits
-from .connectivity import (
-    CutCertificate,
-    _check_pair,
-    _enumerate_min_cuts,
-    _max_flow,
-    _max_flow_without,
-)
+from .connectivity import CutCertificate, _check_pair, _max_flow, _max_flow_without
 from .errors import BudgetExceededError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, is_connected
 
@@ -39,7 +31,7 @@ class SearchStats:
     """Mutable counters a caller can pass in to observe search effort."""
 
     nodes: int = 0  # DFS states visited
-    enumerated: int = 0  # minimum cuts listed by the enumeration phase
+    enumerated: int = 0  # stays 0: every pair search runs the DFS
 
 
 @dataclass(frozen=True)
@@ -47,9 +39,6 @@ class VerificationReport:
     verdict: bool
     witnesses: dict = field(default_factory=dict)  # (u, v) -> CutCertificate
     failing_pair: tuple | None = None
-
-
-DEFAULT_THRESHOLD = 10_000
 
 
 def is_rainbow(c: EdgeColoring, edge_set) -> bool:
@@ -190,28 +179,16 @@ def find_rainbow_min_cut(
     c: EdgeColoring,
     u: int,
     v: int,
-    threshold: int = DEFAULT_THRESHOLD,
+    *,
     stats: SearchStats | None = None,
     node_budget: int | None = None,
 ) -> CutCertificate | None:
     """A rainbow u-v cut of size exactly λ(u, v), or None after a complete
-    search.  ``threshold`` caps the enumeration phase; beyond it (or when
-    it is 0) the color-class DFS takes over.  ``node_budget`` bounds the
-    DFS states, raising BudgetExceededError instead of answering."""
+    search: the color-class DFS capped at λ, which it reads off the max flow
+    it starts from.  ``node_budget`` bounds the DFS states, raising
+    BudgetExceededError instead of answering."""
     stats = _check_pair_search(g, c, u, v, stats)
-
-    if threshold > 0:
-        certs, flow = _enumerate_min_cuts(g, u, v, threshold + 1)
-        # λ = 0 goes on to the DFS, whose root rejects a disconnected pair
-        if len(certs) <= threshold and flow[0] > 0:
-            stats.enumerated += len(certs)
-            for cert in certs:
-                if is_rainbow(c, cert.cut):
-                    return cert
-            return None
-    else:
-        flow = _max_flow(g, u, v)[:2]
-
+    flow = _max_flow(g, u, v)[:2]
     cut = _dfs_rainbow_cut(
         g, c, u, v, flow[0], stats, node_budget=node_budget, flow=flow
     )
@@ -253,10 +230,7 @@ def _verify_pairs(g: Graph, c: EdgeColoring, find) -> VerificationReport:
 
 
 def is_srd_coloring(
-    g: Graph,
-    c: EdgeColoring,
-    threshold: int = DEFAULT_THRESHOLD,
-    stats: SearchStats | None = None,
+    g: Graph, c: EdgeColoring, *, stats: SearchStats | None = None
 ) -> VerificationReport:
     """Does every vertex pair have a rainbow minimum cut?
 
@@ -264,11 +238,7 @@ def is_srd_coloring(
     reported; on success every pair carries its witness certificate.
     """
     return _verify_pairs(
-        g,
-        c,
-        lambda u, v: find_rainbow_min_cut(
-            g, c, u, v, threshold=threshold, stats=stats
-        ),
+        g, c, lambda u, v: find_rainbow_min_cut(g, c, u, v, stats=stats)
     )
 
 

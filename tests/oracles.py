@@ -6,6 +6,8 @@ the package under test.  The exceptions are the differential references:
 ``reference_rainbow_cut_dfs`` for the verifier's rainbow-cut DFS, which
 runs the package's max flow from zero at every state on G rebuilt without
 the chosen edges (``lambda_without``),
+``reference_rainbow_min_cut_by_enumeration``, the verifier's former srd
+pair check that tested the listed minimum cuts one by one,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
 counting prune, ``reference_connected_graphs``, the isomorphism census
 without orbit marking, ``reference_canonical_colorings`` and
@@ -267,6 +269,16 @@ def reference_rainbow_cut_dfs(g, colors, u, v, cap, stats, node_budget=None):
     return rec(frozenset(), frozenset(), frozenset())
 
 
+def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
+    """The first rainbow certificate in ``enumerate_min_cuts`` order, or
+    None: how the verifier once checked a pair whose minimum cuts it could
+    list.  u and v must be joined."""
+    for cert in enumerate_min_cuts(g, u, v):
+        if _rainbow(colors, cert.cut):
+            return cert
+    return None
+
+
 def reference_chromatic_index(g, budget=5_000_000):
     """(chromatic index, witness, color assignments tried) of the plain
     recursive backtracking that ``exact_chromatic_index`` prunes: most
@@ -404,7 +416,7 @@ def reference_canonical_colorings(m, k):
     yield from rec([], 0)
 
 
-def reference_search_level(g, tables, mode, k, threshold):
+def reference_search_level(g, tables, mode, k):
     """``solver._search_level`` as a recursive DFS (depth m): the first
     canonical exactly-k coloring that passes, and the candidates counted."""
     m = g.edge_count
@@ -429,7 +441,7 @@ def reference_search_level(g, tables, mode, k, threshold):
     def verified():
         c = EdgeColoring(tuple(colors))
         if mode == "srd":
-            return is_srd_coloring(g, c, threshold=threshold).verdict
+            return is_srd_coloring(g, c).verdict
         return is_rd_coloring(g, c).verdict
 
     def rec(p, mx):

@@ -379,7 +379,7 @@ def test_criterion_10_verifier_oracle_equivalence(corpus):
             for u in range(n):
                 for v in range(u + 1, n):
                     stats = SearchStats()
-                    find_rainbow_min_cut(g, c, u, v, threshold=0, stats=stats)
+                    find_rainbow_min_cut(g, c, u, v, stats=stats)
                     if stats.nodes > bound:
                         failures.append(
                             f"{g.edges} {c.colors} pair ({u},{v}): "

@@ -284,12 +284,21 @@ class TestVerify:
         code, _ = run(["verify", k4_file, str(c)])
         assert code == 2
 
-    def test_negative_threshold_is_exit_2(self, k4_file, tmp_path):
-        # no negative threshold silently acting as 0
+    def test_threshold_is_not_a_verify_option(self, k4_file, tmp_path):
+        # every srd pair runs the one rainbow-cut search: nothing to pick
         c = tmp_path / "c.txt"
         c.write_text("1\n2\n3\n3\n2\n1\n")
-        code, text = run(["verify", k4_file, str(c), "--threshold", "-5"])
-        assert (code, text) == (2, "error: --threshold must be non-negative\n")
+        assert run(["verify", k4_file, str(c), "--threshold", "0"]) == (2, "")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("colorsfoo 3\n1\n", "line 1"), ("colors 3\n1\n1_0\n", "line 3")],
+    )
+    def test_coloring_parse_errors_name_the_line(self, k4_file, tmp_path, text, line):
+        c = tmp_path / "c.txt"
+        c.write_text(text)
+        code, out = run(["verify", k4_file, str(c)])
+        assert code == 2 and line in out
 
 
 class TestSolve:
@@ -356,7 +365,7 @@ class TestSolve:
         assert json.loads(both_json) == want
 
     def test_threshold_is_not_a_solve_option(self, k4_file):
-        # the threshold picks a strategy, never an answer; verify keeps it
+        # the threshold picked a strategy, never an answer
         assert run(["solve", k4_file, "--threshold", "0"]) == (2, "")
 
     def test_witness_out_verifies(self, k4_file, tmp_path):

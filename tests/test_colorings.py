@@ -83,6 +83,17 @@ class TestColoringIO:
         with pytest.raises(GraphParseError, match=fragment):
             parse_coloring(text)
 
+    def test_header_keyword_is_a_whole_token(self):
+        # "colorsfoo 3" is no "colors k" header, so it is no color either
+        with pytest.raises(GraphParseError, match="line 1"):
+            parse_coloring("colorsfoo 3\n1\n")
+        assert parse_coloring("colors\t3\n1\n").colors == (1,)
+
+    def test_rejects_digit_group_underscores(self):
+        # int("1_0") is 10; a coloring file has no such numbers
+        with pytest.raises(GraphParseError, match="line 3"):
+            parse_coloring("colors 3\n1\n1_0\n")
+
     def test_normalize_renumbers_by_first_use(self):
         c = normalize_colors(EdgeColoring((7, 3, 7, 9)))
         assert c.colors == (1, 2, 1, 3)

@@ -15,8 +15,6 @@ from srdkit.errors import (
     NotBipartiteError,
 )
 from srdkit.graph import (
-    Block,
-    BlockDecomposition,
     Graph,
     _bfs,
     _multiplicity,
@@ -106,6 +104,8 @@ class TestParsing:
             ("2 1\n0 5\n", "line 2"),
             ("2 1\n1 1\n", "self-loop"),
             ("3 1 9\n", "line 1"),
+            ("1_1 0\n", "line 1"),  # int("1_1") is 11
+            ("11 1\n0 1_0\n", "line 2"),
         ],
     )
     def test_parse_errors_name_the_line(self, text, fragment):
@@ -258,15 +258,10 @@ class TestBlocks:
     @given(multigraphs(connected=True))
     def test_same_decomposition_as_induced_subgraphs(self, g):
         dec = blocks(g)
-        want = BlockDecomposition(
-            tuple(
-                Block(b.edge_ids, b.vertices, induced_subgraph(g, b.vertices))
-                for b in dec.blocks
-            ),
-            dec.cut_vertices,
-            dec.tree_edges,
-        )
-        assert dec == want
+        for b in dec.blocks:
+            assert b.parent is g
+            assert b.subgraph == induced_subgraph(g, b.vertices)
+            assert b.subgraph is b.subgraph  # built once, on the first read
 
     def test_cut_vertices_match_oracle(self):
         for n, edges in all_labeled_graphs(5):

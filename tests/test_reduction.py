@@ -3,9 +3,8 @@ SAT / rainbow-cut oracles.
 
 The decisive property is equivalence: a rainbow minimum s-t cut exists in
 the built instance exactly when the formula is satisfiable, checked with
-brute-force SAT on one side and the exhaustive DFS cut search (threshold
-forced to 0 — the clique has far too many minimum cuts to enumerate) on
-the other.
+brute-force SAT on one side and the exhaustive DFS cut search (which
+never lists the minimum cuts; the clique has far too many) on the other.
 """
 
 import random
@@ -328,9 +327,7 @@ class TestFoundCuts:
     )
     def test_dfs_cut_shape(self, phi):
         inst = build_reduction(phi)
-        cert = find_rainbow_min_cut(
-            inst.graph, inst.coloring, inst.s, inst.t, threshold=0
-        )
+        cert = find_rainbow_min_cut(inst.graph, inst.coloring, inst.s, inst.t)
         assert cert is not None
         cut = cert.cut
         assert len(cut) == 6 * inst.m
@@ -418,8 +415,8 @@ class TestEquivalence:
 
 class TestCheckWork:
     """The machine-independent work of the reduction check's cut search
-    (threshold 0) over the 236-formula exhaustive family: DFS states, max
-    flows (one per search, for λ) and flow repairs."""
+    over the 236-formula exhaustive family: DFS states, max flows (one per
+    search, for λ) and flow repairs."""
 
     def test_exhaustive_family_counts(self):
         calls = {"flow": 0, "repair": 0}
@@ -440,7 +437,7 @@ class TestCheckWork:
             for phi in _exhaustive_family():
                 inst = build_reduction(phi)
                 find_rainbow_min_cut(
-                    inst.graph, inst.coloring, inst.s, inst.t, threshold=0, stats=stats
+                    inst.graph, inst.coloring, inst.s, inst.t, stats=stats
                 )
         assert stats.nodes == 105_939
         assert calls == {"flow": 236, "repair": 108_011}

@@ -6,7 +6,6 @@ candidate counter is identical from one run to the next.
 """
 
 import contextlib
-import functools
 import inspect
 import itertools
 import pickle
@@ -39,8 +38,7 @@ from srdkit import (
 from srdkit import connectivity, solver
 from srdkit.cli import run
 from srdkit.graph import serialize_graph
-from srdkit.solver import _pair_cut_tables, _search_level
-from srdkit.verifier import DEFAULT_THRESHOLD
+from srdkit.solver import DEFAULT_THRESHOLD, _pair_cut_tables, _search_level
 from oracles import (
     oracle_is_rd,
     oracle_is_srd,
@@ -375,7 +373,7 @@ class TestDeterminism:
 
 class TestLambdaPlus:
     """The lower bound λ+ comes from the upper-bound verification's
-    certificates, on the enumeration and the DFS paths alike."""
+    certificates, with the per-pair cut tables and without them."""
 
     GRAPHS = [
         *(g for n in (2, 3, 4, 5) for g in all_connected_graphs(n)),
@@ -386,14 +384,10 @@ class TestLambdaPlus:
         grid_graph(2, 3),
     ]
 
-    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0, 2])
-    def test_equals_the_pairwise_maximum(self, monkeypatch, threshold):
-        # the solver's verifications and tables with this threshold: at 0
-        # the upper witness's verification takes the DFS path
-        monkeypatch.setattr(
-            solver, "is_srd_coloring", functools.partial(is_srd_coloring, threshold=threshold)
-        )
-        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", threshold)
+    @pytest.mark.parametrize("cap", [DEFAULT_THRESHOLD, 0, 2])
+    def test_equals_the_pairwise_maximum(self, monkeypatch, cap):
+        # the solver's tables under this cap: at 0 no pair's table fits
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", cap)
         for g in self.GRAPHS:
             want = upper_edge_connectivity(g)
             for solve in (srd_number, rd_number):
@@ -515,14 +509,14 @@ class TestDeepSearch:
         tables = _pair_cut_tables(self.G, "srd")
         with shallow_recursion_limit():
             with pytest.raises(RecursionError):
-                reference_search_level(self.G, tables, "srd", 266, DEFAULT_THRESHOLD)
+                reference_search_level(self.G, tables, "srd", 266)
 
 
 class TestSearchLevelAgainstReference:
     """The explicit-stack level search visits the prefixes of the recursive
     one in the same order: same witness, same count, with and without
     tables, on every level from 1 to the upper bound.  Without tables each
-    leaf goes to the verifier at its default threshold, as in the solver."""
+    leaf goes to the verifier, as in the solver."""
 
     GRAPHS = [
         *all_connected_graphs(5),
@@ -538,5 +532,5 @@ class TestSearchLevelAgainstReference:
             for tables in (_pair_cut_tables(g, mode), None):
                 for k in range(1, upper + 1):
                     got = _search_level(g, tables, mode, k)
-                    want = reference_search_level(g, tables, mode, k, DEFAULT_THRESHOLD)
+                    want = reference_search_level(g, tables, mode, k)
                     assert got == want, (g, mode, tables is None, k)

@@ -2,7 +2,7 @@
 
 The core property: on every small graph and every canonical coloring the
 verifier's verdict matches a naive oracle that tries all edge subsets, and
-the forced-DFS search respects the fixed-k state bound.
+the rainbow-cut DFS respects the fixed-k state bound.
 """
 
 from math import comb, prod
@@ -48,7 +48,34 @@ from oracles import (
     oracle_is_rd,
     oracle_is_srd,
     reference_rainbow_cut_dfs,
+    reference_rainbow_min_cut_by_enumeration,
 )
+
+
+@st.composite
+def colored_multigraph_pairs(draw):
+    """A multigraph on 2-8 vertices with up to 16 edges (possibly
+    disconnected), 1-4 colors, a vertex pair and an optional node budget."""
+    n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=16))
+    k = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(1, k), min_size=len(edges), max_size=len(edges)))
+    u, v = draw(st.sampled_from(pairs))
+    budget = draw(st.none() | st.integers(1, 40))
+    return Graph(n, edges), EdgeColoring(tuple(colors)), u, v, budget
+
+
+def _assert_agrees_with_enumeration(g, c, u, v):
+    """The DFS finds a rainbow minimum cut exactly when one of the listed
+    minimum cuts is rainbow, and its cut is a rainbow u-v cut of λ edges."""
+    cert = find_rainbow_min_cut(g, c, u, v)
+    want = reference_rainbow_min_cut_by_enumeration(g, c, u, v)
+    assert (cert is None) == (want is None), (g, c, u, v)
+    if cert is not None:
+        assert cert.value == len(cert.cut) == want.value
+        assert is_rainbow(c, cert.cut)
+        assert separates(g, cert.cut, u, v)
 
 
 def canonical_colorings(m, max_colors):
@@ -115,19 +142,37 @@ class TestFindRainbowMinCut:
                 c = EdgeColoring(colors)
                 for u in range(n):
                     for v in range(u + 1, n):
-                        enum = find_rainbow_min_cut(g, c, u, v, threshold=10_000)
-                        dfs = find_rainbow_min_cut(g, c, u, v, threshold=0)
-                        assert (enum is None) == (dfs is None)
+                        _assert_agrees_with_enumeration(g, c, u, v)
 
-    def test_threshold_zero_forces_dfs(self):
+    @settings(max_examples=150, deadline=None)
+    @given(colored_multigraph_pairs())
+    def test_dfs_agrees_with_enumeration_on_multigraphs(self, case):
+        g, c, u, v, _ = case
+        if local_edge_connectivity(g, u, v) == 0:
+            with pytest.raises(GraphStructureError, match="disconnected"):
+                find_rainbow_min_cut(g, c, u, v)
+        else:
+            _assert_agrees_with_enumeration(g, c, u, v)
+
+    def test_threshold_is_not_an_option(self):
+        # every srd pair runs the DFS, so there is no strategy to pick:
+        # neither by keyword nor in the place the threshold held
+        g, c = cycle_graph(3), EdgeColoring((1, 2, 2))
+        for call in (
+            lambda: find_rainbow_min_cut(g, c, 0, 1, threshold=0),
+            lambda: find_rainbow_min_cut(g, c, 0, 1, 0),
+            lambda: is_srd_coloring(g, c, threshold=0),
+            lambda: is_srd_coloring(g, c, 0),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_default_call_runs_the_dfs(self):
         g = cycle_graph(4)
         c = EdgeColoring((1, 2, 1, 2))
         st = SearchStats()
-        find_rainbow_min_cut(g, c, 0, 2, threshold=0, stats=st)
-        assert st.nodes > 0 and st.enumerated == 0
-        st = SearchStats()
         find_rainbow_min_cut(g, c, 0, 2, stats=st)
-        assert st.nodes == 0 and st.enumerated > 0
+        assert st.nodes > 0 and st.enumerated == 0
 
 
     def test_long_path_single_color(self):
@@ -140,7 +185,7 @@ class TestFindRainbowMinCut:
         1,100 edges deep before it finds the whole bundle."""
         g = Graph(2, [(0, 1)] * 1100)
         c = EdgeColoring(tuple(range(1, 1101)))
-        cert = find_rainbow_min_cut(g, c, 0, 1, threshold=0)
+        cert = find_rainbow_min_cut(g, c, 0, 1)
         assert cert.value == 1100 and cert.cut == frozenset(range(1100))
         assert find_rainbow_cut(g, c, 0, 1) == frozenset(range(1100))
 
@@ -154,9 +199,7 @@ class TestSearchOrder:
         )
         inst = build_reduction(phi)
         st = SearchStats()
-        cert = find_rainbow_min_cut(
-            inst.graph, inst.coloring, inst.s, inst.t, threshold=0, stats=st
-        )
+        cert = find_rainbow_min_cut(inst.graph, inst.coloring, inst.s, inst.t, stats=st)
         assert st.nodes == 683
         assert sorted(cert.cut) == [
             0, 4, 8, 12, 16, 20, 24, 28, 34, 38, 42, 46,
@@ -166,11 +209,11 @@ class TestSearchOrder:
     @staticmethod
     def _rd_and_srd(g, c):
         """(verdict, failing pair, DFS nodes) of is_rd_coloring and of
-        is_srd_coloring with the enumeration phase off."""
+        is_srd_coloring."""
         out = []
-        for verify, kwargs in ((is_rd_coloring, {}), (is_srd_coloring, {"threshold": 0})):
+        for verify in (is_rd_coloring, is_srd_coloring):
             st = SearchStats()
-            report = verify(g, c, stats=st, **kwargs)
+            report = verify(g, c, stats=st)
             out.append((report.verdict, report.failing_pair, st.nodes))
         return out
 
@@ -203,12 +246,10 @@ def flow_calls(monkeypatch):
 
 class TestFlowsPerSearch:
     """A pair search runs at most one max flow.  The srd search runs one
-    for λ, whether the enumeration decides it, the DFS runs alone, or the
-    DFS takes over from an enumeration that overflowed its threshold, and
-    hands it to the DFS.  Both searches follow one rule: a DFS state runs
-    no flow while the degrees of u and v in G - chosen settle its prune;
-    the first state where they do not takes G's flow and repairs it along
-    its chosen edges, and every state below it repairs its parent's."""
+    for λ and hands it to the DFS.  Both searches follow one rule: a DFS
+    state runs no flow while the degrees of u and v in G - chosen settle its
+    prune; the first state where they do not takes G's flow and repairs it
+    along its chosen edges, and every state below it repairs its parent's."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
         proper = EdgeColoring((1, 2, 3, 3, 2, 1))
@@ -220,7 +261,7 @@ class TestFlowsPerSearch:
         g = complete_graph(4)
         st = SearchStats()
         c = EdgeColoring((1, 1, 2, 2, 3, 3))
-        find_rainbow_min_cut(g, c, 0, 1, threshold=0, stats=st)
+        find_rainbow_min_cut(g, c, 0, 1, stats=st)
         assert st.nodes > 1
         assert len(flow_calls) == 1
 
@@ -237,20 +278,11 @@ class TestFlowsPerSearch:
 
         monkeypatch.setattr(verifier, "_max_flow_without", counted)
         st = SearchStats()
-        report = is_srd_coloring(*color_complete(16), threshold=0, stats=st)
+        report = is_srd_coloring(*color_complete(16), stats=st)
         assert report.verdict
         assert st.nodes == 1920
         assert len(flow_calls) == 120  # one per pair, for λ
         assert repairs == []
-
-    def test_enumeration_overflow_hands_its_flow_to_the_dfs(self, flow_calls):
-        g = cycle_graph(6)
-        st = SearchStats()
-        c = EdgeColoring((1, 2, 3, 1, 2, 3))
-        cert = find_rainbow_min_cut(g, c, 0, 3, threshold=2, stats=st)
-        assert cert is not None and cert.value == 2
-        assert st.enumerated == 0 and st.nodes > 1
-        assert len(flow_calls) == 1
 
     def test_any_size_search_runs_no_flow_where_degrees_settle_the_prune(
         self, flow_calls
@@ -276,20 +308,6 @@ class TestFlowsPerSearch:
         assert cut == frozenset({12, 13})
         assert st.nodes > 1
         assert flow_calls == [(0, 7)]
-
-
-@st.composite
-def colored_multigraph_pairs(draw):
-    """A multigraph on 2-8 vertices with up to 16 edges (possibly
-    disconnected), 1-4 colors, a vertex pair and an optional node budget."""
-    n = draw(st.integers(2, 8))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=16))
-    k = draw(st.integers(1, 4))
-    colors = draw(st.lists(st.integers(1, k), min_size=len(edges), max_size=len(edges)))
-    u, v = draw(st.sampled_from(pairs))
-    budget = draw(st.none() | st.integers(1, 40))
-    return Graph(n, edges), EdgeColoring(tuple(colors)), u, v, budget
 
 
 def _search_outcome(search):
@@ -453,7 +471,6 @@ class TestReports:
         g, c = Graph(4, [(0, 1), (2, 3)]), EdgeColoring((1, 2))
         for search in (
             lambda: find_rainbow_min_cut(g, c, 0, 2),
-            lambda: find_rainbow_min_cut(g, c, 0, 2, threshold=0),
             lambda: find_rainbow_cut(g, c, 0, 2),
         ):
             with pytest.raises(GraphStructureError, match="disconnected"):
@@ -514,7 +531,7 @@ class TestStateBound:
                 for u in range(nn):
                     for v in range(u + 1, nn):
                         st = SearchStats()
-                        find_rainbow_min_cut(g, c, u, v, threshold=0, stats=st)
+                        find_rainbow_min_cut(g, c, u, v, stats=st)
                         assert st.nodes <= bound
                         st = SearchStats()
                         find_rainbow_cut(g, c, u, v, stats=st)
