@@ -28,13 +28,9 @@ from .colorings import (
     parse_coloring,
     serialize_coloring,
 )
-from .connectivity import (
-    edge_connectivity,
-    local_edge_connectivity,
-    upper_edge_connectivity,
-)
+from .connectivity import _tree_weights, local_edge_connectivity
 from .errors import BudgetExceededError, ColoringError, GraphParseError, SrdKitError
-from .graph import blocks, export_dot, is_connected, parse_graph, serialize_graph
+from .graph import _int, blocks, export_dot, is_connected, parse_graph, serialize_graph
 from .reduction import (
     DEFAULT_NODE_BUDGET,
     build_reduction,
@@ -164,8 +160,8 @@ def _cmd_lambda(args):
         lines.append(f"lambda({u},{v})={value}")
         payload.update(pair=[u, v], value=value)
     else:
-        lam = edge_connectivity(g)
-        lam_plus = upper_edge_connectivity(g)
+        weights = _tree_weights(g)  # one flow tree gives both
+        lam, lam_plus = min(weights), max(weights)
         lines.append(f"lambda={lam} lambda+={lam_plus}")
         payload.update({"lambda": lam, "lambda_plus": lam_plus})
     return 0, lines, payload
@@ -238,7 +234,7 @@ def _cmd_color(args):
     elif family == "multipartite":
         raw = _require(args, "sizes", family)
         try:
-            sizes = tuple(int(x) for x in raw.split(","))
+            sizes = tuple(_int(x) for x in raw.split(","))
         except ValueError:
             raise _UsageError(f"bad --sizes value {raw!r}") from None
         params["sizes"] = list(sizes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, _reached, _walk, is_connected
+from .graph import Graph, _bfs, _open_arcs, _reached, _walk
 
 
 @dataclass(frozen=True)
@@ -345,24 +345,69 @@ def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:
     return len(enumerate_min_cuts(g, u, v, limit=cap + 1))
 
 
+def _flow_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Gusfield's equivalent-flow tree ("Very simple methods for all pairs
+    network flow analysis", 1990): λ(u, v) is the least weight on the tree
+    path between u and v, found with n - 1 max flows.
+
+    Returns (parent, weight): vertex s > 0 hangs off parent[s] < s with
+    weight[s] = λ(parent[s], s), read off ``_max_flow(g, parent[s], s)``, so
+    a pair store keeps each flow under its (u < v) key.  Every vertex starts
+    under 0; after the flow for s, each later vertex that shares s's parent
+    and lies on s's side of the flow's minimum cut (the side its last walk
+    did not reach) moves under s.
+    """
+    n = g.vertex_count
+    parent = [0] * n
+    weight = [0] * n  # weight[0] is unused
+    for s in range(1, n):
+        t = parent[s]
+        weight[s], _, tree = _max_flow(g, t, s)
+        for i in range(s + 1, n):
+            if parent[i] == t and tree[i] is None:
+                parent[i] = s
+    return parent, weight
+
+
+def _lambda_rows(g: Graph):
+    """λ(u, ·) for u = 0, 1, ..., n - 1, one row per u: row[v] = λ(u, v)
+    for v != u, from one walk of ``_flow_tree``'s tree; row[u] is None.
+    The tree is built when the first row is asked for."""
+    n = g.vertex_count
+    parent, weight = _flow_tree(g)
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s in range(1, n):
+        links[s].append((parent[s], weight[s]))
+        links[parent[s]].append((s, weight[s]))
+    for u in range(n):
+        row = [None] * n
+        stack = [(u, -1, None)]  # vertex, the one it was reached from, path min
+        while stack:
+            x, prev, low = stack.pop()
+            row[x] = low
+            for y, w in links[x]:
+                if y != prev:
+                    stack.append((y, x, w if low is None else min(low, w)))
+        yield row
+
+
+def _tree_weights(g: Graph) -> list[int]:
+    """The weights of ``_flow_tree``'s n - 1 edges.  λ(G) is the least and
+    λ+(G) the greatest: a pair's λ is a least weight on its path, and the
+    two ends of each tree edge attain that edge's weight."""
+    if g.vertex_count < 2:
+        raise GraphStructureError("upper edge connectivity needs two vertices")
+    return _flow_tree(g)[1][1:]
+
+
 def edge_connectivity(g: Graph) -> int:
     """lambda(G) = min over pairs; 0 for disconnected or single-vertex input."""
-    if g.vertex_count < 2:
-        return 0
-    if not is_connected(g):
-        return 0
-    return min(local_edge_connectivity(g, 0, v) for v in range(1, g.vertex_count))
+    return min(_tree_weights(g)) if g.vertex_count >= 2 else 0
 
 
 def upper_edge_connectivity(g: Graph) -> int:
     """lambda+(G) = max over vertex pairs of lambda(u, v)."""
-    if g.vertex_count < 2:
-        raise GraphStructureError("upper edge connectivity needs two vertices")
-    return max(
-        local_edge_connectivity(g, u, v)
-        for u in range(g.vertex_count)
-        for v in range(u + 1, g.vertex_count)
-    )
+    return max(_tree_weights(g))
 
 
 def separates(g: Graph, cut, u: int, v: int) -> bool:

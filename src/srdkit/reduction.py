@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .colorings import EdgeColoring
 from .connectivity import local_edge_connectivity
 from .errors import BudgetExceededError, ExtractionError, ReductionError
-from .graph import Graph, _bfs, _open_arcs
+from .graph import Graph, _bfs, _int, _open_arcs
 from .verifier import find_rainbow_min_cut, is_rainbow
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -81,7 +81,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ReductionError(f"malformed header: {line!r}")
             try:
-                header = (int(parts[2]), int(parts[3]))
+                header = (_int(parts[2]), _int(parts[3]))
             except ValueError:
                 raise ReductionError(f"malformed header: {line!r}") from None
             continue
@@ -94,7 +94,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     current = []
     for tok in tokens:
         try:
-            lit = int(tok)
+            lit = _int(tok)
         except ValueError:
             raise ReductionError(f"non-integer token {tok!r}") from None
         if lit == 0:

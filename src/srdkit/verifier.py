@@ -4,13 +4,15 @@ every vertex pair.
 One color-class DFS answers both questions: it picks at most one edge per
 color along live shortest paths and prunes any state that cannot be
 completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
-(srd), read off one max flow that the search then starts from, and the
-number of colors for a rainbow cut of any size (rd).  Both searches follow
-one rule: a state runs no flow while the degrees of u and v in G - chosen
-settle its prune, the first state where they do not takes G's max flow (at
-most one per search) and repairs it along its chosen edges, and every state
-below it repairs a copy of its parent's flow for the edge it adds, which
-costs a few graph walks instead of a flow from zero.
+(srd) and the number of colors for a rainbow cut of any size (rd).
+``is_srd_coloring`` reads every pair's λ off one equivalent-flow tree of
+n - 1 max flows; ``find_rainbow_min_cut`` reads it off the pair's own max
+flow and hands that flow to the search.  Every search follows one rule: a
+state runs no flow while the degrees of u and v in G - chosen settle its
+prune, the first state where they do not takes G's max flow (at most one
+per search) and repairs it along its chosen edges, and every state below
+it repairs a copy of its parent's flow for the edge it adds, which costs a
+few graph walks instead of a flow from zero.
 It visits each rainbow edge subset at most once, so with k
 colors and classes of sizes s_1..s_k it explores at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
@@ -19,9 +21,16 @@ prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .colorings import EdgeColoring, check_coloring_fits
-from .connectivity import CutCertificate, _check_pair, _max_flow, _max_flow_without
+from .connectivity import (
+    CutCertificate,
+    _check_pair,
+    _lambda_rows,
+    _max_flow,
+    _max_flow_without,
+)
 from .errors import BudgetExceededError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, is_connected
 
@@ -72,10 +81,13 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     smaller degree of u and v in G - chosen, and while that bound is within
     ``cap`` - |chosen| the prune cannot fire, so the state runs no flow and
     its path walk tells whether λ is 0.  The first state whose bound does
-    not settle the prune takes G's flow and repairs it along ``chosen``;
-    below it each state passes its children a repaired copy of its own.
-    Either way the states and their paths are the same: the flow only
-    decides prunes the degree bound leaves open.
+    not settle the prune takes G's flow, handed in or computed then, and
+    repairs it along ``chosen``; below it each state passes its children a
+    repaired copy of its own.  A state whose degree bound or flow is 0 is
+    a cut without a walk; a state with a flow keeps no degrees, as its
+    flow value already says whether λ is 0.  Either way the states and
+    their paths are the same: the flow only decides prunes the degree
+    bound leaves open.
 
     The states are visited depth first with an explicit stack that holds
     one frame per branching state on the current path, each with its own
@@ -111,11 +123,15 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
                 f"rainbow min-cut search exceeded {node_budget} states"
             )
         room = cap - len(chosen)
-        if value is None and min(degree[u], degree[v]) > room:
-            value, residual = flow_of_chosen()
-        if value is not None and value > room:
-            return None
-        tree = None if value == 0 else _bfs(g, u, open_arcs, target=v)
+        if value is None:
+            bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
+            if bound > room:
+                value, residual = flow_of_chosen()
+        if value is not None:
+            if value > room:
+                return None
+            bound = value
+        tree = None if bound == 0 else _bfs(g, u, open_arcs, target=v)
         if tree is None or tree[v] is None:  # λ(G - chosen) = 0
             if not chosen:
                 raise GraphStructureError(f"vertices {u} and {v} are disconnected")
@@ -210,22 +226,25 @@ def find_rainbow_cut(
     return _dfs_rainbow_cut(g, c, u, v, len(c.distinct_colors()), stats)
 
 
-def _verify_pairs(g: Graph, c: EdgeColoring, find) -> VerificationReport:
-    """Run ``find(u, v)`` on every pair in lexicographic order and report
-    the first pair it returns None for; on success every pair carries the
-    certificate it returned."""
+def _verify_pairs(g: Graph, c: EdgeColoring, caps, stats) -> VerificationReport:
+    """Search every pair in lexicographic order for a rainbow cut within
+    its cap and report the first pair without one; on success every pair
+    carries its cut as a certificate.  ``caps`` yields one row per u, and
+    row[v] caps the pair (u, v); it is read only after the checks."""
     check_coloring_fits(g, c)
     if not is_connected(g):
         raise GraphStructureError("graph must be connected")
+    stats = stats if stats is not None else SearchStats()
     witnesses = {}
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            cert = find(u, v)
-            if cert is None:
+    n = g.vertex_count
+    for u, row in zip(range(n - 1), caps):
+        for v in range(u + 1, n):
+            cut = _dfs_rainbow_cut(g, c, u, v, row[v], stats)
+            if cut is None:
                 return VerificationReport(
                     verdict=False, witnesses=witnesses, failing_pair=(u, v)
                 )
-            witnesses[(u, v)] = cert
+            witnesses[(u, v)] = CutCertificate(pair=(u, v), cut=cut, value=len(cut))
     return VerificationReport(verdict=True, witnesses=witnesses)
 
 
@@ -235,11 +254,12 @@ def is_srd_coloring(
     """Does every vertex pair have a rainbow minimum cut?
 
     Pairs are scanned in lexicographic order and the first failing pair is
-    reported; on success every pair carries its witness certificate.
+    reported; on success every pair carries its witness certificate.  Each
+    pair's DFS is capped at λ(u, v), read off the equivalent-flow tree, so
+    a verification runs n - 1 max flows for the caps, and the DFS takes
+    G's flow for a pair only where the degrees leave a prune open.
     """
-    return _verify_pairs(
-        g, c, lambda u, v: find_rainbow_min_cut(g, c, u, v, stats=stats)
-    )
+    return _verify_pairs(g, c, _lambda_rows(g), stats)
 
 
 def is_rd_coloring(
@@ -248,13 +268,5 @@ def is_rd_coloring(
     stats: SearchStats | None = None,
 ) -> VerificationReport:
     """Does every vertex pair have a rainbow cut of some size?"""
-    stats = stats if stats is not None else SearchStats()
     cap = len(c.distinct_colors())  # a rainbow cut has at most one edge per color
-
-    def find(u, v):
-        cut = _dfs_rainbow_cut(g, c, u, v, cap, stats)
-        if cut is None:
-            return None
-        return CutCertificate(pair=(u, v), cut=cut, value=len(cut))
-
-    return _verify_pairs(g, c, find)
+    return _verify_pairs(g, c, repeat([cap] * g.vertex_count), stats)

@@ -8,6 +8,8 @@ runs the package's max flow from zero at every state on G rebuilt without
 the chosen edges (``lambda_without``),
 ``reference_rainbow_min_cut_by_enumeration``, the verifier's former srd
 pair check that tested the listed minimum cuts one by one,
+``reference_edge_connectivity`` and ``reference_upper_edge_connectivity``,
+λ and λ+ with one max flow per pair instead of the equivalent-flow tree,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
 counting prune, ``reference_connected_graphs``, the isomorphism census
 without orbit marking, ``reference_canonical_colorings`` and
@@ -277,6 +279,22 @@ def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
         if _rainbow(colors, cert.cut):
             return cert
     return None
+
+
+def reference_edge_connectivity(g):
+    """λ(G) from a flow from vertex 0 to every other vertex; 0 for a
+    disconnected or single-vertex graph."""
+    if g.vertex_count < 2 or not is_connected(g):
+        return 0
+    return min(local_edge_connectivity(g, 0, v) for v in range(1, g.vertex_count))
+
+
+def reference_upper_edge_connectivity(g):
+    """λ+(G) from one max flow per vertex pair."""
+    return max(
+        local_edge_connectivity(g, u, v)
+        for u, v in combinations(range(g.vertex_count), 2)
+    )
 
 
 def reference_chromatic_index(g, budget=5_000_000):

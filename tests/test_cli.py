@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from srdkit import (
     parse_graph,
     serialize_graph,
 )
-from srdkit import cli, reduction, solver
+from srdkit import cli, connectivity, reduction, solver
 from srdkit.cli import main, run
 from srdkit.verifier import is_srd_coloring
 
@@ -137,6 +138,13 @@ class TestLambdaAndBlocks:
         assert code == 0
         assert "lambda=3 lambda+=3" in text
 
+    def test_lambda_summary_runs_one_flow_per_tree_edge(self, k4_file):
+        flow = connectivity._max_flow
+        with mock.patch.object(connectivity, "_max_flow", wraps=flow) as spy:
+            code, text = run(["lambda", k4_file])
+        assert code == 0 and "lambda=3 lambda+=3" in text
+        assert spy.call_count == 3
+
     def test_lambda_pair(self, k4_file):
         code, text = run(["lambda", k4_file, "--pair", "1", "3"])
         assert code == 0
@@ -249,6 +257,13 @@ class TestColor:
     def test_bad_sizes_is_usage_error(self):
         code, _ = run(["color", "--family", "multipartite", "--sizes", "a,b"])
         assert code == 2
+
+    @pytest.mark.parametrize("sizes", ["1_1,2_2", "1,2_2", "1_0"])
+    def test_sizes_with_digit_group_underscores_are_usage_errors(self, sizes):
+        # int() reads "1_1,2_2" as parts 11 and 22
+        code, text = run(["color", "--family", "multipartite", "--sizes", sizes])
+        assert code == 2
+        assert f"bad --sizes value {sizes!r}" in text
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ except ImportError:
 
 from srdkit import connectivity
 from srdkit.connectivity import (
+    _flow_tree,
+    _lambda_rows,
     _max_flow,
     _walk_min_cuts,
     _with_pair_store,
@@ -41,6 +45,8 @@ from oracles import (
     oracle_component_count,
     oracle_lambda,
     oracle_separates,
+    reference_edge_connectivity,
+    reference_upper_edge_connectivity,
     reference_walk_min_cuts,
 )
 
@@ -393,6 +399,80 @@ class TestPairStore:
         assert len(enumerate_min_cuts(stored, 0, 6)) == 36
 
 
+@st.composite
+def tree_multigraphs(draw):
+    """A multigraph on 1-10 vertices with parallel edges: half the time a
+    random spanning tree plus extra edges, otherwise any edges, so often
+    disconnected."""
+    n = draw(st.integers(1, 10))
+    edges = []
+    if draw(st.booleans()):
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(edge, max_size=2 * n))
+    return Graph(n, edges)
+
+
+class TestFlowTree:
+    """Gusfield's equivalent-flow tree: n - 1 max flows, each keyed
+    (parent[s], s) with parent[s] < s, give λ(u, v) for every pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_multigraphs())
+    def test_rows_match_pairwise_flows(self, g):
+        n = g.vertex_count
+        rows = list(_lambda_rows(g))
+        assert len(rows) == n
+        for u, row in enumerate(rows):
+            assert row[u] is None
+            for v in range(n):
+                if v != u:
+                    assert row[v] == local_edge_connectivity(g, u, v), (g.edges, u, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_multigraphs())
+    def test_global_values_match_the_pairwise_loops(self, g):
+        assert edge_connectivity(g) == reference_edge_connectivity(g)
+        if g.vertex_count >= 2:
+            assert upper_edge_connectivity(g) == reference_upper_edge_connectivity(g)
+
+    def test_matches_oracle_exhaustively_n4(self):
+        for n, edges in all_labeled_graphs(4, connected_only=False):
+            g = Graph(n, edges)
+            for u, row in enumerate(_lambda_rows(g)):
+                for v in range(u + 1, n):
+                    assert row[v] == oracle_lambda(n, edges, u, v), (edges, u, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_multigraphs())
+    def test_one_flow_per_tree_edge(self, g):
+        with mock.patch.object(
+            connectivity, "_max_flow", wraps=connectivity._max_flow
+        ) as spy:
+            parent, weight = _flow_tree(g)
+        flows = [call.args[1:] for call in spy.call_args_list]
+        assert flows == [(parent[s], s) for s in range(1, g.vertex_count)]
+        for s in range(1, g.vertex_count):
+            assert parent[s] < s
+            assert weight[s] == local_edge_connectivity(g, parent[s], s)
+
+
+def _capacity_network(g):
+    """G for networkx, with each bundle of parallel edges merged into one
+    edge whose capacity is the bundle's size (networkx.edge_connectivity
+    counts a bundle once, so the tests use its max flow instead)."""
+    net = nx.Graph()
+    net.add_nodes_from(range(g.vertex_count))
+    for a, b in g.edges:
+        if net.has_edge(a, b):
+            net[a][b]["capacity"] += 1
+        else:
+            net.add_edge(a, b, capacity=1)
+    return net
+
+
 @pytest.mark.skipif(nx is None, reason="networkx is not installed")
 class TestAgainstNetworkx:
     """Beyond the oracles' reach: λ against networkx max flow with parallel
@@ -402,14 +482,7 @@ class TestAgainstNetworkx:
     @given(multigraph_pairs())
     def test_flow_cut_and_enumeration(self, case):
         g, u, v = case
-        net = nx.Graph()
-        net.add_nodes_from(range(g.vertex_count))
-        for a, b in g.edges:
-            if net.has_edge(a, b):
-                net[a][b]["capacity"] += 1
-            else:
-                net.add_edge(a, b, capacity=1)
-        lam = nx.maximum_flow_value(net, u, v)
+        lam = nx.maximum_flow_value(_capacity_network(g), u, v)
         assert local_edge_connectivity(g, u, v) == lam
         cert = min_edge_cut(g, u, v)
         assert cert.value == len(cert.cut) == lam and separates(g, cert.cut, u, v)
@@ -418,6 +491,14 @@ class TestAgainstNetworkx:
         for cert in certs:
             assert cert.value == len(cert.cut) == lam
             assert separates(g, cert.cut, u, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_multigraphs())
+    def test_flow_tree(self, g):
+        net = _capacity_network(g)
+        for u, row in enumerate(_lambda_rows(g)):
+            for v in range(u + 1, g.vertex_count):
+                assert row[v] == nx.maximum_flow_value(net, u, v), (g.edges, u, v)
 
 
 def _side_of(g, cut, start):

@@ -97,6 +97,20 @@ class TestParseDimacs:
         with pytest.raises(ReductionError):
             parse_dimacs_cnf("p cnf 2 1\n1 one 2 0")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 1_0 1\n1 -2 3 0\n", "malformed header"),
+            ("p cnf 3 1_0\n1 -2 3 0\n", "malformed header"),
+            ("p cnf 10 1\n1_0 -2 3 0\n", "non-integer token '1_0'"),
+            ("p cnf 10 1\n1 -1_0 3 0\n", "non-integer token '-1_0'"),
+        ],
+    )
+    def test_rejects_digit_group_underscores(self, text, message):
+        # int() reads "1_0" as 10
+        with pytest.raises(ReductionError, match=message):
+            parse_dimacs_cnf(text)
+
     def test_out_of_range_literal(self):
         with pytest.raises(ReductionError):
             parse_dimacs_cnf("p cnf 2 1\n1 2 3 0")

@@ -38,6 +38,7 @@ from srdkit import (
     path_graph,
     petersen_graph,
     separates,
+    upper_edge_connectivity,
 )
 
 from srdkit import connectivity, verifier
@@ -245,11 +246,13 @@ def flow_calls(monkeypatch):
 
 
 class TestFlowsPerSearch:
-    """A pair search runs at most one max flow.  The srd search runs one
-    for λ and hands it to the DFS.  Both searches follow one rule: a DFS
-    state runs no flow while the degrees of u and v in G - chosen settle its
-    prune; the first state where they do not takes G's flow and repairs it
-    along its chosen edges, and every state below it repairs its parent's."""
+    """A pair search runs at most one max flow.  ``find_rainbow_min_cut``
+    runs one for λ and hands it to the DFS; ``is_srd_coloring`` reads every
+    pair's λ off an equivalent-flow tree of n - 1 flows, and its DFS takes
+    G's flow itself.  Every search follows one rule: a DFS state runs no
+    flow while the degrees of u and v in G - chosen settle its prune; the
+    first state where they do not takes G's flow and repairs it along its
+    chosen edges, and every state below it repairs its parent's."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
         proper = EdgeColoring((1, 2, 3, 3, 2, 1))
@@ -281,8 +284,36 @@ class TestFlowsPerSearch:
         report = is_srd_coloring(*color_complete(16), stats=st)
         assert report.verdict
         assert st.nodes == 1920
-        assert len(flow_calls) == 120  # one per pair, for λ
+        assert len(flow_calls) == 15  # the tree's, for every λ
         assert repairs == []
+
+    def test_srd_verification_of_the_grid(self, flow_calls):
+        # 63 tree flows; the DFS takes G's flow on 552 of the 2,016 pairs
+        assert is_srd_coloring(*color_grid(8, 8)).verdict
+        assert len(flow_calls) == 615
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_upper_edge_connectivity_runs_one_flow_per_tree_edge(
+        self, flow_calls, n
+    ):
+        assert upper_edge_connectivity(complete_graph(n)) == n - 1
+        assert len(flow_calls) == n - 1
+
+    def test_an_end_without_edges_is_a_cut_without_a_walk(self, monkeypatch):
+        # the root walks 0-1-2; its first child, {edge 0}, leaves 0 no edge
+        walks = []
+        real = verifier._bfs
+
+        def counted(g, start, *args, **kwargs):
+            walks.append(start)
+            return real(g, start, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "_bfs", counted)
+        st = SearchStats()
+        cert = find_rainbow_min_cut(path_graph(3), EdgeColoring((1, 1)), 0, 2, stats=st)
+        assert cert.cut == frozenset({0})
+        assert st.nodes == 2
+        assert walks == [0]
 
     def test_any_size_search_runs_no_flow_where_degrees_settle_the_prune(
         self, flow_calls
@@ -489,6 +520,44 @@ class TestReports:
             assert separates(g, cert.cut, u, v)
             assert is_rainbow(c, cert.cut)
             assert cert.value == len(cert.cut) == local_edge_connectivity(g, u, v)
+
+
+@st.composite
+def colored_connected_multigraphs(draw):
+    """A connected multigraph on 2-9 vertices (a random spanning tree plus
+    up to 10 extra edges, parallel ones allowed) with 1-4 colors."""
+    n = draw(st.integers(2, 9))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    k = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(1, k), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, edges), EdgeColoring(tuple(colors))
+
+
+class TestAgainstPairSearches:
+    """``is_srd_coloring`` reads λ off the equivalent-flow tree; one
+    ``find_rainbow_min_cut`` per pair, each with its own flow, must give the
+    same witnesses and the same failing pair."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(colored_connected_multigraphs())
+    def test_same_report_as_per_pair_searches(self, case):
+        g, c = case
+        witnesses, failing = {}, None
+        for u in range(g.vertex_count):
+            for v in range(u + 1, g.vertex_count):
+                cert = find_rainbow_min_cut(g, c, u, v)
+                if cert is None:
+                    failing = (u, v)
+                    break
+                witnesses[(u, v)] = cert
+            if failing is not None:
+                break
+        report = is_srd_coloring(g, c)
+        assert report.failing_pair == failing
+        assert report.verdict == (failing is None)
+        assert report.witnesses == witnesses
 
 
 class TestOracleAgreement:
