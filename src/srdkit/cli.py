@@ -495,7 +495,7 @@ def _cmd_export_dot(args):
                     or not parts[1].isdecimal()
                 ):
                     raise ValueError
-                key = int(parts[1])  # also ValueError past int()'s digit limit
+                key = _int(parts[1])  # also ValueError past int()'s digit limit
             except ValueError:
                 raise _UsageError(f"bad roles line {lineno}: {raw!r}") from None
             table = vertex_labels if parts[0] == "vertex" else color_labels

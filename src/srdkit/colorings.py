@@ -75,8 +75,8 @@ def parse_coloring(text: str, edge_count: int | None = None) -> EdgeColoring:
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise GraphParseError("bad 'colors k' header", lineno)
             try:
-                declared = int(parts[1])
-            except ValueError:  # more digits than int() converts
+                declared = _int(parts[1])
+            except ValueError:  # not ASCII, or more digits than int() converts
                 raise GraphParseError("bad 'colors k' header", lineno) from None
             continue
         try:
@@ -603,7 +603,7 @@ def color_regular(g: Graph, budget: int = 5_000_000) -> EdgeColoring:
         return normalize_colors(greedy_fan_coloring(g))
 
 
-def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
+def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000, cut_lists=None):
     """Smallest nontrivial minimum cut over all vertex pairs of a connected
     graph, as the vertex side containing the pair's first vertex, or None
     when every minimum cut of every pair is some vertex star.
@@ -611,7 +611,8 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
     Deterministic: smallest (cut size, edge tuple, pair) wins.  Raises when
     a pair with ``limit`` or more minimum cuts, too many to enumerate
     exhaustively, has λ no larger than the best cut, because a cut missed
-    there could misclassify the graph.
+    there could misclassify the graph.  When ``cut_lists`` is a dict, each
+    pair (u, v), u < v, is keyed there to the certificates listed for it.
     """
     n = g.vertex_count
     stars = [frozenset(eid for _, eid in nb) for nb in g.adj]
@@ -620,6 +621,8 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000):
     for u in range(n):
         for v in range(u + 1, n):
             certs = enumerate_min_cuts(g, u, v, limit)
+            if cut_lists is not None:
+                cut_lists[(u, v)] = certs
             value = certs[0].value  # a pair always has a minimum cut
             if len(certs) >= limit:
                 if overflow is None or value < overflow[0]:
@@ -673,6 +676,13 @@ def color_general_upper(g: Graph, budget: int = 5_000_000) -> EdgeColoring:
     pair exists every minimum cut is a vertex star and a proper coloring
     suffices.
     """
+    return _general_upper(g, None, budget)
+
+
+def _general_upper(g: Graph, cut_lists, budget: int = 5_000_000) -> EdgeColoring:
+    """``color_general_upper``.  When ``cut_lists`` is a dict, it receives
+    the minimum-cut certificates the construction lists, keyed by pair
+    (u, v), u < v: every pair's unless the graph is a tree or a cactus."""
     if g.vertex_count < 3:
         raise ColoringError("needs at least 3 vertices")
     if not is_connected(g):
@@ -683,7 +693,7 @@ def color_general_upper(g: Graph, budget: int = 5_000_000) -> EdgeColoring:
         return color_cactus(g)
     m = g.edge_count
 
-    side = _min_nontrivial_pair_cut(g)
+    side = _min_nontrivial_pair_cut(g, cut_lists=cut_lists)
     if side is None:
         # every minimum cut is E_u or E_v; rainbow vertex stars suffice
         if g.has_parallel_edges():

@@ -8,7 +8,7 @@ equals the number of pairwise edge-disjoint u-v paths, i.e. lambda(u, v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, _reached, _walk
@@ -33,30 +33,6 @@ def _push(g: Graph, residual, s: int, t: int, tree):
         t = edges[arc >> 1][arc & 1]
 
 
-@dataclass
-class _PairEntry:
-    """What a pair store keeps for one ordered pair (s, t): the max flow,
-    and the cut tuples of the closed-set walk in the order it emitted them
-    with the limit it ran under."""
-
-    flow: tuple
-    emitted: list = field(default_factory=list)
-    walk_limit: int = -1  # no walk yet
-
-
-def _with_pair_store(g: Graph) -> Graph:
-    """A copy of ``g`` that keeps every pair's max flow and min-cut walk.
-
-    On the copy, ``_max_flow`` and ``enumerate_min_cuts`` compute each
-    ordered pair once and answer every
-    later request from that result, the same answer a fresh call gives.
-    The store lives and dies with the copy.
-    """
-    copy = Graph(g.vertex_count, g.edges)
-    object.__setattr__(copy, "_pair_store", {})
-    return copy
-
-
 def _max_flow(g: Graph, s: int, t: int):
     """Edmonds-Karp on the paired-arc network of G.
 
@@ -64,21 +40,8 @@ def _max_flow(g: Graph, s: int, t: int):
     capacity of arc a (0, 1 or 2) and tree is the walk of the last
     augmenting BFS, the one that fails to reach t: the vertices it reached
     are the source side of a minimum cut.  A max flow of G less some edges
-    is a repair of this one (``_max_flow_without``).  On a graph with a
-    pair store the flow is shared between calls, so no caller may change
-    ``residual`` in place.
+    is a repair of this one (``_max_flow_without``).
     """
-    store = g._pair_store
-    if store is None:
-        return _edmonds_karp(g, s, t)
-    entry = store.get((s, t))
-    if entry is None:
-        entry = store[(s, t)] = _PairEntry(_edmonds_karp(g, s, t))
-    return entry.flow
-
-
-def _edmonds_karp(g: Graph, s: int, t: int):
-    """``_max_flow`` computed afresh."""
     residual = _open_arcs(g)
     value = 0
     while True:
@@ -224,26 +187,13 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     vertex sets containing u and avoiding v (Picard-Queyranne), so we
     enumerate closed sets of the residual SCC condensation.  The list is
     sorted lexicographically by sorted EdgeId tuple and truncated at
-    ``limit`` (truncation keeps determinism but not completeness).
-
-    A fresh walk takes the first limit + 1 closed sets in a fixed order,
-    so on a graph with a pair store the prefix of a stored walk answers a
-    request as a fresh walk would.
+    ``limit`` (truncation keeps determinism but not completeness): the walk
+    stops after limit + 1 closed sets, in a fixed order.
     """
     _check_pair(g, u, v)
     limit = max(limit, 0)  # any limit <= 0 lists nothing
     value, residual, tree = _max_flow(g, u, v)
-    store = g._pair_store
-    entry = None if store is None else store[(u, v)]
-    # a stored walk serves any limit up to its own, and every limit if it
-    # finished before emitting its own limit + 1 sides
-    if entry is None or entry.walk_limit < min(limit, len(entry.emitted)):
-        emitted = _walk_min_cuts(g, u, v, residual, tree, limit)
-        if entry is not None:
-            entry.emitted, entry.walk_limit = emitted, limit
-    else:
-        emitted = entry.emitted
-    cuts = sorted(set(emitted[: limit + 1]))[:limit]
+    cuts = sorted(set(_walk_min_cuts(g, u, v, residual, tree, limit)))[:limit]
     return [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
 
 
@@ -351,11 +301,10 @@ def _flow_tree(g: Graph) -> tuple[list[int], list[int]]:
     path between u and v, found with n - 1 max flows.
 
     Returns (parent, weight): vertex s > 0 hangs off parent[s] < s with
-    weight[s] = λ(parent[s], s), read off ``_max_flow(g, parent[s], s)``, so
-    a pair store keeps each flow under its (u < v) key.  Every vertex starts
-    under 0; after the flow for s, each later vertex that shares s's parent
-    and lies on s's side of the flow's minimum cut (the side its last walk
-    did not reach) moves under s.
+    weight[s] = λ(parent[s], s), read off ``_max_flow(g, parent[s], s)``.
+    Every vertex starts under 0; after the flow for s, each later vertex
+    that shares s's parent and lies on s's side of the flow's minimum cut
+    (the side its last walk did not reach) moves under s.
     """
     n = g.vertex_count
     parent = [0] * n

@@ -21,11 +21,10 @@ class Graph:
 
     Parallel edges are permitted, self-loops are not.  EdgeId i refers to
     ``edges[i]``.  ``_arcs[x]`` lists x's (neighbour, arc) pairs in ``adj``
-    order for ``_bfs``.  ``_pair_store`` is None except on the private
-    copies made by ``connectivity._with_pair_store``.
+    order for ``_bfs``.
     """
 
-    __slots__ = ("vertex_count", "edges", "adj", "_arcs", "_pair_store")
+    __slots__ = ("vertex_count", "edges", "adj", "_arcs")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
@@ -48,7 +47,6 @@ class Graph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "adj", tuple(tuple(nb) for nb in adj))
         object.__setattr__(self, "_arcs", tuple(tuple(nb) for nb in arcs))
-        object.__setattr__(self, "_pair_store", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -100,9 +98,12 @@ def _multiplicity(g: Graph) -> int:
 
 
 def _int(token: str) -> int:
-    """``int(token)``, without the digit-group underscores int() accepts."""
-    if "_" in token:
-        raise ValueError(f"underscore in {token!r}")
+    """The integer that ``token`` spells in ASCII: an optional sign, then
+    decimal digits.  int() also reads digit-group underscores and non-ASCII
+    digits such as "٢"; here they raise ValueError, as other text does."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not an ASCII integer: {token!r}")
     return int(token)
 
 

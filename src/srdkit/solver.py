@@ -13,17 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .colorings import (
-    EdgeColoring,
-    color_by_blocks,
-    color_general_upper,
-    normalize_colors,
-)
-from .connectivity import (
-    _crossing_edges,
-    _with_pair_store,
-    enumerate_min_cuts,
-)
+from .colorings import EdgeColoring, _general_upper, color_by_blocks, normalize_colors
+from .connectivity import _crossing_edges, enumerate_min_cuts
 from .errors import BudgetExceededError, ColoringError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, blocks, is_connected
 from .verifier import is_rd_coloring, is_srd_coloring
@@ -70,20 +61,27 @@ def canonical_colorings(m: int, k: int):
         p += 1
 
 
-def _pair_cut_tables(g: Graph, mode: str):
+def _pair_cut_tables(g: Graph, mode: str, cut_lists):
     """Each pair's cuts (sorted EdgeId tuples) one rainbow member of which
     settles it, or None when a pair has more than ``DEFAULT_THRESHOLD``:
     minimum cuts for srd; for rd the bonds δ(S) with G[S] and G[V∖S]
     connected, enough as every cut contains one.  Bonds come from walking
     the 2^(n-1) sides that hold vertex 0, done only when that many fit in
-    the cap.  On a graph with a pair store the srd walks start from the max
-    flows the verifier left there."""
+    the cap.
+
+    The srd tables take a pair's minimum cuts from ``cut_lists``, the
+    certificates the construction listed ({(u, v): certs}, u < v), and walk
+    only the pairs it lacks.  Those lists ran to a larger limit, so they
+    give the same tables: a pair with at most ``DEFAULT_THRESHOLD`` cuts is
+    listed whole either way, and one with more overflows either way."""
     n = g.vertex_count
     pairs = list(itertools.combinations(range(n), 2))
     if mode == "srd":
         tables = []
         for u, v in pairs:
-            certs = enumerate_min_cuts(g, u, v, limit=DEFAULT_THRESHOLD + 1)
+            certs = cut_lists.get((u, v))
+            if certs is None:
+                certs = enumerate_min_cuts(g, u, v, limit=DEFAULT_THRESHOLD + 1)
             if len(certs) > DEFAULT_THRESHOLD:
                 return None
             tables.append(tuple(tuple(sorted(cert.cut)) for cert in certs))
@@ -189,14 +187,16 @@ def _search_level(g, tables, mode, k):
     return None, tested
 
 
-def _upper_bound_witness(g: Graph) -> tuple[EdgeColoring, int]:
+def _upper_bound_witness(g: Graph, cut_lists) -> tuple[EdgeColoring, int]:
     """A verified rainbow-min-cut coloring, preferring the constructive
     e-1 scheme and falling back to all-distinct colors (always valid), and
-    λ+(G), read off the verification: each pair's witness has λ(u, v) edges."""
+    λ+(G), read off the verification: each pair's witness has λ(u, v) edges.
+    The construction keeps the minimum cuts it lists in ``cut_lists`` when
+    that is a dict."""
     report = None
     if g.vertex_count >= 3:
         try:
-            cand = normalize_colors(color_general_upper(g))
+            cand = normalize_colors(_general_upper(g, cut_lists))
             report = is_srd_coloring(g, cand)
         except ColoringError:
             pass
@@ -210,25 +210,23 @@ def _upper_bound_witness(g: Graph) -> tuple[EdgeColoring, int]:
 def _solve(g, modes, max_edges) -> dict:
     """{mode: SolveResult} for each of ``modes`` ("srd", "rd").  The bound
     stage (the verified upper witness and λ+) runs once for all of them.
-    Within the edge budget everything runs on a copy of ``g`` with a pair
-    store, so the construction, the verifier and the srd tables share each
-    pair's max flow, and the construction and the tables its minimum cuts;
-    the tables keep those lists anyway."""
+    Within the edge budget the construction hands the minimum cuts it lists
+    to the srd tables, so each pair's cuts are walked once per solve; past
+    it no pair's list is kept, as the search does not run."""
     if g.vertex_count < 2:
         raise GraphStructureError("need at least two vertices")
     if not is_connected(g):
         raise GraphStructureError("solver requires a connected graph")
 
-    if g.edge_count <= max_edges:
-        g = _with_pair_store(g)
-    upper_witness, lower = _upper_bound_witness(g)
+    cut_lists = {} if g.edge_count <= max_edges else None
+    upper_witness, lower = _upper_bound_witness(g, cut_lists)
     upper = upper_witness.num_colors
     results = {}
     for mode in modes:
         if lower < upper and g.edge_count > max_edges:
             results[mode] = SolveResult(None, None, 0, lower, upper, False)
             continue
-        tables = _pair_cut_tables(g, mode) if lower < upper else None
+        tables = _pair_cut_tables(g, mode, cut_lists) if lower < upper else None
         value, witness, tested = upper, upper_witness, 0
         for k in range(lower, upper):
             found, used = _search_level(g, tables, mode, k)

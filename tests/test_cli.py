@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from srdkit import (
     SrdKitError,
+    all_connected_graphs,
     grid_graph,
     parse_coloring,
     parse_dimacs_cnf,
@@ -265,6 +267,13 @@ class TestColor:
         assert code == 2
         assert f"bad --sizes value {sizes!r}" in text
 
+    def test_sizes_with_non_ascii_digits_are_usage_errors(self):
+        # int() reads the Arabic-Indic digit "\u0662" as 2
+        sizes = "\u0662,\u0662"
+        code, text = run(["color", "--family", "multipartite", "--sizes", sizes])
+        assert code == 2
+        assert f"bad --sizes value {sizes!r}" in text
+
 
 class TestVerify:
     def test_tree_all_one_color_passes(self, path5_file, tmp_path):
@@ -325,7 +334,7 @@ class TestSolve:
     def test_both_modes_share_one_bound_stage(self, tmp_path, monkeypatch):
         # the upper witness is built and verified once, not once per mode
         calls = Counter()
-        for name in ("color_general_upper", "is_srd_coloring"):
+        for name in ("_general_upper", "is_srd_coloring"):
 
             def counted(*args, _name=name, _real=getattr(solver, name), **kwargs):
                 calls[_name] += 1
@@ -337,7 +346,7 @@ class TestSolve:
         code, text = run(["solve", "--mode", "both", str(grid)])
         assert code == 0
         assert "rd=3 srd=3" in text
-        assert calls == {"color_general_upper": 1, "is_srd_coloring": 1}
+        assert calls == {"_general_upper": 1, "is_srd_coloring": 1}
 
     @pytest.mark.parametrize(
         "graph, extra",
@@ -428,6 +437,23 @@ class TestScan:
             text.splitlines()[-1]
             == "summary graphs=112 equal=112 budget=0 counterexamples=0"
         )
+
+    def test_census_solve_reports_are_the_recorded_ones(self, tmp_path, monkeypatch):
+        # census_solve.txt holds, for every connected graph on 2-6 vertices,
+        # "# <file> exit <code>" and then the report of
+        # solve --mode both --json --max-edges 11 on that file
+        monkeypatch.chdir(tmp_path)
+        chunks = []
+        for n in range(2, 7):
+            for i, g in enumerate(all_connected_graphs(n)):
+                name = f"n{n}-{i:03d}.graph"
+                (tmp_path / name).write_text(serialize_graph(g))
+                code, text = run(
+                    ["solve", name, "--mode", "both", "--json", "--max-edges", "11"]
+                )
+                chunks.append(f"# {name} exit {code}\n{text}")
+        recorded = (Path(__file__).parent / "census_solve.txt").read_bytes()
+        assert "".join(chunks).encode() == recorded
 
     def test_out_file_matches_stdout(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -603,6 +629,14 @@ class TestExportDot:
         code, text = run(["export-dot", k4_file, "--roles", str(roles)])
         assert code == 2
         assert text == "error: bad roles line 2: 'vertex x foo'\n"
+
+    def test_non_ascii_roles_id_is_usage_error(self, k4_file, tmp_path):
+        # int() reads the Arabic-Indic digit "\u0662" as 2
+        roles = tmp_path / "r.txt"
+        roles.write_text("vertex \u0662 X\n", encoding="utf-8")
+        code, text = run(["export-dot", k4_file, "--roles", str(roles)])
+        assert code == 2
+        assert text == "error: bad roles line 1: 'vertex \u0662 X'\n"
 
     def test_overlong_roles_id_is_usage_error(self, k4_file, tmp_path):
         # more digits than int() converts

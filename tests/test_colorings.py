@@ -94,6 +94,18 @@ class TestColoringIO:
         with pytest.raises(GraphParseError, match="line 3"):
             parse_coloring("colors 3\n1\n1_0\n")
 
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("colors \u0662\n1\n2\n", "bad 'colors k' header"),
+            ("colors 2\n1\n\u0662\n", "line 3"),
+        ],
+    )
+    def test_rejects_non_ascii_digits(self, text, fragment):
+        # int() reads the Arabic-Indic digit "\u0662" as 2
+        with pytest.raises(GraphParseError, match=fragment):
+            parse_coloring(text, 2)
+
     def test_normalize_renumbers_by_first_use(self):
         c = normalize_colors(EdgeColoring((7, 3, 7, 9)))
         assert c.colors == (1, 2, 1, 3)

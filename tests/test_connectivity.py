@@ -15,7 +15,6 @@ from srdkit.connectivity import (
     _lambda_rows,
     _max_flow,
     _walk_min_cuts,
-    _with_pair_store,
     count_min_cuts,
     edge_connectivity,
     enumerate_min_cuts,
@@ -194,9 +193,8 @@ def walk_graphs(draw):
 
 class TestWalkEmissionOrder:
     """The min-cut walk that reads its forced sides off the flow emits the
-    same cuts in the same order as the walk with a full SCC pass: a prefix
-    of that list serves pair-store requests, and a truncated enumeration is
-    taken from it."""
+    same cuts in the same order as the walk with a full SCC pass: a
+    truncated enumeration is taken from that list."""
 
     @settings(max_examples=60, deadline=None)
     @given(walk_graphs())
@@ -357,46 +355,6 @@ def multigraph_pairs(draw):
     u = draw(vertex)
     v = draw(vertex.filter(lambda x: x != u))
     return Graph(n, edges), u, v
-
-
-@st.composite
-def store_requests(draw):
-    """A multigraph on 2-8 vertices, not always connected, and the limits
-    1-5 and 10,001 in a drawn order."""
-    n = draw(st.integers(2, 8))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=14))
-    limits = draw(st.permutations([1, 2, 3, 4, 5, 10_001]))
-    return Graph(n, edges), limits
-
-
-class TestPairStore:
-    """A graph with a pair store answers every flow and min-cut request as a
-    fresh call on the plain graph would, whatever order the limits come in."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(store_requests())
-    def test_matches_fresh_calls(self, case):
-        g, limits = case
-        stored = _with_pair_store(g)
-        for u in range(g.vertex_count):
-            for v in range(g.vertex_count):
-                if u == v:
-                    continue
-                for limit in limits:
-                    certs = enumerate_min_cuts(stored, u, v, limit)
-                    assert certs == enumerate_min_cuts(g, u, v, limit), (u, v, limit)
-                flow = _max_flow(g, u, v)
-                assert _max_flow(stored, u, v) == flow
-                assert local_edge_connectivity(stored, u, v) == flow[0]
-        assert g._pair_store is None
-
-    def test_larger_limit_after_an_early_stop_walks_again(self):
-        g = cycle_graph(12)
-        stored = _with_pair_store(g)
-        assert len(enumerate_min_cuts(stored, 0, 6, limit=20)) == 20
-        assert enumerate_min_cuts(stored, 0, 6, limit=5) == enumerate_min_cuts(g, 0, 6, limit=5)
-        assert len(enumerate_min_cuts(stored, 0, 6)) == 36
 
 
 @st.composite

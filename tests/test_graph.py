@@ -106,6 +106,9 @@ class TestParsing:
             ("3 1 9\n", "line 1"),
             ("1_1 0\n", "line 1"),  # int("1_1") is 11
             ("11 1\n0 1_0\n", "line 2"),
+            # Arabic-Indic digits, which int() reads as 2, 1 and 0
+            ("\u0662 \u0661\n\u0660 \u0661\n", "line 1"),
+            ("2 1\n0 \u0661\n", "line 2"),
         ],
     )
     def test_parse_errors_name_the_line(self, text, fragment):

@@ -111,6 +111,18 @@ class TestParseDimacs:
         with pytest.raises(ReductionError, match=message):
             parse_dimacs_cnf(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf \u0663 1\n1 -2 3 0\n", "malformed header"),
+            ("p cnf 3 1\n1 -2 \u0663 0\n", "non-integer token"),
+        ],
+    )
+    def test_rejects_non_ascii_digits(self, text, message):
+        # int() reads the Arabic-Indic digit "\u0663" as 3
+        with pytest.raises(ReductionError, match=message):
+            parse_dimacs_cnf(text)
+
     def test_out_of_range_literal(self):
         with pytest.raises(ReductionError):
             parse_dimacs_cnf("p cnf 2 1\n1 2 3 0")

@@ -291,11 +291,14 @@ class TestAllConnectedGraphs:
 
 
 class TestConjectureScan:
-    GRAPHS = [
-        *(g for n in (2, 3, 4, 5) for g in all_connected_graphs(n)),
+    MULTIGRAPHS = [
         Graph(2, [(0, 1), (0, 1), (1, 0)]),
         Graph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (1, 2)]),
         Graph(4, [(0, 1), (1, 2), (1, 2), (2, 3), (3, 0), (0, 2)]),
+    ]
+    GRAPHS = [
+        *(g for n in (2, 3, 4, 5) for g in all_connected_graphs(n)),
+        *MULTIGRAPHS,
         K4_PENDANT,
     ]
 
@@ -325,8 +328,29 @@ class TestConjectureScan:
         modes = ("rd", "srd")
         tabled = [solver._solve(g, modes, 12) for g in self.GRAPHS]
         monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 0)
-        assert all(_pair_cut_tables(g, mode) is None for g in self.GRAPHS for mode in modes)
+        assert all(_pair_cut_tables(g, mode, {}) is None for g in self.GRAPHS for mode in modes)
         assert [solver._solve(g, modes, 12) for g in self.GRAPHS] == tabled
+
+    @pytest.mark.parametrize("cap", [DEFAULT_THRESHOLD, 0, 1, 2])
+    def test_handed_lists_give_what_fresh_tables_give(self, monkeypatch, cap):
+        # the construction lists up to 200,000 cuts a pair, a fresh table
+        # walk cap + 1: the srd tables, and so the solves, are the same
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", cap)
+        real = solver._pair_cut_tables
+        graphs = [g for n in range(2, 7) for g in all_connected_graphs(n)]
+        for g in graphs + self.MULTIGRAPHS:
+            cut_lists = {}
+            solver._upper_bound_witness(g, cut_lists)
+            fresh = real(g, "srd", {})
+            assert real(g, "srd", cut_lists) == fresh, g
+            if fresh is None:
+                continue  # both solves take the verifier path
+            handed = solver._solve(g, ("srd",), 12)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    solver, "_pair_cut_tables", lambda g, mode, _: real(g, mode, {})
+                )
+                assert solver._solve(g, ("srd",), 12) == handed, g
 
     def test_budget_overrun_is_flagged_not_dropped(self):
         records = conjecture_scan([cycle_graph(4), complete_graph(6)])
@@ -397,50 +421,68 @@ class TestLambdaPlus:
         # a construction that fails verification leaves the all-distinct
         # coloring, whose certificates then give λ+
         monkeypatch.setattr(
-            solver, "color_general_upper", lambda g: EdgeColoring((1,) * g.edge_count)
+            solver, "_general_upper", lambda g, cut_lists: EdgeColoring((1,) * g.edge_count)
         )
         res = srd_number(complete_graph(4))
         assert (res.value, res.lower_bound, res.upper_bound) == (3, 3, 6)
 
 
-class TestPairStore:
-    """Within the edge budget the solver works on a copy of the graph with a
-    pair store: each pair's max flow and min-cut walk run once per solve."""
+class TestCutListHandOver:
+    """Within the edge budget the construction hands the minimum cuts it
+    lists to the srd tables, so each pair's cuts are walked once per solve;
+    past the budget no pair's list is kept."""
 
     @staticmethod
     def spy(monkeypatch):
-        """Per kind ("flow", "walk"): (stored?, pair) of each computation."""
-        seen = {"flow": Counter(), "walk": Counter()}
-        for kind, name in (("flow", "_edmonds_karp"), ("walk", "_walk_min_cuts")):
-            real = getattr(connectivity, name)
+        """(edges, pair) of each min-cut walk."""
+        walks = Counter()
+        real = connectivity._walk_min_cuts
 
-            def counted(g, s, t, *args, _kind=kind, _real=real):
-                seen[_kind][(g._pair_store is not None, (s, t))] += 1
-                return _real(g, s, t, *args)
+        def counted(g, s, t, *args):
+            walks[(g.edges, (s, t))] += 1
+            return real(g, s, t, *args)
 
-            monkeypatch.setattr(connectivity, name, counted)
-        return seen
+        monkeypatch.setattr(connectivity, "_walk_min_cuts", counted)
+        return walks
 
-    def test_solve_both_on_the_grid_runs_each_pair_once(self, monkeypatch, tmp_path):
-        seen = self.spy(monkeypatch)
+    def test_solve_both_on_the_grid_walks_each_pair_once(self, monkeypatch, tmp_path):
+        walks = self.spy(monkeypatch)
+        g = grid_graph(2, 3)
         path = tmp_path / "grid.txt"
-        path.write_text(serialize_graph(grid_graph(2, 3)))
+        path.write_text(serialize_graph(g))
         code, text = run(["solve", str(path), "--mode", "both"])
         assert (code, text.splitlines()[2]) == (0, "rd=3 srd=3")
-        pairs = {(True, p): 1 for p in itertools.combinations(range(6), 2)}
-        assert seen["walk"] == pairs
-        assert seen["flow"] == pairs
+        assert walks == {(g.edges, p): 1 for p in itertools.combinations(range(6), 2)}
 
-    @pytest.mark.parametrize("max_edges, stored", [(5, False), (6, True)])
-    def test_only_within_the_edge_budget(self, monkeypatch, max_edges, stored):
+    @pytest.mark.parametrize("max_edges, kept", [(5, False), (6, True)])
+    def test_only_within_the_edge_budget(self, monkeypatch, max_edges, kept):
         # K4 has 6 edges, and λ+ = 3 < 4 colors from the construction
-        seen = self.spy(monkeypatch)
+        walks = self.spy(monkeypatch)
+        handed = []
+        real = solver._upper_bound_witness
+
+        def counted(g, cut_lists):
+            handed.append(cut_lists)
+            return real(g, cut_lists)
+
+        monkeypatch.setattr(solver, "_upper_bound_witness", counted)
         g = complete_graph(4)
         res = srd_number(g, max_edges)
-        assert res.complete == stored and (res.lower_bound, res.upper_bound) == (3, 4)
-        keys = seen["flow"] + seen["walk"]
-        assert keys and {key[0] for key in keys} == {stored}
-        assert g._pair_store is None
+        assert res.complete == kept and (res.lower_bound, res.upper_bound) == (3, 4)
+        pairs = list(itertools.combinations(range(4), 2))
+        assert walks == {(g.edges, p): 1 for p in pairs}
+        (cut_lists,) = handed
+        if kept:
+            assert sorted(cut_lists) == pairs
+        else:
+            assert cut_lists is None
+
+    def test_census_walks_each_pair_at_most_once(self, monkeypatch):
+        # the tables walk only the pairs the construction did not list
+        walks = self.spy(monkeypatch)
+        conjecture_scan(all_connected_graphs(6), max_edges=11)
+        assert sum(walks.values()) == 1_335
+        assert set(walks.values()) == {1}
 
 
 class TestPrunedSearch:
@@ -487,9 +529,9 @@ class TestPrunedSearch:
         # a cut of pair (0, 2) but not a bond
         g = path_graph(3)
         monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 4)
-        assert _pair_cut_tables(g, "rd") == [[(0,)], [(0,), (1,)], [(1,)]]
+        assert _pair_cut_tables(g, "rd", {}) == [[(0,)], [(0,), (1,)], [(1,)]]
         monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 3)
-        assert _pair_cut_tables(g, "rd") is None  # 2^(n-1) sides > 3
+        assert _pair_cut_tables(g, "rd", {}) is None  # 2^(n-1) sides > 3
 
 
 class TestDeepSearch:
@@ -506,7 +548,7 @@ class TestDeepSearch:
                 assert res.complete
 
     def test_the_recursive_search_would_not(self):
-        tables = _pair_cut_tables(self.G, "srd")
+        tables = _pair_cut_tables(self.G, "srd", {})
         with shallow_recursion_limit():
             with pytest.raises(RecursionError):
                 reference_search_level(self.G, tables, "srd", 266)
@@ -529,7 +571,7 @@ class TestSearchLevelAgainstReference:
     def test_same_witness_and_count(self, mode):
         for g in self.GRAPHS:
             upper = srd_number(g).upper_bound
-            for tables in (_pair_cut_tables(g, mode), None):
+            for tables in (_pair_cut_tables(g, mode, {}), None):
                 for k in range(1, upper + 1):
                     got = _search_level(g, tables, mode, k)
                     want = reference_search_level(g, tables, mode, k)
