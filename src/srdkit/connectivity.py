@@ -1,4 +1,5 @@
-"""Local edge connectivity, minimum-cut certificates and min-cut enumeration.
+"""Local edge connectivity, minimum-cut certificates, min-cut enumeration and
+the Gomory-Hu cut tree.
 
 Everything runs on the unit-capacity flow network obtained by replacing each
 undirected edge with a pair of opposing arcs (arc 2e goes edges[e][0] ->
@@ -295,58 +296,103 @@ def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:
     return len(enumerate_min_cuts(g, u, v, limit=cap + 1))
 
 
-def _flow_tree(g: Graph) -> tuple[list[int], list[int]]:
-    """Gusfield's equivalent-flow tree ("Very simple methods for all pairs
-    network flow analysis", 1990): λ(u, v) is the least weight on the tree
-    path between u and v, found with n - 1 max flows.
+def _cut_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Gusfield's Gomory-Hu cut tree ("Very simple methods for all pairs
+    network flow analysis", 1990; Gomory and Hu 1961), from n - 1 max flows.
 
-    Returns (parent, weight): vertex s > 0 hangs off parent[s] < s with
-    weight[s] = λ(parent[s], s), read off ``_max_flow(g, parent[s], s)``.
-    Every vertex starts under 0; after the flow for s, each later vertex
-    that shares s's parent and lies on s's side of the flow's minimum cut
-    (the side its last walk did not reach) moves under s.
+    Returns (parent, weight): the root 0 has parent[0] = 0, and every other
+    vertex s hangs off parent[s] by a tree edge of weight[s].  Deleting that
+    edge splits V in two, and the edges of G between the parts (``_tree_cuts``)
+    form a minimum cut of weight[s] edges for s and parent[s].  So for any
+    pair u, v the cut of a least-weight edge on their tree path is a
+    minimum u-v cut, and λ(u, v) is that least weight.
+
+    Every vertex starts under 0.  For s = 1, ..., n - 1, with t = parent[s],
+    ``_max_flow(g, s, t)`` gives weight[s], and X, what its last walk
+    reached, is the smallest source side of a minimum s-t cut.  Every other
+    vertex under t that lies in X moves under s; then, if t's own parent
+    lies in X, s takes t's place under it, and s and t swap weights.
     """
     n = g.vertex_count
     parent = [0] * n
     weight = [0] * n  # weight[0] is unused
     for s in range(1, n):
         t = parent[s]
-        weight[s], _, tree = _max_flow(g, t, s)
-        for i in range(s + 1, n):
-            if parent[i] == t and tree[i] is None:
+        weight[s], _, side = _max_flow(g, s, t)
+        for i in range(n):
+            if parent[i] == t and side[i] is not None and i != s:
                 parent[i] = s
+        if side[parent[t]] is not None:
+            parent[s], parent[t] = parent[t], s
+            weight[s], weight[t] = weight[t], weight[s]
     return parent, weight
 
 
-def _lambda_rows(g: Graph):
-    """λ(u, ·) for u = 0, 1, ..., n - 1, one row per u: row[v] = λ(u, v)
-    for v != u, from one walk of ``_flow_tree``'s tree; row[u] is None.
-    The tree is built when the first row is asked for."""
+def _tree_cuts(g: Graph, parent) -> list[frozenset[int]]:
+    """The fundamental cuts of ``_cut_tree``'s tree: cuts[s] holds the edges
+    of G between the vertices under s (s included) and the rest, for s > 0;
+    cuts[0] is empty.  Each edge walks up the tree from both ends until they
+    meet, joining the cut of every tree edge it passes."""
     n = g.vertex_count
-    parent, weight = _flow_tree(g)
+    depth = [None] * n
+    depth[0] = 0
+    for x in range(n):
+        path = []
+        while depth[x] is None:
+            path.append(x)
+            x = parent[x]
+        for y in reversed(path):
+            depth[y] = depth[x] + 1
+            x = y
+    cuts: list[list[int]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(g.edges):
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            cuts[a].append(e)
+            a = parent[a]
+    return [frozenset(cut) for cut in cuts]
+
+
+def _lambda_rows(parent, weight, marked):
+    """One walk of the tree (parent, weight) from each u = 0, 1, ..., n - 1,
+    yielding (low, first) per u.  For v != u, low[v] is the least weight on
+    the tree path from u to v, λ(u, v) for ``_cut_tree``'s tree, and
+    first[v] is the first tree edge on that path, seen from u, that has
+    that least weight and is marked, or None.  A tree edge is named by its
+    child end s, so it is (s, parent[s]), and marked[s] says whether it is
+    marked.  low[u] and first[u] are None."""
+    n = len(parent)
     links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s in range(1, n):
-        links[s].append((parent[s], weight[s]))
-        links[parent[s]].append((s, weight[s]))
+        links[s].append((parent[s], s))
+        links[parent[s]].append((s, s))
     for u in range(n):
-        row = [None] * n
-        stack = [(u, -1, None)]  # vertex, the one it was reached from, path min
+        low, first = [None] * n, [None] * n
+        stack = [(u, -1, None, None)]  # vertex, the one it came from, low, first
         while stack:
-            x, prev, low = stack.pop()
-            row[x] = low
-            for y, w in links[x]:
-                if y != prev:
-                    stack.append((y, x, w if low is None else min(low, w)))
-        yield row
+            x, prev, least, edge = stack.pop()
+            low[x], first[x] = least, edge
+            for y, s in links[x]:
+                if y == prev:
+                    continue
+                w = weight[s]
+                if least is None or w < least:
+                    stack.append((y, x, w, s if marked[s] else None))
+                elif w == least and edge is None and marked[s]:
+                    stack.append((y, x, least, s))
+                else:
+                    stack.append((y, x, least, edge))
+        yield low, first
 
 
 def _tree_weights(g: Graph) -> list[int]:
-    """The weights of ``_flow_tree``'s n - 1 edges.  λ(G) is the least and
+    """The weights of ``_cut_tree``'s n - 1 edges.  λ(G) is the least and
     λ+(G) the greatest: a pair's λ is a least weight on its path, and the
     two ends of each tree edge attain that edge's weight."""
     if g.vertex_count < 2:
         raise GraphStructureError("upper edge connectivity needs two vertices")
-    return _flow_tree(g)[1][1:]
+    return _cut_tree(g)[1][1:]
 
 
 def edge_connectivity(g: Graph) -> int:

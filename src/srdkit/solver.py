@@ -17,7 +17,12 @@ from .colorings import EdgeColoring, _general_upper, color_by_blocks, normalize_
 from .connectivity import _crossing_edges, enumerate_min_cuts
 from .errors import BudgetExceededError, ColoringError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, blocks, is_connected
-from .verifier import is_rd_coloring, is_srd_coloring
+from .verifier import (
+    _cut_tree_with_cuts,
+    _verify_pairs,
+    is_rd_coloring,
+    is_srd_coloring,
+)
 
 DEFAULT_MAX_EDGES = 12
 DEFAULT_THRESHOLD = 10_000  # the most cuts a pair's table may hold
@@ -128,11 +133,12 @@ def _search_level(g, tables, mode, k):
     colors = [0] * m
     tested = 0
 
+    # the verifier's cut tree depends on G alone: one serves every leaf
+    tree = _cut_tree_with_cuts(g) if tables is None else None
+
     def verified() -> bool:
         c = EdgeColoring(tuple(colors))
-        if mode == "srd":
-            return is_srd_coloring(g, c).verdict
-        return is_rd_coloring(g, c).verdict
+        return _verify_pairs(g, c, mode == "srd", None, tree).verdict
 
     # Restricted-growth prefixes on an explicit stack, as in
     # canonical_colorings.  colors[p] sets its bit in each live cut through p

@@ -1,13 +1,16 @@
 """Decide whether an edge-colored graph has rainbow (minimum) cuts for
 every vertex pair.
 
-One color-class DFS answers both questions: it picks at most one edge per
-color along live shortest paths and prunes any state that cannot be
-completed within a size cap.  The cap is λ(u, v) for a rainbow minimum cut
-(srd) and the number of colors for a rainbow cut of any size (rd).
-``is_srd_coloring`` reads every pair's λ off one equivalent-flow tree of
-n - 1 max flows; ``find_rainbow_min_cut`` reads it off the pair's own max
-flow and hands that flow to the search.  Every search follows one rule: a
+``is_srd_coloring`` and ``is_rd_coloring`` build one Gomory-Hu cut tree of
+n - 1 max flows.  It gives every pair's λ, and its n - 1 cuts are minimum
+cuts for the pairs whose tree paths they lie on, so each is tested for
+rainbowness once and settles those pairs it can.  A pair it leaves open
+runs one color-class DFS, which answers both questions: it picks at most
+one edge per color along live shortest paths and prunes any state that
+cannot be completed within a size cap.  The cap is λ(u, v) for a rainbow
+minimum cut (srd) and the number of colors for a rainbow cut of any size
+(rd).  ``find_rainbow_min_cut`` reads λ off the pair's own max flow and
+hands that flow to the search.  Every search follows one rule: a
 state runs no flow while the degrees of u and v in G - chosen settle its
 prune, the first state where they do not takes G's max flow (at most one
 per search) and repairs it along its chosen edges, and every state below
@@ -21,15 +24,16 @@ prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .colorings import EdgeColoring, check_coloring_fits
 from .connectivity import (
     CutCertificate,
     _check_pair,
+    _cut_tree,
     _lambda_rows,
     _max_flow,
     _max_flow_without,
+    _tree_cuts,
 )
 from .errors import BudgetExceededError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, is_connected
@@ -40,7 +44,8 @@ class SearchStats:
     """Mutable counters a caller can pass in to observe search effort."""
 
     nodes: int = 0  # DFS states visited
-    enumerated: int = 0  # stays 0: every pair search runs the DFS
+    settled: int = 0  # pairs a cut of the verifier's cut tree settled
+    enumerated: int = 0  # stays 0: no pair search lists minimum cuts
 
 
 @dataclass(frozen=True)
@@ -226,24 +231,51 @@ def find_rainbow_cut(
     return _dfs_rainbow_cut(g, c, u, v, len(c.distinct_colors()), stats)
 
 
-def _verify_pairs(g: Graph, c: EdgeColoring, caps, stats) -> VerificationReport:
-    """Search every pair in lexicographic order for a rainbow cut within
-    its cap and report the first pair without one; on success every pair
-    carries its cut as a certificate.  ``caps`` yields one row per u, and
-    row[v] caps the pair (u, v); it is read only after the checks."""
+def _cut_tree_with_cuts(g: Graph):
+    """(parent, weight, cuts) of ``_cut_tree`` and ``_tree_cuts``: all the
+    verifier needs of G besides the coloring."""
+    parent, weight = _cut_tree(g)
+    return parent, weight, _tree_cuts(g, parent)
+
+
+def _verify_pairs(
+    g: Graph, c: EdgeColoring, srd: bool, stats, tree=None
+) -> VerificationReport:
+    """Check every pair in lexicographic order for a rainbow cut, minimum
+    for srd, and report the first pair without one; on success every pair
+    carries its cut as a certificate.
+
+    The n - 1 cuts of one Gomory-Hu cut tree, ``tree`` from
+    ``_cut_tree_with_cuts`` or built here, are tested for rainbowness
+    first.  A pair is settled by the first rainbow tree cut on its tree
+    path, seen from the smaller vertex, that for srd is also of least
+    weight there, so of λ(u, v) edges.  Every other pair runs the DFS,
+    capped at λ(u, v) for srd and at the number of colors for rd.  A
+    settled pair has a cut, so the pair reported as failing is the first
+    one whose DFS finds none."""
     check_coloring_fits(g, c)
     if not is_connected(g):
         raise GraphStructureError("graph must be connected")
     stats = stats if stats is not None else SearchStats()
-    witnesses = {}
     n = g.vertex_count
-    for u, row in zip(range(n - 1), caps):
+    parent, weight, cuts = tree or _cut_tree_with_cuts(g)
+    rainbow = [is_rainbow(c, cut) for cut in cuts]
+    if not srd:
+        # any rainbow cut on the path will do: let every tree edge be least
+        cap = len(c.distinct_colors())  # a rainbow cut has one edge per color
+        weight = [0] * n
+    witnesses = {}
+    for u, (low, first) in zip(range(n - 1), _lambda_rows(parent, weight, rainbow)):
         for v in range(u + 1, n):
-            cut = _dfs_rainbow_cut(g, c, u, v, row[v], stats)
-            if cut is None:
-                return VerificationReport(
-                    verdict=False, witnesses=witnesses, failing_pair=(u, v)
-                )
+            if first[v] is not None:
+                stats.settled += 1
+                cut = cuts[first[v]]
+            else:
+                cut = _dfs_rainbow_cut(g, c, u, v, low[v] if srd else cap, stats)
+                if cut is None:
+                    return VerificationReport(
+                        verdict=False, witnesses=witnesses, failing_pair=(u, v)
+                    )
             witnesses[(u, v)] = CutCertificate(pair=(u, v), cut=cut, value=len(cut))
     return VerificationReport(verdict=True, witnesses=witnesses)
 
@@ -254,12 +286,14 @@ def is_srd_coloring(
     """Does every vertex pair have a rainbow minimum cut?
 
     Pairs are scanned in lexicographic order and the first failing pair is
-    reported; on success every pair carries its witness certificate.  Each
-    pair's DFS is capped at λ(u, v), read off the equivalent-flow tree, so
-    a verification runs n - 1 max flows for the caps, and the DFS takes
-    G's flow for a pair only where the degrees leave a prune open.
+    reported; on success every pair carries its witness certificate.  One
+    Gomory-Hu cut tree of n - 1 max flows gives every pair's λ(u, v) and
+    n - 1 minimum cuts; a pair whose tree path has a rainbow one among its
+    least-weight edges takes it as its witness.  Only the other pairs run
+    the DFS capped at λ(u, v), which takes G's flow for a pair only where
+    the degrees leave a prune open.
     """
-    return _verify_pairs(g, c, _lambda_rows(g), stats)
+    return _verify_pairs(g, c, True, stats)
 
 
 def is_rd_coloring(
@@ -267,6 +301,9 @@ def is_rd_coloring(
     c: EdgeColoring,
     stats: SearchStats | None = None,
 ) -> VerificationReport:
-    """Does every vertex pair have a rainbow cut of some size?"""
-    cap = len(c.distinct_colors())  # a rainbow cut has at most one edge per color
-    return _verify_pairs(g, c, repeat([cap] * g.vertex_count), stats)
+    """Does every vertex pair have a rainbow cut of some size?
+
+    As ``is_srd_coloring``, but any rainbow tree cut on a pair's tree path
+    settles it, and the DFS for the other pairs is capped at the number of
+    colors instead of λ(u, v)."""
+    return _verify_pairs(g, c, False, stats)

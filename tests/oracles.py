@@ -8,8 +8,10 @@ runs the package's max flow from zero at every state on G rebuilt without
 the chosen edges (``lambda_without``),
 ``reference_rainbow_min_cut_by_enumeration``, the verifier's former srd
 pair check that tested the listed minimum cuts one by one,
+``reference_verify``, the verifier's former pair loop, which runs that DFS
+for every pair instead of first trying the cuts of a Gomory-Hu cut tree,
 ``reference_edge_connectivity`` and ``reference_upper_edge_connectivity``,
-λ and λ+ with one max flow per pair instead of the equivalent-flow tree,
+λ and λ+ with one max flow per pair instead of the cut tree,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
 counting prune, ``reference_connected_graphs``, the isomorphism census
 without orbit marking, ``reference_canonical_colorings`` and
@@ -28,8 +30,9 @@ its degrees, and ``reference_multiplicity``, a per-pair count in a dict.
 from collections import deque
 from itertools import combinations, permutations
 
-from srdkit.colorings import EdgeColoring
+from srdkit.colorings import EdgeColoring, check_coloring_fits
 from srdkit.connectivity import (
+    CutCertificate,
     _crossing_edges,
     _tarjan_scc,
     enumerate_min_cuts,
@@ -42,7 +45,13 @@ from srdkit.errors import (
     NotBipartiteError,
 )
 from srdkit.graph import Graph, blocks, is_connected
-from srdkit.verifier import is_rd_coloring, is_srd_coloring
+from srdkit.verifier import (
+    SearchStats,
+    VerificationReport,
+    _dfs_rainbow_cut,
+    is_rd_coloring,
+    is_srd_coloring,
+)
 
 
 def _component_labels(n, edges, excluded=frozenset()):
@@ -279,6 +288,28 @@ def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
         if _rainbow(colors, cert.cut):
             return cert
     return None
+
+
+def reference_verify(g, c, mode, stats=None):
+    """The verifier's pair loop before its cut tree: the rainbow-cut DFS for
+    every pair in lexicographic order, capped at λ(u, v) from one max flow
+    per pair for ``mode`` "srd" and at the number of colors for "rd".
+    Returns the VerificationReport the verifier would give: the first pair
+    without a cut fails, and each pair before it carries the DFS's cut."""
+    check_coloring_fits(g, c)
+    if not is_connected(g):
+        raise GraphStructureError("graph must be connected")
+    stats = stats if stats is not None else SearchStats()
+    cap = len(c.distinct_colors())
+    witnesses = {}
+    for u, v in combinations(range(g.vertex_count), 2):
+        if mode == "srd":
+            cap = local_edge_connectivity(g, u, v)
+        cut = _dfs_rainbow_cut(g, c, u, v, cap, stats)
+        if cut is None:
+            return VerificationReport(False, witnesses, (u, v))
+        witnesses[(u, v)] = CutCertificate((u, v), cut, len(cut))
+    return VerificationReport(True, witnesses)
 
 
 def reference_edge_connectivity(g):

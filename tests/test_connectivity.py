@@ -11,9 +11,10 @@ except ImportError:
 
 from srdkit import connectivity
 from srdkit.connectivity import (
-    _flow_tree,
+    _cut_tree,
     _lambda_rows,
     _max_flow,
+    _tree_cuts,
     _walk_min_cuts,
     count_min_cuts,
     edge_connectivity,
@@ -373,15 +374,35 @@ def tree_multigraphs(draw):
     return Graph(n, edges)
 
 
+def _lambda_table(g):
+    """λ(u, ·) for every u, read off ``_cut_tree``'s tree."""
+    parent, weight = _cut_tree(g)
+    return [low for low, _ in _lambda_rows(parent, weight, [False] * len(parent))]
+
+
+def _tree_edges(parent):
+    """The cut tree's edges as (s, parent[s]) for s > 0, after checking that
+    they form a tree rooted at 0: every chain of parents reaches 0."""
+    n = len(parent)
+    assert n == 0 or parent[0] == 0
+    for s in range(n):
+        x, steps = s, 0
+        while x != 0:
+            x, steps = parent[x], steps + 1
+            assert steps < n, ("parent cycle", parent)
+    return [(s, parent[s]) for s in range(1, n)]
+
+
 class TestFlowTree:
-    """Gusfield's equivalent-flow tree: n - 1 max flows, each keyed
-    (parent[s], s) with parent[s] < s, give λ(u, v) for every pair."""
+    """Gusfield's Gomory-Hu cut tree: n - 1 max flows, the one for s keyed
+    (s, t) with t s's parent at that time, give λ(u, v) for every pair, and
+    each tree edge's cut is a minimum cut for its two ends."""
 
     @settings(max_examples=150, deadline=None)
     @given(tree_multigraphs())
     def test_rows_match_pairwise_flows(self, g):
         n = g.vertex_count
-        rows = list(_lambda_rows(g))
+        rows = _lambda_table(g)
         assert len(rows) == n
         for u, row in enumerate(rows):
             assert row[u] is None
@@ -399,7 +420,7 @@ class TestFlowTree:
     def test_matches_oracle_exhaustively_n4(self):
         for n, edges in all_labeled_graphs(4, connected_only=False):
             g = Graph(n, edges)
-            for u, row in enumerate(_lambda_rows(g)):
+            for u, row in enumerate(_lambda_table(g)):
                 for v in range(u + 1, n):
                     assert row[v] == oracle_lambda(n, edges, u, v), (edges, u, v)
 
@@ -409,12 +430,57 @@ class TestFlowTree:
         with mock.patch.object(
             connectivity, "_max_flow", wraps=connectivity._max_flow
         ) as spy:
-            parent, weight = _flow_tree(g)
+            parent, weight = _cut_tree(g)
         flows = [call.args[1:] for call in spy.call_args_list]
-        assert flows == [(parent[s], s) for s in range(1, g.vertex_count)]
-        for s in range(1, g.vertex_count):
-            assert parent[s] < s
-            assert weight[s] == local_edge_connectivity(g, parent[s], s)
+        assert [s for s, _ in flows] == list(range(1, g.vertex_count))
+        for s, t in _tree_edges(parent):
+            assert weight[s] == local_edge_connectivity(g, s, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_multigraphs())
+    def test_each_tree_cut_is_a_minimum_cut_of_its_edge(self, g):
+        parent, weight = _cut_tree(g)
+        cuts = _tree_cuts(g, parent)
+        assert cuts[:1] == [frozenset()] * min(g.vertex_count, 1)
+        for s, t in _tree_edges(parent):
+            assert len(cuts[s]) == weight[s], (g.edges, s, t)
+            assert separates(g, cuts[s], s, t), (g.edges, s, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_multigraphs(), st.randoms(use_true_random=False))
+    def test_rows_name_the_first_marked_least_weight_edge(self, g, rng):
+        n = g.vertex_count
+        parent, weight = _cut_tree(g)
+        marked = [rng.random() < 0.5 for _ in range(n)]
+
+        def path(u, v):
+            """The tree edges from u to v, in order, named by lower end."""
+            up_u, up_v = [u], [v]
+            while up_u[-1] != 0:
+                up_u.append(parent[up_u[-1]])
+            while up_v[-1] != 0:
+                up_v.append(parent[up_v[-1]])
+            while len(up_u) > 1 and len(up_v) > 1 and up_u[-2] == up_v[-2]:
+                up_u.pop()
+                up_v.pop()
+            return up_u[:-1] + up_v[-2::-1]
+
+        for u, (low, first) in enumerate(_lambda_rows(parent, weight, marked)):
+            assert low[u] is None and first[u] is None
+            for v in range(n):
+                if v != u:
+                    edges = path(u, v)
+                    least = min(weight[s] for s in edges)
+                    want = [s for s in edges if weight[s] == least and marked[s]]
+                    assert low[v] == least
+                    assert first[v] == (want[0] if want else None), (parent, u, v)
+
+    def test_the_swap_keeps_the_root(self):
+        # 1 = 2 - 0: the flow for 1 against 0 reaches X = {1, 2}, so 2 moves
+        # under 1; the flow for 2 against 1 reaches X = {2, 0}, which holds
+        # 1's parent 0, so 2 takes 1's place under 0 and they swap weights
+        parent, weight = _cut_tree(Graph(3, [(1, 2), (1, 2), (2, 0)]))
+        assert parent == [0, 2, 0] and weight == [0, 2, 1]
 
 
 def _capacity_network(g):
@@ -454,9 +520,19 @@ class TestAgainstNetworkx:
     @given(tree_multigraphs())
     def test_flow_tree(self, g):
         net = _capacity_network(g)
-        for u, row in enumerate(_lambda_rows(g)):
+        for u, row in enumerate(_lambda_table(g)):
             for v in range(u + 1, g.vertex_count):
                 assert row[v] == nx.maximum_flow_value(net, u, v), (g.edges, u, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_multigraphs())
+    def test_cut_tree_agrees_with_networkx_gomory_hu_tree(self, g):
+        gh = nx.gomory_hu_tree(_capacity_network(g))
+        for u, row in enumerate(_lambda_table(g)):
+            for v in range(u + 1, g.vertex_count):
+                path = nx.shortest_path(gh, u, v)
+                lam = min(gh[a][b]["weight"] for a, b in zip(path, path[1:]))
+                assert row[v] == lam, (g.edges, u, v)
 
 
 def _side_of(g, cut, start):

@@ -29,6 +29,7 @@ from srdkit import (
     exact_chromatic_index,
     find_rainbow_cut,
     find_rainbow_min_cut,
+    is_connected,
     is_rainbow,
     is_rd_coloring,
     is_srd_coloring,
@@ -50,6 +51,7 @@ from oracles import (
     oracle_is_srd,
     reference_rainbow_cut_dfs,
     reference_rainbow_min_cut_by_enumeration,
+    reference_verify,
 )
 
 
@@ -209,12 +211,12 @@ class TestSearchOrder:
 
     @staticmethod
     def _rd_and_srd(g, c):
-        """(verdict, failing pair, DFS nodes) of is_rd_coloring and of
-        is_srd_coloring."""
+        """(verdict, failing pair, DFS nodes) of the reference verifier,
+        which runs the DFS for every pair, in rd and in srd mode."""
         out = []
-        for verify in (is_rd_coloring, is_srd_coloring):
+        for mode in ("rd", "srd"):
             st = SearchStats()
-            report = verify(g, c, stats=st)
+            report = reference_verify(g, c, mode, stats=st)
             out.append((report.verdict, report.failing_pair, st.nodes))
         return out
 
@@ -228,6 +230,41 @@ class TestSearchOrder:
         c = normalize_colors(color_general_upper(g))
         assert c.num_colors == 4
         assert self._rd_and_srd(g, c) == [(True, None, 180)] * 2
+
+
+def _petersen_three_colors():
+    g = petersen_graph()
+    return g, EdgeColoring(tuple(i % 3 + 1 for i in range(g.edge_count)))
+
+
+def _petersen_general_upper():
+    g = petersen_graph()
+    return g, normalize_colors(color_general_upper(g))
+
+
+class TestTreeCutsSettlePairs:
+    """The verifier's DFS nodes and the pairs its cut tree settles, pinned
+    on the colorings of ``TestSearchOrder`` and on two constructions."""
+
+    @pytest.mark.parametrize(
+        "instance, rd, srd",
+        [
+            # fails at (0, 5): the tree settles (0, 1) to (0, 4), the DFS
+            # takes 7 nodes to refute (0, 5)
+            (_petersen_three_colors, (False, (0, 5), 7, 4), (False, (0, 5), 7, 4)),
+            (_petersen_general_upper, (True, None, 0, 45), (True, None, 0, 45)),
+            (lambda: color_grid(8, 8), (True, None, 4, 2015), (True, None, 144, 1980)),
+            (lambda: color_complete(16), (True, None, 0, 120), (True, None, 0, 120)),
+        ],
+        ids=["petersen-3", "petersen-upper", "grid8x8", "K16"],
+    )
+    def test_nodes_and_settled_pairs(self, instance, rd, srd):
+        g, c = instance()
+        for verify, expected in ((is_rd_coloring, rd), (is_srd_coloring, srd)):
+            st = SearchStats()
+            report = verify(g, c, stats=st)
+            assert (report.verdict, report.failing_pair, st.nodes, st.settled) == expected
+            assert st.enumerated == 0
 
 
 @pytest.fixture
@@ -248,8 +285,8 @@ def flow_calls(monkeypatch):
 class TestFlowsPerSearch:
     """A pair search runs at most one max flow.  ``find_rainbow_min_cut``
     runs one for λ and hands it to the DFS; ``is_srd_coloring`` reads every
-    pair's λ off an equivalent-flow tree of n - 1 flows, and its DFS takes
-    G's flow itself.  Every search follows one rule: a DFS state runs no
+    pair's λ off a cut tree of n - 1 flows, and its DFS takes G's flow
+    itself.  Every search follows one rule: a DFS state runs no
     flow while the degrees of u and v in G - chosen settle its prune; the
     first state where they do not takes G's flow and repairs it along its
     chosen edges, and every state below it repairs its parent's."""
@@ -283,14 +320,15 @@ class TestFlowsPerSearch:
         st = SearchStats()
         report = is_srd_coloring(*color_complete(16), stats=st)
         assert report.verdict
-        assert st.nodes == 1920
+        assert (st.nodes, st.settled) == (0, 120)  # every pair by a tree cut
         assert len(flow_calls) == 15  # the tree's, for every λ
         assert repairs == []
 
     def test_srd_verification_of_the_grid(self, flow_calls):
-        # 63 tree flows; the DFS takes G's flow on 552 of the 2,016 pairs
+        # 63 tree flows; the tree cuts settle 1,980 of the 2,016 pairs, and
+        # the degrees settle every prune of the other 36 pairs' DFS
         assert is_srd_coloring(*color_grid(8, 8)).verdict
-        assert len(flow_calls) == 615
+        assert len(flow_calls) == 63
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_upper_edge_connectivity_runs_one_flow_per_tree_edge(
@@ -535,10 +573,20 @@ def colored_connected_multigraphs(draw):
     return Graph(n, edges), EdgeColoring(tuple(colors))
 
 
+def _assert_witnesses_are_rainbow_cuts(g, c, report, minimum):
+    for (u, v), cert in report.witnesses.items():
+        assert cert.pair == (u, v) and cert.value == len(cert.cut)
+        assert separates(g, cert.cut, u, v), (g.edges, c.colors, u, v)
+        assert is_rainbow(c, cert.cut), (g.edges, c.colors, u, v)
+        if minimum:
+            assert cert.value == local_edge_connectivity(g, u, v)
+
+
 class TestAgainstPairSearches:
-    """``is_srd_coloring`` reads λ off the equivalent-flow tree; one
-    ``find_rainbow_min_cut`` per pair, each with its own flow, must give the
-    same witnesses and the same failing pair."""
+    """``is_srd_coloring`` reads λ off the cut tree and settles most pairs
+    with its cuts; one ``find_rainbow_min_cut`` per pair, each with its own
+    flow, must give the same failing pair, and where the two witnesses
+    differ both must be rainbow minimum cuts."""
 
     @settings(max_examples=120, deadline=None)
     @given(colored_connected_multigraphs())
@@ -557,7 +605,36 @@ class TestAgainstPairSearches:
         report = is_srd_coloring(g, c)
         assert report.failing_pair == failing
         assert report.verdict == (failing is None)
-        assert report.witnesses == witnesses
+        assert report.witnesses.keys() == witnesses.keys()
+        _assert_witnesses_are_rainbow_cuts(g, c, report, minimum=True)
+
+
+class TestAgainstReferenceVerifier:
+    """The verifier against ``reference_verify``, which runs the DFS for
+    every pair: the same verdict, failing pair and witnessed pairs in both
+    modes, and every witness a rainbow cut of the pair, of λ(u, v) edges
+    for srd.  A disconnected graph is refused by both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        colored_connected_multigraphs()
+        | colored_multigraph_pairs().map(lambda case: case[:2])
+    )
+    def test_same_verdicts_and_failing_pairs(self, case):
+        g, c = case
+        for verify, mode in ((is_srd_coloring, "srd"), (is_rd_coloring, "rd")):
+            if not is_connected(g):
+                for check in (lambda: verify(g, c), lambda: reference_verify(g, c, mode)):
+                    with pytest.raises(GraphStructureError, match="connected"):
+                        check()
+                continue
+            st = SearchStats()
+            report = verify(g, c, stats=st)
+            ref = reference_verify(g, c, mode)
+            assert (report.verdict, report.failing_pair) == (ref.verdict, ref.failing_pair)
+            assert report.witnesses.keys() == ref.witnesses.keys()
+            assert st.settled <= len(report.witnesses)
+            _assert_witnesses_are_rainbow_cuts(g, c, report, minimum=mode == "srd")
 
 
 class TestOracleAgreement:
