@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, _reached, _walk
+from .graph import Graph, _bfs, _open_arcs, _reached, _walk, contract
 
 
 @dataclass(frozen=True)
@@ -208,20 +208,12 @@ def _walk_min_cuts(g: Graph, u: int, v: int, residual, tree, limit: int) -> list
     # every edge of a minimum cut carries a unit out of its source side
     flow_edges = [e for e, r in enumerate(residual[::2]) if r != 1]
 
-    # The source side S0 must hold all that u reaches in the residual, and
-    # the sink side T0 all that reaches v: the vertices the flow's last
-    # walk reached, and those that a walk from v reaches over the residual
-    # with each edge's two arcs swapped.  The rest, F, is free.  When F is
-    # empty, S0 and T0 are the only minimum cut's sides; when it forms one
-    # strongly connected block the pair has two minimum cuts, d(S0) and
-    # d(V - T0).  Either way S0, T0 and F serve as the walk's components;
-    # otherwise the components come from an SCC pass.
-    swapped = bytearray(len(residual))
-    swapped[::2], swapped[1::2] = residual[1::2], residual[::2]
-    comp = [
-        0 if a is not None else 1 if b is not None else 2
-        for a, b in zip(tree, _bfs(g, v, swapped))
-    ]
+    # With S0, T0 and F from _forced_sides: when F is empty, S0 and T0 are
+    # the only minimum cut's sides; when F forms one strongly connected
+    # block the pair has two minimum cuts, d(S0) and d(V - T0).  Either way
+    # S0, T0 and F serve as the walk's components; otherwise the components
+    # come from an SCC pass.
+    comp, swapped = _forced_sides(g, v, residual, tree)
     loose = [x for x in range(n) if comp[x] == 2]  # F
     if not loose or _one_block(g, comp, loose, residual, swapped):
         # F's successors lie in F or S0, so F may always join the source side
@@ -276,6 +268,60 @@ def _walk_min_cuts(g: Graph, u: int, v: int, residual, tree, limit: int) -> list
         else:
             stack += [("include", i), ("visit", i + 1)]
     return cuts
+
+
+def _forced_sides(g: Graph, v: int, residual, tree) -> tuple[list[int], bytearray]:
+    """The sides that every minimum u-v cut keeps whole (Picard-Queyranne),
+    read off the maximum flow ``residual`` and its last walk ``tree``, the
+    one from u that did not reach v.
+
+    Returns (comp, swapped).  comp[x] is 0 for the source side S0, all that
+    u reaches in the residual, which is what ``tree`` reached; 1 for the
+    sink side T0, all that reaches v, found by one walk from v over
+    ``swapped``, the residual with each edge's two arcs swapped; and 2 for
+    the free vertices F between them."""
+    swapped = bytearray(len(residual))
+    swapped[::2], swapped[1::2] = residual[1::2], residual[::2]
+    comp = [
+        0 if a is not None else 1 if b is not None else 2
+        for a, b in zip(tree, _bfs(g, v, swapped))
+    ]
+    return comp, swapped
+
+
+def _min_cut_kernel(g: Graph, u: int, v: int, residual, tree):
+    """G with the forced sides S0 and T0 of ``_forced_sides`` each merged
+    into one vertex by ``contract``, for a search over minimum u-v cuts.
+
+    Returns (h, u', v', edge_map, residual').  The edges inside S0 or
+    inside T0 are gone; edge_map[i] is the EdgeId in G of h's edge i, in
+    ascending order, and u', v' are the merged S0 and T0.  residual' is
+    ``residual`` on the kept edges, a maximum u'-v' flow of h of the same
+    value: the merged vertices keep their net flow, and d(S0) is a cut of
+    h of that many edges.  Every minimum u-v cut of G has S0 on its source
+    side and T0 on its sink side, so it cuts no dropped edge, and the
+    minimum u-v cuts of G are exactly the images under edge_map of the
+    minimum u'-v' cuts of h.  A cut of any larger size may cut a dropped
+    edge, so h serves minimum cuts only.  A side of one vertex is left as
+    it is, so when S0 and T0 are single vertices G comes back with the
+    identity map.
+    """
+    comp, _ = _forced_sides(g, v, residual, tree)
+    h, edge_map = g, range(g.edge_count)
+    local = list(range(g.vertex_count))  # vertex of G -> vertex of h
+    for side in (0, 1):
+        merged = [x for x in range(g.vertex_count) if comp[x] == side]
+        if len(merged) > 1:
+            result = contract(h, [local[x] for x in merged])
+            h = result.graph
+            local = [result.vertex_map[y] for y in local]
+            edge_map = tuple(edge_map[e] for e in result.edge_map)
+    if h is g:
+        return g, u, v, edge_map, residual
+    kept = bytearray(2 * len(edge_map))
+    kept[::2] = bytes(residual[2 * e] for e in edge_map)
+    kept[1::2] = bytes(residual[2 * e + 1] for e in edge_map)
+    return h, local[u], local[v], edge_map, kept
 
 
 def _one_block(g: Graph, comp, loose: list, residual, swapped) -> bool:

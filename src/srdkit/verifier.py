@@ -9,13 +9,16 @@ runs one color-class DFS, which answers both questions: it picks at most
 one edge per color along live shortest paths and prunes any state that
 cannot be completed within a size cap.  The cap is λ(u, v) for a rainbow
 minimum cut (srd) and the number of colors for a rainbow cut of any size
-(rd).  ``find_rainbow_min_cut`` reads λ off the pair's own max flow and
-hands that flow to the search.  Every search follows one rule: a
-state runs no flow while the degrees of u and v in G - chosen settle its
-prune, the first state where they do not takes G's max flow (at most one
-per search) and repairs it along its chosen edges, and every state below
-it repairs a copy of its parent's flow for the edge it adds, which costs a
-few graph walks instead of a flow from zero.
+(rd).  ``find_rainbow_min_cut`` reads λ off the pair's own max flow, merges
+the two sides that flow forces on every minimum cut into one vertex each,
+and hands the flow to the search on that smaller graph; a cut of any size
+may cross those sides, so the verifier's searches run on G itself.  Every
+search follows one rule: a state runs no flow while the degrees of u and v
+in G - chosen settle its prune, the first state where they do not takes
+G's max flow (at most one per search) and repairs it along its chosen
+edges, and every state below it repairs a copy of its parent's flow for
+the edge it adds, which costs a few graph walks instead of a flow from
+zero.
 It visits each rainbow edge subset at most once, so with k
 colors and classes of sizes s_1..s_k it explores at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
@@ -33,6 +36,7 @@ from .connectivity import (
     _lambda_rows,
     _max_flow,
     _max_flow_without,
+    _min_cut_kernel,
     _tree_cuts,
 )
 from .errors import BudgetExceededError, GraphStructureError
@@ -206,16 +210,30 @@ def find_rainbow_min_cut(
 ) -> CutCertificate | None:
     """A rainbow u-v cut of size exactly λ(u, v), or None after a complete
     search: the color-class DFS capped at λ, which it reads off the max flow
-    it starts from.  ``node_budget`` bounds the DFS states, raising
-    BudgetExceededError instead of answering."""
+    it starts from.
+
+    The DFS runs on the minimum-cut kernel of that flow
+    (``_min_cut_kernel``): the sides S0 and T0 that every minimum u-v cut
+    keeps whole are each merged into one vertex, and the edges inside them
+    drop out, since no minimum cut can use one.  The search starts from the
+    same flow on the kept edges, which is still maximum, and its cut maps
+    back to G's EdgeIds.  On the 3-SAT reduction T0 takes in t, the padding
+    clique and the clause hubs, so the search never branches on a plain
+    clique edge.  ``node_budget`` bounds the DFS states of the contracted
+    search, raising BudgetExceededError instead of answering."""
     stats = _check_pair_search(g, c, u, v, stats)
-    flow = _max_flow(g, u, v)[:2]
+    value, residual, tree = _max_flow(g, u, v)
+    if value == 0:  # refused here, as the kernel's ids name other vertices
+        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
+    h, hu, hv, edge_map, kept = _min_cut_kernel(g, u, v, residual, tree)
+    colors = EdgeColoring(tuple(c.colors[e] for e in edge_map))
     cut = _dfs_rainbow_cut(
-        g, c, u, v, flow[0], stats, node_budget=node_budget, flow=flow
+        h, colors, hu, hv, value, stats, node_budget=node_budget, flow=(value, kept)
     )
     if cut is None:
         return None
     # a cut within the cap λ has exactly λ edges
+    cut = frozenset(edge_map[e] for e in cut)
     return CutCertificate(pair=(u, v), cut=cut, value=len(cut))
 
 

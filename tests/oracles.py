@@ -10,6 +10,8 @@ the chosen edges (``lambda_without``),
 pair check that tested the listed minimum cuts one by one,
 ``reference_verify``, the verifier's former pair loop, which runs that DFS
 for every pair instead of first trying the cuts of a Gomory-Hu cut tree,
+``reference_find_rainbow_min_cut``, the single-pair srd search on all of G
+instead of on the kernel that merges the forced sides of its flow,
 ``reference_edge_connectivity`` and ``reference_upper_edge_connectivity``,
 λ and λ+ with one max flow per pair instead of the cut tree,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
@@ -33,7 +35,9 @@ from itertools import combinations, permutations
 from srdkit.colorings import EdgeColoring, check_coloring_fits
 from srdkit.connectivity import (
     CutCertificate,
+    _check_pair,
     _crossing_edges,
+    _max_flow,
     _tarjan_scc,
     enumerate_min_cuts,
     local_edge_connectivity,
@@ -288,6 +292,20 @@ def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
         if _rainbow(colors, cert.cut):
             return cert
     return None
+
+
+def reference_find_rainbow_min_cut(g, c, u, v, stats=None):
+    """``find_rainbow_min_cut`` before its minimum-cut kernel: the
+    rainbow-cut DFS on all of G, capped at λ from one max flow, which it
+    hands to the search.  Returns the CutCertificate or None."""
+    check_coloring_fits(g, c)
+    _check_pair(g, u, v)
+    stats = stats if stats is not None else SearchStats()
+    flow = _max_flow(g, u, v)[:2]
+    cut = _dfs_rainbow_cut(g, c, u, v, flow[0], stats, flow=flow)
+    if cut is None:
+        return None
+    return CutCertificate((u, v), cut, len(cut))
 
 
 def reference_verify(g, c, mode, stats=None):

@@ -24,7 +24,7 @@ from srdkit import (
     parse_graph,
     serialize_graph,
 )
-from srdkit import cli, connectivity, reduction, solver
+from srdkit import cli, connectivity, reduction, solver, verifier
 from srdkit.cli import main, run
 from srdkit.verifier import is_srd_coloring
 
@@ -546,15 +546,19 @@ class TestReduce:
 
     def test_check_builds_one_instance(self, tmp_path, monkeypatch):
         # the instance written out is the one checked: one gadget graph and
-        # one lambda = 6m flow
+        # one max flow, the cut search's, which gives lambda = 6m
         calls = Counter()
-        for name in ("Graph", "local_edge_connectivity"):
+        for module, name in (
+            (reduction, "Graph"),
+            (connectivity, "_max_flow"),
+            (verifier, "_max_flow"),
+        ):
 
-            def counted(*args, _name=name, _real=getattr(reduction, name), **kwargs):
+            def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(reduction, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cnf = tmp_path / "f.cnf"
         cnf.write_text(FIG_CNF)
         code, text = run(
@@ -562,7 +566,7 @@ class TestReduce:
         )
         assert code == 0
         assert "check consistent satisfiable=true cut-found=true" in text
-        assert calls == {"Graph": 1, "local_edge_connectivity": 1}
+        assert calls == {"Graph": 1, "_max_flow": 1}
 
     def test_brute_force_cap_is_exit_3(self, tmp_path):
         cnf = tmp_path / "wide.cnf"

@@ -11,6 +11,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdkit import (
     BudgetExceededError,
@@ -30,7 +32,9 @@ from srdkit import (
     sat_brute_force,
     separates,
 )
-from srdkit import verifier
+from srdkit import connectivity, verifier
+
+import oracles
 
 from test_acceptance import _exhaustive_family
 
@@ -439,12 +443,70 @@ class TestEquivalence:
         assert all(rep.consistent is True for rep in seq)
 
 
+@st.composite
+def formulas(draw):
+    """A 3-CNF formula with 1-3 clauses over up to 4 variables, each of
+    which occurs (indices compacted as in ``random_formula``)."""
+    n = draw(st.integers(1, 4))
+    literal = st.integers(1, n).flatmap(lambda j: st.sampled_from((j, -j)))
+    clause = st.tuples(literal, literal, literal)
+    clauses = draw(st.lists(clause, min_size=1, max_size=3))
+    used = sorted({abs(lit) for c in clauses for lit in c})
+    remap = {j: i + 1 for i, j in enumerate(used)}
+    return CnfFormula(
+        len(used),
+        tuple(
+            tuple(remap[abs(lit)] * (1 if lit > 0 else -1) for lit in c)
+            for c in clauses
+        ),
+    )
+
+
+class TestKernelOutcomes:
+    """``check_equivalence``, which searches the minimum-cut kernel, reports
+    the outcome the search on all of G gives, and every assignment it
+    extracts satisfies its formula.  The acceptance gate checks every
+    formula of the exhaustive family for consistency."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas())
+    def test_random_formulas(self, phi):
+        inst = build_reduction(phi)
+        rep = check_equivalence(inst)
+        want = oracles.reference_find_rainbow_min_cut(
+            inst.graph, inst.coloring, inst.s, inst.t
+        )
+        found = want is not None
+        assert (rep.consistent, rep.satisfiable, rep.cut_found) == (True, found, found)
+        if found:
+            assert phi.evaluate(rep.assignment)
+
+    def test_one_max_flow_per_check(self):
+        # build_reduction runs none; the cut search runs one, for λ
+        calls = []
+        real = verifier._max_flow
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        with mock.patch.object(connectivity, "_max_flow", counted), mock.patch.object(
+            verifier, "_max_flow", counted
+        ):
+            inst = build_reduction(FIGURE_CLAUSE)
+            assert calls == []
+            assert check_equivalence(inst).consistent is True
+        assert calls == [(inst.s, inst.t)]
+
+
 class TestCheckWork:
     """The machine-independent work of the reduction check's cut search
     over the 236-formula exhaustive family: DFS states, max flows (one per
-    search, for λ) and flow repairs."""
+    search, for λ) and flow repairs, for the search on the minimum-cut
+    kernel and for the uncontracted reference."""
 
-    def test_exhaustive_family_counts(self):
+    @staticmethod
+    def _family_work(search):
         calls = {"flow": 0, "repair": 0}
 
         def counting(kind, real):
@@ -458,12 +520,21 @@ class TestCheckWork:
         with mock.patch.object(
             verifier, "_max_flow", counting("flow", verifier._max_flow)
         ), mock.patch.object(
+            oracles, "_max_flow", counting("flow", oracles._max_flow)
+        ), mock.patch.object(
             verifier, "_max_flow_without", counting("repair", verifier._max_flow_without)
         ):
             for phi in _exhaustive_family():
                 inst = build_reduction(phi)
-                find_rainbow_min_cut(
-                    inst.graph, inst.coloring, inst.s, inst.t, stats=stats
-                )
-        assert stats.nodes == 105_939
+                search(inst.graph, inst.coloring, inst.s, inst.t, stats=stats)
+        return stats.nodes, calls
+
+    def test_exhaustive_family_counts(self):
+        nodes, calls = self._family_work(oracles.reference_find_rainbow_min_cut)
+        assert nodes == 105_939
         assert calls == {"flow": 236, "repair": 108_011}
+
+    def test_kernel_family_counts(self):
+        nodes, calls = self._family_work(find_rainbow_min_cut)
+        assert nodes == 56_124
+        assert calls == {"flow": 236, "repair": 57_348}

@@ -26,6 +26,7 @@ from srdkit import (
     color_regular,
     complete_graph,
     cycle_graph,
+    enumerate_min_cuts,
     exact_chromatic_index,
     find_rainbow_cut,
     find_rainbow_min_cut,
@@ -49,6 +50,7 @@ from oracles import (
     lambda_without,
     oracle_is_rd,
     oracle_is_srd,
+    reference_find_rainbow_min_cut,
     reference_rainbow_cut_dfs,
     reference_rainbow_min_cut_by_enumeration,
     reference_verify,
@@ -193,21 +195,37 @@ class TestFindRainbowMinCut:
         assert find_rainbow_cut(g, c, 0, 1) == frozenset(range(1100))
 
 
+def _three_variable_reduction():
+    return build_reduction(
+        parse_dimacs_cnf("p cnf 3 4\n1 2 3 0\n-1 -2 -3 0\n1 -2 3 0\n-1 2 -3 0\n")
+    )
+
+
 class TestSearchOrder:
     """DFS node counts and witnesses that pin the order of the search."""
 
+    REDUCTION_WITNESS = [
+        0, 4, 8, 12, 16, 20, 24, 28, 34, 38, 42, 46,
+        50, 52, 54, 57, 60, 65, 68, 69, 72, 75, 80, 82,
+    ]
+
     def test_reduction_witness_and_nodes(self):
-        phi = parse_dimacs_cnf(
-            "p cnf 3 4\n1 2 3 0\n-1 -2 -3 0\n1 -2 3 0\n-1 2 -3 0\n"
+        # the search on all of G, as the reference keeps it
+        inst = _three_variable_reduction()
+        st = SearchStats()
+        cert = reference_find_rainbow_min_cut(
+            inst.graph, inst.coloring, inst.s, inst.t, stats=st
         )
-        inst = build_reduction(phi)
+        assert st.nodes == 683
+        assert sorted(cert.cut) == self.REDUCTION_WITNESS
+
+    def test_kernel_reduction_witness_and_nodes(self):
+        # on the kernel: t, the padding clique and the hubs are one vertex
+        inst = _three_variable_reduction()
         st = SearchStats()
         cert = find_rainbow_min_cut(inst.graph, inst.coloring, inst.s, inst.t, stats=st)
-        assert st.nodes == 683
-        assert sorted(cert.cut) == [
-            0, 4, 8, 12, 16, 20, 24, 28, 34, 38, 42, 46,
-            50, 52, 54, 57, 60, 65, 68, 69, 72, 75, 80, 82,
-        ]
+        assert st.nodes == 361
+        assert sorted(cert.cut) == self.REDUCTION_WITNESS
 
     @staticmethod
     def _rd_and_srd(g, c):
@@ -265,6 +283,97 @@ class TestTreeCutsSettlePairs:
             report = verify(g, c, stats=st)
             assert (report.verdict, report.failing_pair, st.nodes, st.settled) == expected
             assert st.enumerated == 0
+
+
+def _two_cliques(bridge_color=None):
+    """Two K5s, {0..4} and {7..11}, joined through the free vertices 5
+    and 6 by the paths 4-5-7 and 3-6-8, and, with ``bridge_color``, by
+    the edge (1, 9) as well.  For the pair (0, 11) the forced sides are
+    the two K5s, as each is 4-edge-connected and λ is 2 or 3.  The clique
+    edges have color 4, the path edges 20..23 colors 1, 1, 2, 2."""
+    left = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    right = [(a + 7, b + 7) for a, b in left]
+    edges = left + right + [(4, 5), (3, 6), (5, 7), (6, 8)]
+    colors = (4,) * 20 + (1, 1, 2, 2)
+    if bridge_color is not None:
+        edges.append((1, 9))
+        colors += (bridge_color,)
+    return Graph(12, edges), EdgeColoring(colors)
+
+
+class TestMinCutKernel:
+    """``find_rainbow_min_cut`` searches the graph with the forced sides of
+    its flow merged.  It must find a rainbow minimum cut exactly when the
+    search on all of G does, and every cut it finds must be one of G."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(colored_multigraph_pairs())
+    def test_same_answer_as_the_uncontracted_search(self, case):
+        g, c, u, v, _ = case
+        if local_edge_connectivity(g, u, v) == 0:
+            # both refuse the pair, naming it in G's vertex ids
+            for search in (find_rainbow_min_cut, reference_find_rainbow_min_cut):
+                with pytest.raises(
+                    GraphStructureError, match=f"^vertices {u} and {v} are disconnected$"
+                ):
+                    search(g, c, u, v)
+            return
+        cert = find_rainbow_min_cut(g, c, u, v)
+        want = reference_find_rainbow_min_cut(g, c, u, v)
+        assert (cert is None) == (want is None), (g, c.colors, u, v)
+        if cert is not None:
+            assert cert.pair == (u, v)
+            assert cert.value == len(cert.cut) == local_edge_connectivity(g, u, v)
+            assert is_rainbow(c, cert.cut)
+            assert separates(g, cert.cut, u, v)
+
+    def test_both_forced_sides_merge(self):
+        g, c = _two_cliques()
+        value, residual, tree = connectivity._max_flow(g, 0, 11)
+        comp, _ = connectivity._forced_sides(g, 11, residual, tree)
+        assert comp == [0] * 5 + [2, 2] + [1] * 5
+        h, hu, hv, edge_map, kept = connectivity._min_cut_kernel(
+            g, 0, 11, residual, tree
+        )
+        # only the four path edges are left, between S0 = 2 and T0 = 3
+        assert (h.edges, hu, hv) == (((2, 0), (2, 1), (0, 3), (1, 3)), 2, 3)
+        assert edge_map == (20, 21, 22, 23)
+        assert connectivity._max_flow(h, hu, hv)[0] == value == 2
+        assert kept == bytes([0, 2]) * 4  # both paths carry the flow
+        st = SearchStats()
+        cert = find_rainbow_min_cut(g, c, 0, 11, stats=st)
+        assert (sorted(cert.cut), st.nodes) == ([20, 23], 3)
+        ref_st = SearchStats()
+        ref = reference_find_rainbow_min_cut(g, c, 0, 11, stats=ref_st)
+        assert (sorted(ref.cut), ref_st.nodes) == ([21, 22], 5)
+
+    @pytest.mark.parametrize(
+        "bridge_color, witness, nodes", [(3, [20, 23, 24], 4), (2, None, 3)]
+    )
+    def test_an_edge_between_the_forced_sides_is_in_every_cut(
+        self, bridge_color, witness, nodes
+    ):
+        # (1, 9) joins S0 to T0, so it is in each of the four minimum cuts
+        # and stays in the kernel as a parallel edge between the merged ends
+        g, c = _two_cliques(bridge_color)
+        cuts = enumerate_min_cuts(g, 0, 11)
+        assert len(cuts) == 4 and all(24 in cert.cut for cert in cuts)
+        h, hu, hv, edge_map, _ = connectivity._min_cut_kernel(
+            g, 0, 11, *connectivity._max_flow(g, 0, 11)[1:]
+        )
+        assert h.edges[edge_map.index(24)] == (hu, hv)
+        st = SearchStats()
+        cert = find_rainbow_min_cut(g, c, 0, 11, stats=st)
+        assert (cert and sorted(cert.cut), st.nodes) == (witness, nodes)
+        assert (reference_find_rainbow_min_cut(g, c, 0, 11) is None) == (
+            witness is None
+        )
+
+    def test_nothing_merges_when_both_sides_are_single_vertices(self):
+        g = cycle_graph(4)
+        value, residual, tree = connectivity._max_flow(g, 0, 2)
+        h, hu, hv, edge_map, kept = connectivity._min_cut_kernel(g, 0, 2, residual, tree)
+        assert (h, hu, hv, list(edge_map), kept) == (g, 0, 2, [0, 1, 2, 3], residual)
 
 
 @pytest.fixture
