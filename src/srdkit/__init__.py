@@ -23,10 +23,8 @@ from .graph import (  # noqa: F401
     grid_vertex,
     induced_subgraph,
     is_cactus_with_cycle,
-    is_class1_by_core,
     is_connected,
     is_tree,
-    max_degree_core,
     parse_graph,
     path_graph,
     petersen_graph,
@@ -35,13 +33,9 @@ from .graph import (  # noqa: F401
 )
 from .connectivity import (  # noqa: F401
     CutCertificate,
-    count_min_cuts,
     edge_connectivity,
     enumerate_min_cuts,
-    is_edge_cut,
     local_edge_connectivity,
-    min_edge_cut,
-    separates,
     upper_edge_connectivity,
 )
 from .colorings import (  # noqa: F401
@@ -87,7 +81,6 @@ from .solver import (  # noqa: F401
 from .verifier import (  # noqa: F401
     SearchStats,
     VerificationReport,
-    find_rainbow_cut,
     find_rainbow_min_cut,
     is_rainbow,
     is_rd_coloring,

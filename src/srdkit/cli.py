@@ -313,7 +313,7 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     if args.max_edges < 0:
-        raise _UsageError("budgets must be non-negative")
+        raise _UsageError("--max-edges must be non-negative")
     g = _load_graph(args.graph)
     mode = args.mode
     if args.witness_out and mode == "both":

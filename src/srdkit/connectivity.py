@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, _reached, _walk, contract
+from .graph import Graph, _bfs, _open_arcs, _walk, contract
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,6 @@ def local_edge_connectivity(g: Graph, u: int, v: int) -> int:
     _check_pair(g, u, v)
     value, _, _ = _max_flow(g, u, v)
     return value
-
-
-def min_edge_cut(g: Graph, u: int, v: int) -> CutCertificate:
-    """One minimum u-v cut, taken from the source side of a maximum flow."""
-    _check_pair(g, u, v)
-    value, _, tree = _max_flow(g, u, v)
-    cut = _crossing_edges(g, _reached(tree))
-    assert len(cut) == value, "max-flow/min-cut certificate mismatch"
-    return CutCertificate((u, v), cut, value)
 
 
 def _tarjan_scc(n: int, succ) -> list[int]:
@@ -337,11 +328,6 @@ def _one_block(g: Graph, comp, loose: list, residual, swapped) -> bool:
     return True
 
 
-def count_min_cuts(g: Graph, u: int, v: int, cap: int) -> int:
-    """Number of minimum u-v cuts; any value > cap just reports cap + 1."""
-    return len(enumerate_min_cuts(g, u, v, limit=cap + 1))
-
-
 def _cut_tree(g: Graph) -> tuple[list[int], list[int]]:
     """Gusfield's Gomory-Hu cut tree ("Very simple methods for all pairs
     network flow analysis", 1990; Gomory and Hu 1961), from n - 1 max flows.
@@ -380,8 +366,7 @@ def _tree_cuts(g: Graph, parent) -> list[frozenset[int]]:
     cuts[0] is empty.  Each edge walks up the tree from both ends until they
     meet, joining the cut of every tree edge it passes."""
     n = g.vertex_count
-    depth = [None] * n
-    depth[0] = 0
+    depth = [0] + [None] * (n - 1)  # the root 0; no vertex reads it when n = 0
     for x in range(n):
         path = []
         while depth[x] is None:
@@ -449,17 +434,3 @@ def edge_connectivity(g: Graph) -> int:
 def upper_edge_connectivity(g: Graph) -> int:
     """lambda+(G) = max over vertex pairs of lambda(u, v)."""
     return max(_tree_weights(g))
-
-
-def separates(g: Graph, cut, u: int, v: int) -> bool:
-    """Does removing the EdgeId set ``cut`` disconnect u from v?"""
-    _check_pair(g, u, v)
-    return _bfs(g, u, _open_arcs(g, cut), target=v)[v] is None
-
-
-def is_edge_cut(g: Graph, cut) -> bool:
-    """Does removing ``cut`` increase the number of components?  It does
-    exactly when some removed edge's two ends are no longer joined."""
-    capacity = _open_arcs(g, cut)
-    removed = [g.edges[e] for e in range(g.edge_count) if not capacity[2 * e]]
-    return any(_bfs(g, a, capacity, target=b)[b] is None for a, b in removed)

@@ -70,9 +70,6 @@ class Graph:
     def has_parallel_edges(self) -> bool:
         return _multiplicity(self) > 1
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
@@ -467,42 +464,6 @@ def _cactus_cycles(g: Graph) -> tuple[Block, ...] | None:
 def is_cactus_with_cycle(g: Graph) -> bool:
     """Connected, every block a single edge or a cycle, at least one cycle."""
     return bool(_cactus_cycles(g))
-
-
-# ---------------------------------------------------------------------------
-# maximum-degree core and the sufficient Class-1 test
-
-
-def max_degree_core(g: Graph) -> SubgraphView:
-    """Subgraph induced by the vertices of maximum degree."""
-    d = g.max_degree()
-    verts = [v for v in range(g.vertex_count) if g.degree(v) == d]
-    return induced_subgraph(g, verts)
-
-
-def is_class1_by_core(g: Graph) -> bool:
-    """Sufficient test for chromatic index == max degree.
-
-    True when every component of the max-degree core is a tree or unicyclic
-    and the core is not a disjoint union of cycles.  One-sided: False means
-    "unknown", never "Class 2".
-    """
-    core = max_degree_core(g).graph
-    comps = components(core)
-    label = {v: i for i, comp in enumerate(comps) for v in comp}
-    edge_counts = [0] * len(comps)
-    for u, _ in core.edges:
-        edge_counts[label[u]] += 1
-    all_cycles = len(comps) > 0
-    for comp, ec in zip(comps, edge_counts):
-        if ec > len(comp):
-            return False  # component has two independent cycles
-        if not (len(comp) >= 3 and ec == len(comp)
-                and all(core.degree(v) == 2 for v in comp)):
-            all_cycles = False
-    if all_cycles:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,6 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     return hit
 
 
-def _check_pair_search(g, c, u, v, stats):
-    """Checks shared by both pair searches; returns the stats object to
-    count into."""
-    check_coloring_fits(g, c)
-    _check_pair(g, u, v)
-    return stats if stats is not None else SearchStats()
-
-
 def find_rainbow_min_cut(
     g: Graph,
     c: EdgeColoring,
@@ -221,7 +213,9 @@ def find_rainbow_min_cut(
     clique and the clause hubs, so the search never branches on a plain
     clique edge.  ``node_budget`` bounds the DFS states of the contracted
     search, raising BudgetExceededError instead of answering."""
-    stats = _check_pair_search(g, c, u, v, stats)
+    check_coloring_fits(g, c)
+    _check_pair(g, u, v)
+    stats = stats if stats is not None else SearchStats()
     value, residual, tree = _max_flow(g, u, v)
     if value == 0:  # refused here, as the kernel's ids name other vertices
         raise GraphStructureError(f"vertices {u} and {v} are disconnected")
@@ -235,18 +229,6 @@ def find_rainbow_min_cut(
     # a cut within the cap λ has exactly λ edges
     cut = frozenset(edge_map[e] for e in cut)
     return CutCertificate(pair=(u, v), cut=cut, value=len(cut))
-
-
-def find_rainbow_cut(
-    g: Graph,
-    c: EdgeColoring,
-    u: int,
-    v: int,
-    stats: SearchStats | None = None,
-) -> frozenset | None:
-    """A rainbow u-v cut of any size, or None after a complete search."""
-    stats = _check_pair_search(g, c, u, v, stats)
-    return _dfs_rainbow_cut(g, c, u, v, len(c.distinct_colors()), stats)
 
 
 def _cut_tree_with_cuts(g: Graph):

@@ -302,6 +302,16 @@ class TestVerify:
         assert code == 0
         assert "mode rd" in text
 
+    @pytest.mark.parametrize("mode", ["srd", "rd"])
+    def test_empty_graph_passes(self, tmp_path, mode):
+        # no pair to check; the cut tree of no vertices has no cuts
+        g, c = tmp_path / "g.txt", tmp_path / "c.txt"
+        g.write_text("0 0\n")
+        c.write_text("colors 0\n")
+        code, text = run(["verify", "--mode", mode, str(g), str(c)])
+        assert code == 0
+        assert text.splitlines()[1:] == [f"graph {g} n=0 m=0", f"mode {mode}", "verdict true"]
+
     def test_wrong_length_coloring_is_exit_2(self, k4_file, tmp_path):
         c = tmp_path / "short.txt"
         c.write_text("1\n2\n")
@@ -464,6 +474,11 @@ class TestScan:
         code, text = run(["scan", "--n", "3", "--max-edges", "-1"])
         assert code == 2
         assert text == "error: --max-edges must be non-negative\n"
+
+    def test_solve_negative_max_edges_says_the_flag(self, k4_file):
+        # the same wording as scan's
+        code, text = run(["solve", k4_file, "--max-edges", "-1"])
+        assert (code, text) == (2, "error: --max-edges must be non-negative\n")
 
     def test_eight_vertices_is_exit_3(self, monkeypatch):
         # refused before the 8! relabellings and the 2^28-byte orbit marks

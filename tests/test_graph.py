@@ -31,9 +31,7 @@ from srdkit.graph import (
     grid_vertex,
     induced_subgraph,
     is_cactus_with_cycle,
-    is_class1_by_core,
     is_connected,
-    max_degree_core,
     parse_graph,
     path_graph,
     petersen_graph,
@@ -348,51 +346,6 @@ class TestContract:
             contract(g, {0, 1, 2})
         with pytest.raises(ContractionError):
             contract(g, {9})
-
-
-class TestCore:
-    def test_complete_core_is_whole_graph(self):
-        core = max_degree_core(complete_graph(4))
-        assert core.graph.vertex_count == 4
-        assert core.graph.edge_count == 6
-
-    def test_star_core_is_center(self):
-        core = max_degree_core(star_graph(3))
-        assert core.vertices == (0,)
-        assert core.graph.edge_count == 0
-
-    def test_class1_examples(self):
-        assert is_class1_by_core(star_graph(3))
-        assert not is_class1_by_core(cycle_graph(5))
-        assert not is_class1_by_core(complete_graph(4))
-        # K_{2,2,2} minus one vertex: core is a single max-degree vertex
-        k222 = complete_multipartite_graph([2, 2, 2])
-        minus = induced_subgraph(k222, range(1, 6)).graph
-        assert is_class1_by_core(minus)
-
-    @given(st.one_of(multigraphs(connected=False), multigraphs(connected=True)))
-    def test_same_verdict_as_a_count_per_component(self, g):
-        # the test as it read with one pass over the core's edges per component
-        core = max_degree_core(g).graph
-        comps = components(core)
-        all_cycles = len(comps) > 0
-        want = True
-        for comp in comps:
-            ec = sum(1 for u, v in core.edges if u in comp)
-            if ec > len(comp):
-                want = False
-                break
-            if not (len(comp) >= 3 and ec == len(comp)
-                    and all(core.degree(v) == 2 for v in comp)):
-                all_cycles = False
-        else:
-            want = not all_cycles
-        assert is_class1_by_core(g) == want
-
-    def test_two_independent_cycles_in_core(self):
-        # theta-ish core: K_4 has e > n in its core, handled above; here a
-        # 3-regular graph whose core is the whole graph with e > n
-        assert not is_class1_by_core(complete_graph(4))
 
 
 class TestDot:

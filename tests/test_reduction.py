@@ -30,7 +30,6 @@ from srdkit import (
     local_edge_connectivity,
     parse_dimacs_cnf,
     sat_brute_force,
-    separates,
 )
 from srdkit import connectivity, verifier
 
@@ -240,7 +239,8 @@ class TestCutRecipe:
         cut = cut_from_assignment(inst, model)
         assert len(cut) == 6 * inst.m
         assert is_rainbow(inst.coloring, cut)
-        assert separates(inst.graph, cut, inst.s, inst.t)
+        g = inst.graph
+        assert oracles.oracle_separates(g.vertex_count, g.edges, cut, inst.s, inst.t)
 
     def test_recipe_cut_per_gadget_counts(self):
         phi = CnfFormula(3, ((1, -2, 3), (-1, 2, -3)))
@@ -295,7 +295,8 @@ class TestExtraction:
             edges[("c[1,3]", "x[2,1]")],
         ])
         assert is_rainbow(inst.coloring, cut)
-        assert separates(inst.graph, cut, inst.s, inst.t)
+        g = inst.graph
+        assert oracles.oracle_separates(g.vertex_count, g.edges, cut, inst.s, inst.t)
         assert extract_assignment(inst, cut) == (True, False)
 
     @staticmethod
@@ -362,7 +363,8 @@ class TestFoundCuts:
         cut = cert.cut
         assert len(cut) == 6 * inst.m
         assert is_rainbow(inst.coloring, cut)
-        assert separates(inst.graph, cut, inst.s, inst.t)
+        g = inst.graph
+        assert oracles.oracle_separates(g.vertex_count, g.edges, cut, inst.s, inst.t)
 
         occ = phi.occurrences()
         per_var = {j: 0 for j in range(1, phi.variable_count + 1)}

@@ -28,7 +28,6 @@ from srdkit import (
     cycle_graph,
     enumerate_min_cuts,
     exact_chromatic_index,
-    find_rainbow_cut,
     find_rainbow_min_cut,
     is_connected,
     is_rainbow,
@@ -39,7 +38,6 @@ from srdkit import (
     parse_dimacs_cnf,
     path_graph,
     petersen_graph,
-    separates,
     upper_edge_connectivity,
 )
 
@@ -50,6 +48,7 @@ from oracles import (
     lambda_without,
     oracle_is_rd,
     oracle_is_srd,
+    oracle_separates,
     reference_find_rainbow_min_cut,
     reference_rainbow_cut_dfs,
     reference_rainbow_min_cut_by_enumeration,
@@ -71,6 +70,12 @@ def colored_multigraph_pairs(draw):
     return Graph(n, edges), EdgeColoring(tuple(colors)), u, v, budget
 
 
+def _any_size_cut(g, c, u, v, stats):
+    """The rd verifier's DFS for one pair, capped at the number of colors:
+    a rainbow u-v cut of any size, or None after a complete search."""
+    return verifier._dfs_rainbow_cut(g, c, u, v, len(c.distinct_colors()), stats)
+
+
 def _assert_agrees_with_enumeration(g, c, u, v):
     """The DFS finds a rainbow minimum cut exactly when one of the listed
     minimum cuts is rainbow, and its cut is a rainbow u-v cut of λ edges."""
@@ -80,7 +85,7 @@ def _assert_agrees_with_enumeration(g, c, u, v):
     if cert is not None:
         assert cert.value == len(cert.cut) == want.value
         assert is_rainbow(c, cert.cut)
-        assert separates(g, cert.cut, u, v)
+        assert oracle_separates(g.vertex_count, g.edges, cert.cut, u, v)
 
 
 def canonical_colorings(m, max_colors):
@@ -115,7 +120,7 @@ class TestFindRainbowMinCut:
         assert cert is not None
         assert cert.value == 2
         assert is_rainbow(c, cert.cut)
-        assert separates(g, cert.cut, 0, 1)
+        assert oracle_separates(g.vertex_count, g.edges, cert.cut, 0, 1)
 
     def test_triangle_monochromatic(self):
         g = cycle_graph(3)
@@ -192,7 +197,7 @@ class TestFindRainbowMinCut:
         c = EdgeColoring(tuple(range(1, 1101)))
         cert = find_rainbow_min_cut(g, c, 0, 1)
         assert cert.value == 1100 and cert.cut == frozenset(range(1100))
-        assert find_rainbow_cut(g, c, 0, 1) == frozenset(range(1100))
+        assert _any_size_cut(g, c, 0, 1, SearchStats()) == frozenset(range(1100))
 
 
 def _three_variable_reduction():
@@ -325,7 +330,7 @@ class TestMinCutKernel:
             assert cert.pair == (u, v)
             assert cert.value == len(cert.cut) == local_edge_connectivity(g, u, v)
             assert is_rainbow(c, cert.cut)
-            assert separates(g, cert.cut, u, v)
+            assert oracle_separates(g.vertex_count, g.edges, cert.cut, u, v)
 
     def test_both_forced_sides_merge(self):
         g, c = _two_cliques()
@@ -468,8 +473,8 @@ class TestFlowsPerSearch:
         # degree 2 at both ends, 2 colors: no state can exceed its room
         g = cycle_graph(6)
         st = SearchStats()
-        cut = find_rainbow_cut(g, EdgeColoring((1, 2) * 3), 0, 3, stats=st)
-        assert cut is not None and separates(g, cut, 0, 3)
+        cut = _any_size_cut(g, EdgeColoring((1, 2) * 3), 0, 3, st)
+        assert cut is not None and oracle_separates(g.vertex_count, g.edges, cut, 0, 3)
         assert st.nodes > 1
         assert flow_calls == []
 
@@ -482,7 +487,7 @@ class TestFlowsPerSearch:
         g = Graph(8, left + right + [(3, 4), (2, 5)])
         c = EdgeColoring((1, 2) * 6 + (1, 2))
         st = SearchStats()
-        cut = find_rainbow_cut(g, c, 0, 7, stats=st)
+        cut = _any_size_cut(g, c, 0, 7, st)
         assert cut == frozenset({12, 13})
         assert st.nodes > 1
         assert flow_calls == [(0, 7)]
@@ -649,7 +654,7 @@ class TestReports:
         g, c = Graph(4, [(0, 1), (2, 3)]), EdgeColoring((1, 2))
         for search in (
             lambda: find_rainbow_min_cut(g, c, 0, 2),
-            lambda: find_rainbow_cut(g, c, 0, 2),
+            lambda: _any_size_cut(g, c, 0, 2, SearchStats()),
         ):
             with pytest.raises(GraphStructureError, match="disconnected"):
                 search()
@@ -664,7 +669,7 @@ class TestReports:
         report = is_srd_coloring(g, c)
         assert report.verdict
         for (u, v), cert in report.witnesses.items():
-            assert separates(g, cert.cut, u, v)
+            assert oracle_separates(g.vertex_count, g.edges, cert.cut, u, v)
             assert is_rainbow(c, cert.cut)
             assert cert.value == len(cert.cut) == local_edge_connectivity(g, u, v)
 
@@ -685,7 +690,8 @@ def colored_connected_multigraphs(draw):
 def _assert_witnesses_are_rainbow_cuts(g, c, report, minimum):
     for (u, v), cert in report.witnesses.items():
         assert cert.pair == (u, v) and cert.value == len(cert.cut)
-        assert separates(g, cert.cut, u, v), (g.edges, c.colors, u, v)
+        separated = oracle_separates(g.vertex_count, g.edges, cert.cut, u, v)
+        assert separated, (g.edges, c.colors, u, v)
         assert is_rainbow(c, cert.cut), (g.edges, c.colors, u, v)
         if minimum:
             assert cert.value == local_edge_connectivity(g, u, v)
@@ -789,7 +795,7 @@ class TestStateBound:
                         find_rainbow_min_cut(g, c, u, v, stats=st)
                         assert st.nodes <= bound
                         st = SearchStats()
-                        find_rainbow_cut(g, c, u, v, stats=st)
+                        _any_size_cut(g, c, u, v, st)
                         assert st.nodes <= bound
 
 
