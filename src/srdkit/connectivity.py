@@ -41,7 +41,9 @@ def _max_flow(g: Graph, s: int, t: int):
     capacity of arc a (0, 1 or 2) and tree is the walk of the last
     augmenting BFS, the one that fails to reach t: the vertices it reached
     are the source side of a minimum cut.  A max flow of G less some edges
-    is a repair of this one (``_max_flow_without``).
+    is a repair of this one (``_max_flow_without``), and whether removing
+    some edges lowers λ by their count is a closure test on this one
+    (``_CutClosure``).
     """
     residual = _open_arcs(g)
     value = 0
@@ -313,6 +315,59 @@ def _min_cut_kernel(g: Graph, u: int, v: int, residual, tree):
     kept[::2] = bytes(residual[2 * e] for e in edge_map)
     kept[1::2] = bytes(residual[2 * e + 1] for e in edge_map)
     return h, local[u], local[v], edge_map, kept
+
+
+class _CutClosure:
+    """Does an edge set C lie in some minimum u-v cut?  C grows and shrinks
+    one edge at a time, as a search path does.
+
+    ``residual`` is a maximum u-v flow f.  The minimum u-v cuts are the
+    edges leaving the sets S that hold u but not v and that no residual arc
+    leaves (Picard-Queyranne), and each of those edges carries a unit of f
+    out of S.  So C lies in one when every edge of C carries a unit of f,
+    from its tail to its head, and R, all that u and the tails reach in the
+    residual, holds neither v nor a head: R is then such an S.  ``reach``
+    is R as a walk tree, and ``heads[x]`` counts the edges of C with head
+    x, plus one for x = v.
+    """
+
+    __slots__ = ("g", "residual", "reach", "heads")
+
+    def __init__(self, g: Graph, u: int, v: int, residual):
+        self.g, self.residual = g, residual
+        self.reach = [None] * g.vertex_count
+        self.reach[u] = -1
+        _walk(g, self.reach, [u], residual)
+        self.heads = [0] * g.vertex_count
+        self.heads[v] = 1
+
+    def add(self, e: int, undo: list) -> bool:
+        """Add edge e to C; False when C then lies in no minimum cut.  Appends
+        to the empty list ``undo`` what changed, for ``remove``: e's head,
+        then the vertices R gained.  R grows by at most one walk."""
+        forward = self.residual[2 * e]
+        if forward == 1:  # f sends nothing over e
+            return False
+        x, y = self.g.edges[e] if forward == 0 else self.g.edges[e][::-1]
+        reach = self.reach
+        if reach[y] is not None:
+            return False
+        self.heads[y] += 1
+        undo.append(y)
+        if reach[x] is not None:
+            return True
+        reach[x] = -1
+        added = _walk(self.g, reach, [x], self.residual)
+        undo += added
+        return not any(self.heads[w] for w in added)
+
+    def remove(self, undo: list):
+        """Take back the ``add`` that filled ``undo``, and empty it."""
+        if undo:
+            self.heads[undo[0]] -= 1
+            for w in undo[1:]:
+                self.reach[w] = None
+            undo.clear()
 
 
 def _one_block(g: Graph, comp, loose: list, residual, swapped) -> bool:

@@ -14,11 +14,14 @@ the two sides that flow forces on every minimum cut into one vertex each,
 and hands the flow to the search on that smaller graph; a cut of any size
 may cross those sides, so the verifier's searches run on G itself.  Every
 search follows one rule: a state runs no flow while the degrees of u and v
-in G - chosen settle its prune, the first state where they do not takes
-G's max flow (at most one per search) and repairs it along its chosen
-edges, and every state below it repairs a copy of its parent's flow for
-the edge it adds, which costs a few graph walks instead of a flow from
-zero.
+in G - chosen settle its prune, and the first state where they do not
+takes G's max flow (at most one per search).  When that flow's value is
+the cap, as for every srd search, the flow stays fixed: a state survives
+when its chosen edges lie in one minimum cut, which a closure test on the
+flow's residual decides (Picard-Queyranne) with at most one walk per
+state.  Otherwise the first state repairs the flow along its chosen edges,
+and every state below it repairs a copy of its parent's flow for the edge
+it adds, which costs a few graph walks instead of a flow from zero.
 It visits each rainbow edge subset at most once, so with k
 colors and classes of sizes s_1..s_k it explores at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 from .colorings import EdgeColoring, check_coloring_fits
 from .connectivity import (
     CutCertificate,
+    _CutClosure,
     _check_pair,
     _cut_tree,
     _lambda_rows,
@@ -90,13 +94,23 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     smaller degree of u and v in G - chosen, and while that bound is within
     ``cap`` - |chosen| the prune cannot fire, so the state runs no flow and
     its path walk tells whether λ is 0.  The first state whose bound does
-    not settle the prune takes G's flow, handed in or computed then, and
-    repairs it along ``chosen``; below it each state passes its children a
-    repaired copy of its own.  A state whose degree bound or flow is 0 is
-    a cut without a walk; a state with a flow keeps no degrees, as its
-    flow value already says whether λ is 0.  Either way the states and
-    their paths are the same: the flow only decides prunes the degree
-    bound leaves open.
+    not settle the prune takes G's flow, handed in or computed then.
+
+    When that flow's value is ``cap``, as for every srd search, no state
+    changes the flow.  λ(G - chosen) is then cap - |chosen| when ``chosen``
+    lies in a minimum cut of G and more otherwise, so a ``_CutClosure`` of
+    the flow decides each prune.  The first state builds it from u and its
+    chosen edges; below it each state adds its own edge, at the cost of at
+    most one walk, and its frame's ``undo`` list takes the edge back when
+    the state is left.  A state whose edge fails the test has its parent's
+    λ, as that edge lowered none, and is pruned.  Any other ``cap`` (rd,
+    or a cap above λ) has the first state repair G's flow along
+    ``chosen`` (``_max_flow_without``), and each state below it passes its
+    children a repaired copy of its own.  A state whose degree bound or
+    flow value is 0 is a cut without a walk; a state with a flow keeps no
+    degrees, as its value already says whether λ is 0.  Either way the
+    states and their paths are the same: the flow only decides prunes the
+    degree bound leaves open.
 
     The states are visited depth first with an explicit stack that holds
     one frame per branching state on the current path, each with its own
@@ -111,17 +125,24 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     chosen, used, excluded = set(), set(), set()
     open_arcs = _open_arcs(g)
     degree = [len(arcs) for arcs in g.adj]
-    stack = []  # [flow residual or None, flow value, branch edges, next index]
+    closure = None  # the _CutClosure of the states below the first with a flow
+    stack = []  # [flow residual or None, flow value, branch, next index, child undo]
 
     def flow_of_chosen():
-        """A max flow of G - chosen: G's, repaired one edge at a time."""
-        nonlocal flow
+        """(λ(G - chosen), a max flow of G - chosen) from G's flow, or None
+        when ``chosen`` lies in no minimum cut and the cap is λ."""
+        nonlocal flow, closure
         if flow is None:
             flow = _max_flow(g, u, v)[:2]
         value, residual = flow
-        for e in chosen:
-            value, residual = _max_flow_without(g, u, v, residual, value, e)
-        return value, residual
+        if value != cap:
+            for e in chosen:
+                value, residual = _max_flow_without(g, u, v, residual, value, e)
+            return value, residual
+        closure = _CutClosure(g, u, v, residual)
+        if all(closure.add(e, []) for e in chosen):
+            return value - len(chosen), residual
+        return None
 
     def enter(value, residual):
         """Count a state; return its cut, or push a frame if it branches.
@@ -135,7 +156,10 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
         if value is None:
             bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
             if bound > room:
-                value, residual = flow_of_chosen()
+                flowed = flow_of_chosen()
+                if flowed is None:
+                    return None
+                value, residual = flowed
         if value is not None:
             if value > room:
                 return None
@@ -154,13 +178,13 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             if e not in excluded and colors[e] not in used:
                 branch.append(e)
         branch.reverse()
-        stack.append([residual, value, branch, 0])
+        stack.append([residual, value, branch, 0, []])
         return None
 
     hit = enter(None, None)
     while hit is None and stack:
         frame = stack[-1]
-        residual, value, branch, i = frame
+        residual, value, branch, i, undo = frame
         if i:
             # the previous child is done: drop it and exclude it
             prev = branch[i - 1]
@@ -172,6 +196,8 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
                 a, b = edges[prev]
                 degree[a] += 1
                 degree[b] += 1
+            elif undo:
+                closure.remove(undo)
         if i == len(branch):
             stack.pop()
             excluded.difference_update(branch)
@@ -186,6 +212,8 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             degree[a] -= 1
             degree[b] -= 1
             hit = enter(None, None)
+        elif flow[0] == cap:
+            hit = enter(value - 1 if closure.add(e, undo) else value, residual)
         else:
             hit = enter(*_max_flow_without(g, u, v, residual, value, e))
     return hit

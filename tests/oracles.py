@@ -297,7 +297,10 @@ def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
 def reference_find_rainbow_min_cut(g, c, u, v, stats=None):
     """``find_rainbow_min_cut`` before its minimum-cut kernel: the
     rainbow-cut DFS on all of G, capped at λ from one max flow, which it
-    hands to the search.  Returns the CutCertificate or None."""
+    hands to the search.  It calls the production DFS, so its prunes come
+    from the same closure test on that flow; ``reference_rainbow_cut_dfs``,
+    with a fresh flow per state, is the independent check of that test.
+    Returns the CutCertificate or None."""
     check_coloring_fits(g, c)
     _check_pair(g, u, v)
     stats = stats if stats is not None else SearchStats()
@@ -313,7 +316,9 @@ def reference_verify(g, c, mode, stats=None):
     every pair in lexicographic order, capped at λ(u, v) from one max flow
     per pair for ``mode`` "srd" and at the number of colors for "rd".
     Returns the VerificationReport the verifier would give: the first pair
-    without a cut fails, and each pair before it carries the DFS's cut."""
+    without a cut fails, and each pair before it carries the DFS's cut.
+    It calls the production DFS, so its srd prunes are the closure test on
+    the pair's flow, as the verifier's are."""
     check_coloring_fits(g, c)
     if not is_connected(g):
         raise GraphStructureError("graph must be connected")

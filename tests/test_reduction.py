@@ -31,7 +31,7 @@ from srdkit import (
     parse_dimacs_cnf,
     sat_brute_force,
 )
-from srdkit import connectivity, verifier
+from srdkit import connectivity, graph, verifier
 
 import oracles
 
@@ -504,12 +504,16 @@ class TestKernelOutcomes:
 class TestCheckWork:
     """The machine-independent work of the reduction check's cut search
     over the 236-formula exhaustive family: DFS states, max flows (one per
-    search, for λ) and flow repairs, for the search on the minimum-cut
-    kernel and for the uncontracted reference."""
+    search, for λ), flow repairs and graph walks, for the search on the
+    minimum-cut kernel and for the uncontracted reference.  Both are srd
+    searches handed a flow of value λ, so a closure test on that one flow
+    decides every prune and no state repairs it.  Every walk goes through
+    ``graph._walk``, directly or by ``_bfs``, or ``connectivity._walk``: the
+    DFS's path walks, the closure's walks and the flows' own."""
 
     @staticmethod
     def _family_work(search):
-        calls = {"flow": 0, "repair": 0}
+        calls = {"flow": 0, "repair": 0, "walk": 0}
 
         def counting(kind, real):
             def counted(*args):
@@ -525,6 +529,10 @@ class TestCheckWork:
             oracles, "_max_flow", counting("flow", oracles._max_flow)
         ), mock.patch.object(
             verifier, "_max_flow_without", counting("repair", verifier._max_flow_without)
+        ), mock.patch.object(
+            graph, "_walk", counting("walk", graph._walk)
+        ), mock.patch.object(
+            connectivity, "_walk", counting("walk", connectivity._walk)
         ):
             for phi in _exhaustive_family():
                 inst = build_reduction(phi)
@@ -534,9 +542,9 @@ class TestCheckWork:
     def test_exhaustive_family_counts(self):
         nodes, calls = self._family_work(oracles.reference_find_rainbow_min_cut)
         assert nodes == 105_939
-        assert calls == {"flow": 236, "repair": 108_011}
+        assert calls == {"flow": 236, "repair": 0, "walk": 142_573}
 
     def test_kernel_family_counts(self):
         nodes, calls = self._family_work(find_rainbow_min_cut)
         assert nodes == 56_124
-        assert calls == {"flow": 236, "repair": 57_348}
+        assert calls == {"flow": 236, "repair": 0, "walk": 92_760}

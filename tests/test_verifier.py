@@ -402,8 +402,10 @@ class TestFlowsPerSearch:
     pair's λ off a cut tree of n - 1 flows, and its DFS takes G's flow
     itself.  Every search follows one rule: a DFS state runs no
     flow while the degrees of u and v in G - chosen settle its prune; the
-    first state where they do not takes G's flow and repairs it along its
-    chosen edges, and every state below it repairs its parent's."""
+    first state where they do not takes G's flow.  Capped at λ, the search
+    then decides every prune by a closure test on that flow; with any
+    other cap that state repairs the flow along its chosen edges, and
+    every state below it repairs its parent's."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
         proper = EdgeColoring((1, 2, 3, 3, 2, 1))
@@ -587,20 +589,24 @@ class TestFlowRepairCases:
 
 class TestRepairedFlowSearch:
     """The DFS that flows only where its degree bound does not settle the
-    prune and repairs its parent's flow below that, against the reference
-    DFS that runs a fresh max flow at every state.  A search runs at most
-    one max flow, and none when the caller hands it G's."""
+    prune, against the reference DFS that runs a fresh max flow at every
+    state.  A search runs at most one max flow, and none when the caller
+    hands it G's.  Below the first state with a flow, a search capped at
+    λ decides its prunes by a closure test on that flow and repairs none;
+    any other cap repairs its parent's flow at every state."""
 
     @settings(max_examples=150, deadline=None)
     @given(colored_multigraph_pairs())
     def test_same_cut_nodes_and_errors_as_fresh_flows(self, case):
         g, c, u, v, budget = case
-        calls = []
-        real = verifier._max_flow
+        calls = {"flow": 0, "repair": 0, "closure": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
+        def counting(kind, real):
+            def counted(*args, **kwargs):
+                calls[kind] += 1
+                return real(*args, **kwargs)
+
+            return counted
 
         g_flow = connectivity._max_flow(g, u, v)[:2]
         lam = g_flow[0]
@@ -608,21 +614,103 @@ class TestRepairedFlowSearch:
             (lam, None),  # srd, flowing on its own
             (lam, g_flow),  # srd, handed G's flow
             (len(c.distinct_colors()), None),  # any size
+            (lam + 1, g_flow),  # a cap above λ
         )
-        with mock.patch.object(verifier, "_max_flow_without", _checked_repair):
+        with mock.patch.object(
+            verifier, "_max_flow_without", counting("repair", _checked_repair)
+        ), mock.patch.object(
+            verifier, "_CutClosure", counting("closure", verifier._CutClosure)
+        ):
             for cap, flow in searches:
-                calls.clear()
-                with mock.patch.object(verifier, "_max_flow", counted):
+                calls.update(flow=0, repair=0, closure=0)
+                with mock.patch.object(
+                    verifier, "_max_flow", counting("flow", verifier._max_flow)
+                ):
                     new = _search_outcome(
                         lambda st: verifier._dfs_rainbow_cut(
                             g, c, u, v, cap, st, budget, flow=flow
                         )
                     )
-                assert len(calls) <= (1 if flow is None else 0)
+                assert calls["flow"] <= (1 if flow is None else 0)
+                if cap == lam:
+                    assert calls["repair"] == 0
+                else:
+                    assert calls["closure"] == 0
                 ref = _search_outcome(
                     lambda st: reference_rainbow_cut_dfs(g, c, u, v, cap, st, budget)
                 )
                 assert new == ref
+
+    @pytest.mark.parametrize("handed", [False, True])
+    def test_first_flowed_state_closes_over_its_chosen_edges(self, handed):
+        # u = 2, v = 1, λ = 2 = deg v.  The degrees settle the root and
+        # {edge 0}; {0, 1} is the first state they leave open, and it lies
+        # in no minimum cut, since edge 1 joins u to 0 and 0 lies on u's
+        # side of the only one, {0, 3}.  The closure built from u alone
+        # would take {0, 1} for a cut.
+        g = Graph(3, [(2, 1), (0, 2), (0, 2), (1, 0)])
+        c = EdgeColoring((2, 1, 1, 1))
+        flow = connectivity._max_flow(g, 2, 1)[:2] if handed else None
+        repairs = []
+        with mock.patch.object(
+            verifier, "_max_flow_without", lambda *args: repairs.append(args)
+        ):
+            new = _search_outcome(
+                lambda st: verifier._dfs_rainbow_cut(g, c, 2, 1, 2, st, flow=flow)
+            )
+        assert new == (frozenset({0, 3}), 4)
+        assert new == _search_outcome(
+            lambda st: reference_rainbow_cut_dfs(g, c, 2, 1, 2, st)
+        )
+        assert repairs == []
+
+    def test_any_size_search_above_lambda_repairs(self):
+        # three parallel edges 0-1, then 1-2: λ(0, 2) = 1 and 2 colors.  The
+        # degrees settle the root and {edge 0}; {0, 2} takes G's flow and
+        # repairs it along both edges, and its λ of 1 prunes it.
+        g = Graph(3, [(0, 1), (1, 2), (0, 1), (0, 1)])
+        c = EdgeColoring((1, 1, 2, 1))
+        repairs = []
+
+        def counted(*args):
+            repairs.append(args[5])
+            return _checked_repair(*args)
+
+        with mock.patch.object(verifier, "_max_flow_without", counted):
+            new = _search_outcome(lambda st: _any_size_cut(g, c, 0, 2, st))
+        assert new == (frozenset({1}), 4)
+        assert new == _search_outcome(
+            lambda st: reference_rainbow_cut_dfs(g, c, 0, 2, 2, st)
+        )
+        assert sorted(repairs) == [0, 2]
+
+
+class TestCutClosure:
+    """``_CutClosure``, the test that decides the prunes of a DFS capped at
+    λ, against λ of G without the edges from a flow from zero."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(colored_multigraph_pairs(), st.data())
+    def test_verdict_is_whether_the_edges_lower_lambda_by_their_count(
+        self, case, data
+    ):
+        g, _, u, v, _ = case
+        subsets = st.lists(st.integers(0, max(g.edge_count - 1, 0)), unique=True)
+        if not g.edge_count:
+            subsets = st.just([])
+        detour, chosen = data.draw(subsets), data.draw(subsets)
+        lam, residual, _ = connectivity._max_flow(g, u, v)
+        closure = connectivity._CutClosure(g, u, v, residual)
+        fresh = (list(closure.reach), list(closure.heads))
+        # edges added and taken back, in stack order, leave no trace
+        undos = [[] for _ in detour]
+        for e, undo in zip(detour, undos):
+            closure.add(e, undo)
+        for undo in reversed(undos):
+            closure.remove(undo)
+        assert (closure.reach, closure.heads) == fresh
+        verdict = all(closure.add(e, []) for e in chosen)
+        assert verdict == (lambda_without(g, u, v, set(chosen)) == lam - len(chosen))
 
 
 class TestReports:
