@@ -370,6 +370,37 @@ class _CutClosure:
             undo.clear()
 
 
+def _flow_walks(g: Graph, s: int, t: int, residual, value: int):
+    """The maximum s-t flow ``residual`` of ``value`` units split into
+    ``value`` edge-disjoint s-t walks.
+
+    Returns (walks, walk_of): walks[i] lists the (edge, head) pairs of walk
+    i from s to t, head being the end the flow enters, and walk_of[e] is the
+    index of the walk through edge e, or -1 for an edge that no walk uses
+    (one without flow, or on a flow cycle).  Each walk follows unused flow
+    out of its current vertex until it reaches t, which it always can: a
+    vertex other than s sends out what it takes in, and s sends ``value``
+    more, so a walk that entered a vertex other than t finds flow left
+    to follow.  Every vertex's arcs are scanned once over all the walks."""
+    arcs, edges = g._arcs, g.edges
+    spent = [0] * g.vertex_count  # arcs[x][:spent[x]] need no second look
+    walk_of = [-1] * g.edge_count
+    walks = []
+    for i in range(value):
+        walk, x = [], s
+        while x != t:
+            out = arcs[x]
+            j = spent[x]
+            while residual[out[j][1] ^ 1] != 2 or walk_of[out[j][1] >> 1] != -1:
+                j += 1  # no flow out of x over this arc, or it is taken
+            spent[x] = j + 1
+            x, a = out[j]
+            walk_of[a >> 1] = i
+            walk.append((a >> 1, x))
+        walks.append(walk)
+    return walks, walk_of
+
+
 def _one_block(g: Graph, comp, loose: list, residual, swapped) -> bool:
     """Do the free vertices ``loose`` (comp 2) form one strongly connected
     block?  They do when the walks from one of them over them alone,

@@ -19,10 +19,12 @@ takes G's max flow (at most one per search).  When that flow's value is
 the cap, as for every srd search, the flow stays fixed: a state survives
 when its chosen edges lie in one minimum cut, which a closure test on the
 flow's residual decides (Picard-Queyranne) with at most one walk per
-state.  Otherwise the first state repairs the flow along its chosen edges,
-and every state below it repairs a copy of its parent's flow for the edge
-it adds, which costs a few graph walks instead of a flow from zero.
-It visits each rainbow edge subset at most once, so with k
+state, and a Hall test prunes the states whose flow walks without a
+chosen edge cannot each take a color of their own, by a bipartite
+matching (Régin 1994).  Otherwise the first state repairs the flow along
+its chosen edges, and every state below it repairs a copy of its parent's
+flow for the edge it adds, which costs a few graph walks instead of a flow
+from zero.  It visits each rainbow edge subset at most once, so with k
 colors and classes of sizes s_1..s_k it explores at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
 """
@@ -37,6 +39,7 @@ from .connectivity import (
     _CutClosure,
     _check_pair,
     _cut_tree,
+    _flow_walks,
     _lambda_rows,
     _max_flow,
     _max_flow_without,
@@ -75,6 +78,52 @@ def is_rainbow(c: EdgeColoring, edge_set) -> bool:
     return True
 
 
+def _open_walks_matched(walks, walk_of, reach, chosen, used, excluded) -> bool:
+    """The Hall test of a DFS state that keeps a flow of value λ fixed: can
+    every flow walk (``_flow_walks``) without a chosen edge take its own
+    color, unused by ``chosen``, from its edges that are not excluded and
+    whose heads lie outside ``reach``, the closure's R?  ``walks`` holds
+    (edge, head, color) triples.  A walk without any such color fails at
+    once; otherwise Kuhn's method matches the walks to colors one by one,
+    and a walk that finds no augmenting path leaves every maximum matching
+    short (the all-different check of Régin 1994)."""
+    closed = {walk_of[e] for e in chosen}
+    wanted = []
+    for w, walk in enumerate(walks):
+        if w not in closed:
+            cands = {
+                col
+                for e, head, col in walk
+                if reach[head] is None and col not in used and e not in excluded
+            }
+            if not cands:
+                return False
+            wanted.append(cands)
+    owner = {}  # color -> the walk matched to it
+    held = [None] * len(wanted)  # walk -> its color
+    return all(_augment(i, wanted, owner, held) for i in range(len(wanted)))
+
+
+def _augment(i, wanted, owner, held) -> bool:
+    """Match index i by one augmenting path, breadth first over the colors,
+    and flip it into ``owner`` and ``held``; False when there is none."""
+    came = {}  # color -> the index that reached it
+    queue = [i]
+    for x in queue:
+        for col in wanted[x]:
+            if col in came:
+                continue
+            came[col] = x
+            y = owner.get(col)
+            if y is None:
+                while col is not None:  # each index on the path takes the next color
+                    x = came[col]
+                    owner[col], held[x], col = x, col, held[x]
+                return True
+            queue.append(y)
+    return False
+
+
 def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     """Complete search for a rainbow u-v cut of at most ``cap`` edges.
 
@@ -103,14 +152,32 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     chosen edges; below it each state adds its own edge, at the cost of at
     most one walk, and its frame's ``undo`` list takes the edge back when
     the state is left.  A state whose edge fails the test has its parent's
-    λ, as that edge lowered none, and is pruned.  Any other ``cap`` (rd,
-    or a cap above λ) has the first state repair G's flow along
-    ``chosen`` (``_max_flow_without``), and each state below it passes its
-    children a repaired copy of its own.  A state whose degree bound or
-    flow value is 0 is a cut without a walk; a state with a flow keeps no
-    degrees, as its value already says whether λ is 0.  Either way the
-    states and their paths are the same: the flow only decides prunes the
-    degree bound leaves open.
+    λ, as that edge lowered none, and is pruned.
+
+    In that regime a state that survives the closure test also runs a Hall
+    test (``_open_walks_matched``) before its path walk.  The first state
+    with the flow splits it into ``cap`` edge-disjoint u-v walks
+    (``_flow_walks``), once per search, however often the closure is
+    rebuilt.  Let D ⊇ ``chosen`` be a minimum cut, δ(S) with S closed in
+    the residual.  Each edge of D carries a unit out of S and no flow
+    enters S, so each walk leaves S once and never comes back: it crosses
+    D exactly once, on an edge that carries flow and whose head lies
+    outside S, so outside the closure's reach R ⊆ S.  The chosen edges
+    thus lie on distinct walks, and each of the room = cap - |chosen|
+    walks without one crosses D on an edge of its own outside ``chosen``.
+    For D to be rainbow and to avoid ``excluded``, as every cut below the
+    state must, those edges have distinct colors outside ``used``, so a
+    matching of the open walks to such colors covers them all.  A state
+    where none does has no cut below it, and pruning it changes neither
+    the cut found nor the order of the states that remain.
+
+    Any other ``cap`` (rd, or a cap above λ) has the first state repair
+    G's flow along ``chosen`` (``_max_flow_without``), and each state
+    below it passes its children a repaired copy of its own.  A state
+    whose degree bound or flow value is 0 is a cut without a walk; a state
+    with a flow keeps no degrees, as its value already says whether λ is
+    0.  Either way the states and their paths are the same: the flow only
+    decides prunes the degree bound leaves open.
 
     The states are visited depth first with an explicit stack that holds
     one frame per branching state on the current path, each with its own
@@ -126,12 +193,13 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     open_arcs = _open_arcs(g)
     degree = [len(arcs) for arcs in g.adj]
     closure = None  # the _CutClosure of the states below the first with a flow
+    walks = walk_of = None  # _flow_walks of the flow, once it has value cap
     stack = []  # [flow residual or None, flow value, branch, next index, child undo]
 
     def flow_of_chosen():
         """(λ(G - chosen), a max flow of G - chosen) from G's flow, or None
         when ``chosen`` lies in no minimum cut and the cap is λ."""
-        nonlocal flow, closure
+        nonlocal flow, closure, walks, walk_of
         if flow is None:
             flow = _max_flow(g, u, v)[:2]
         value, residual = flow
@@ -140,6 +208,9 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
                 value, residual = _max_flow_without(g, u, v, residual, value, e)
             return value, residual
         closure = _CutClosure(g, u, v, residual)
+        if walks is None:
+            walks, walk_of = _flow_walks(g, u, v, residual, value)
+            walks = [[(e, head, colors[e]) for e, head in walk] for walk in walks]
         if all(closure.add(e, []) for e in chosen):
             return value - len(chosen), residual
         return None
@@ -162,6 +233,10 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
                 value, residual = flowed
         if value is not None:
             if value > room:
+                return None
+            if closure is not None and not _open_walks_matched(
+                walks, walk_of, closure.reach, chosen, used, excluded
+            ):
                 return None
             bound = value
         tree = None if bound == 0 else _bfs(g, u, open_arcs, target=v)

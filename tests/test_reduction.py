@@ -445,6 +445,36 @@ class TestEquivalence:
         assert all(rep.consistent is True for rep in seq)
 
 
+def six_variable_formula(seed) -> CnfFormula:
+    """A 6-variable, 14-clause 3-CNF: ``random.Random(seed)`` draws each
+    clause's variables by ``rng.sample(range(1, 7), 3)`` and negates each
+    literal unless ``rng.random() < 0.5``.  Its reduction has 225 vertices
+    and 3,949 edges."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(14):
+        chosen = rng.sample(range(1, 7), 3)
+        clauses.append(tuple(j if rng.random() < 0.5 else -j for j in chosen))
+    return CnfFormula(6, tuple(clauses))
+
+
+class TestSixVariableFormulas:
+    """The 6-variable, 14-clause reductions of seeds 0, 1 and 3 decide
+    within the default budget of ``check_equivalence``."""
+
+    @pytest.mark.parametrize("seed, nodes", [(0, 85), (1, 91), (3, 89)])
+    def test_satisfiable_within_the_default_budget(self, seed, nodes):
+        phi = six_variable_formula(seed)
+        inst = build_reduction(phi)
+        assert (inst.graph.vertex_count, inst.graph.edge_count) == (225, 3949)
+        rep = check_equivalence(inst)
+        assert (rep.consistent, rep.satisfiable, rep.cut_found) == (True, True, True)
+        assert phi.evaluate(rep.assignment)
+        stats = SearchStats()
+        find_rainbow_min_cut(inst.graph, inst.coloring, inst.s, inst.t, stats=stats)
+        assert stats.nodes == nodes
+
+
 @st.composite
 def formulas(draw):
     """A 3-CNF formula with 1-3 clauses over up to 4 variables, each of
@@ -506,10 +536,12 @@ class TestCheckWork:
     over the 236-formula exhaustive family: DFS states, max flows (one per
     search, for λ), flow repairs and graph walks, for the search on the
     minimum-cut kernel and for the uncontracted reference.  Both are srd
-    searches handed a flow of value λ, so a closure test on that one flow
-    decides every prune and no state repairs it.  Every walk goes through
-    ``graph._walk``, directly or by ``_bfs``, or ``connectivity._walk``: the
-    DFS's path walks, the closure's walks and the flows' own."""
+    searches handed a flow of value λ, so a closure test and a Hall test on
+    that one flow decide every prune and no state repairs it.  Every walk
+    goes through ``graph._walk``, directly or by ``_bfs``, or
+    ``connectivity._walk``: the DFS's path walks, the closure's walks and
+    the flows' own.  Splitting the flow into u-v walks for the Hall test
+    makes no graph walk."""
 
     @staticmethod
     def _family_work(search):
@@ -541,10 +573,10 @@ class TestCheckWork:
 
     def test_exhaustive_family_counts(self):
         nodes, calls = self._family_work(oracles.reference_find_rainbow_min_cut)
-        assert nodes == 105_939
-        assert calls == {"flow": 236, "repair": 0, "walk": 142_573}
+        assert nodes == 93_805
+        assert calls == {"flow": 236, "repair": 0, "walk": 125_289}
 
     def test_kernel_family_counts(self):
         nodes, calls = self._family_work(find_rainbow_min_cut)
-        assert nodes == 56_124
-        assert calls == {"flow": 236, "repair": 0, "walk": 92_760}
+        assert nodes == 5_169
+        assert calls == {"flow": 236, "repair": 0, "walk": 9_862}

@@ -5,6 +5,7 @@ verifier's verdict matches a naive oracle that tries all edge subsets, and
 the rainbow-cut DFS respects the fixed-k state bound.
 """
 
+from itertools import product
 from math import comb, prod
 from unittest import mock
 
@@ -229,7 +230,7 @@ class TestSearchOrder:
         inst = _three_variable_reduction()
         st = SearchStats()
         cert = find_rainbow_min_cut(inst.graph, inst.coloring, inst.s, inst.t, stats=st)
-        assert st.nodes == 361
+        assert st.nodes == 27
         assert sorted(cert.cut) == self.REDUCTION_WITNESS
 
     @staticmethod
@@ -593,7 +594,10 @@ class TestRepairedFlowSearch:
     state.  A search runs at most one max flow, and none when the caller
     hands it G's.  Below the first state with a flow, a search capped at
     λ decides its prunes by a closure test on that flow and repairs none;
-    any other cap repairs its parent's flow at every state."""
+    any other cap repairs its parent's flow at every state.  A search
+    capped at λ also runs the Hall test, which prunes only states without
+    a cut below them: it finds the reference's cut in no more states, and
+    may answer where the reference runs out of budget."""
 
     @settings(max_examples=150, deadline=None)
     @given(colored_multigraph_pairs())
@@ -639,7 +643,17 @@ class TestRepairedFlowSearch:
                 ref = _search_outcome(
                     lambda st: reference_rainbow_cut_dfs(g, c, u, v, cap, st, budget)
                 )
-                assert new == ref
+                if cap != lam:
+                    assert new == ref
+                    continue
+                # where the reference runs out of budget, the search may answer
+                budget_stop = f"rainbow min-cut search exceeded {budget} states"
+                if new[0] != ref[0] and ref[0] == (BudgetExceededError, budget_stop):
+                    ref = _search_outcome(
+                        lambda st: reference_rainbow_cut_dfs(g, c, u, v, cap, st)
+                    )
+                assert new[0] == ref[0]
+                assert new[1] <= ref[1]
 
     @pytest.mark.parametrize("handed", [False, True])
     def test_first_flowed_state_closes_over_its_chosen_edges(self, handed):
@@ -711,6 +725,95 @@ class TestCutClosure:
         assert (closure.reach, closure.heads) == fresh
         verdict = all(closure.add(e, []) for e in chosen)
         assert verdict == (lambda_without(g, u, v, set(chosen)) == lam - len(chosen))
+
+
+class TestFlowWalks:
+    """``_flow_walks`` splits a maximum flow into λ edge-disjoint u-v walks,
+    each edge taken in the direction of its unit of flow."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(colored_multigraph_pairs())
+    def test_walks_follow_the_flow_from_u_to_v(self, case):
+        g, _, u, v, _ = case
+        lam, residual, _ = connectivity._max_flow(g, u, v)
+        walks, walk_of = connectivity._flow_walks(g, u, v, residual, lam)
+        assert len(walks) == lam
+        for i, walk in enumerate(walks):
+            x = u
+            for e, head in walk:
+                assert walk_of[e] == i
+                a, b = g.edges[e]
+                # the flow crosses e from x to head
+                assert (x, head) == ((a, b) if residual[2 * e] == 0 else (b, a))
+                assert residual[2 * e] != 1
+                x = head
+            assert x == v
+        assert sum(map(len, walks)) == sum(w != -1 for w in walk_of)
+
+
+def _hall_prunes(g, c, u, v):
+    """(chosen, excluded) of each state of the DFS capped at λ(u, v) that
+    the Hall test prunes."""
+    pruned = []
+    real = verifier._open_walks_matched
+
+    def recording(walks, walk_of, reach, chosen, used, excluded):
+        matched = real(walks, walk_of, reach, chosen, used, excluded)
+        if not matched:
+            pruned.append((frozenset(chosen), frozenset(excluded)))
+        return matched
+
+    lam = local_edge_connectivity(g, u, v)
+    with mock.patch.object(verifier, "_open_walks_matched", recording):
+        verifier._dfs_rainbow_cut(g, c, u, v, lam, SearchStats())
+    return pruned
+
+
+class TestHallPrune:
+    """The Hall test of a DFS capped at λ: the flow walks without a chosen
+    edge need distinct unused colors from their edges that are neither
+    excluded nor headed into the closure's reach.  It prunes only states
+    below which no rainbow minimum cut lies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(colored_multigraph_pairs())
+    def test_a_pruned_state_has_no_rainbow_minimum_cut(self, case):
+        g, c, u, v, _ = case
+        if local_edge_connectivity(g, u, v) == 0:
+            return
+        cuts = [cert.cut for cert in enumerate_min_cuts(g, u, v)]
+        for chosen, excluded in _hall_prunes(g, c, u, v):
+            assert not any(
+                chosen <= cut and not cut & excluded and is_rainbow(c, cut)
+                for cut in cuts
+            ), (chosen, excluded)
+
+    def test_two_walks_of_one_color_prune_the_root(self):
+        # λ(0, 3) = 2 through the parallel edges 0 and 3, both of color 3,
+        # and the pendant edges 1 and 2 leave the degrees 3 > λ, so the
+        # root takes the flow.  Each walk has a color, but not its own one.
+        g = Graph(4, [(0, 3), (0, 1), (2, 3), (0, 3)])
+        c = EdgeColoring((3, 1, 2, 3))
+        assert _hall_prunes(g, c, 0, 3) == [(frozenset(), frozenset())]
+        assert _search_outcome(
+            lambda st: verifier._dfs_rainbow_cut(g, c, 0, 3, 2, st)
+        ) == (None, 1)
+        assert _search_outcome(
+            lambda st: reference_rainbow_cut_dfs(g, c, 0, 3, 2, st)
+        ) == (None, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 5), max_size=4), max_size=5))
+    def test_matching_covers_the_walks_exactly_when_colors_can_be_picked(
+        self, palettes
+    ):
+        # one walk per palette, of one edge per color, none chosen or excluded
+        walks = [[(0, 0, col) for col in palette] for palette in palettes]
+        reach = [None]
+        distinct = any(len(set(pick)) == len(pick) for pick in product(*palettes))
+        assert verifier._open_walks_matched(walks, [], reach, set(), set(), set()) == (
+            distinct
+        )
 
 
 class TestReports:
