@@ -209,8 +209,8 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             return value, residual
         closure = _CutClosure(g, u, v, residual)
         if walks is None:
-            walks, walk_of = _flow_walks(g, u, v, residual, value)
-            walks = [[(e, head, colors[e]) for e, head in walk] for walk in walks]
+            paths, walk_of = _flow_walks(g, u, v, residual, value)
+            walks = [[(e, head, colors[e]) for e, head in path] for path in paths]
         if all(closure.add(e, []) for e in chosen):
             return value - len(chosen), residual
         return None
