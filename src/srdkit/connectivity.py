@@ -24,85 +24,30 @@ class CutCertificate:
     value: int
 
 
-def _push(g: Graph, residual, s: int, t: int, tree):
-    """Send one unit from s to t along the path of ``_bfs``'s ``tree``."""
-    edges = g.edges
-    while t != s:
-        arc = tree[t]
-        residual[arc] -= 1
-        residual[arc ^ 1] += 1
-        t = edges[arc >> 1][arc & 1]
-
-
 def _max_flow(g: Graph, s: int, t: int):
     """Edmonds-Karp on the paired-arc network of G.
 
     Returns (value, residual, tree) where residual[a] is the leftover
     capacity of arc a (0, 1 or 2) and tree is the walk of the last
     augmenting BFS, the one that fails to reach t: the vertices it reached
-    are the source side of a minimum cut.  A max flow of G less some edges
-    is a repair of this one (``_max_flow_without``), and whether removing
-    some edges lowers λ by their count is a closure test on this one
-    (``_CutClosure``).
+    are the source side of a minimum cut.  No search runs a flow of G less
+    some edges: whether removing them lowers λ by their count is a closure
+    test on this one (``_CutClosure``).
     """
+    edges = g.edges
     residual = _open_arcs(g)
     value = 0
     while True:
         tree = _bfs(g, s, residual, target=t)
         if tree[t] is None:
             return value, residual, tree
-        _push(g, residual, s, t, tree)
+        x = t
+        while x != s:  # send one unit along the walk's path
+            arc = tree[x]
+            residual[arc] -= 1
+            residual[arc ^ 1] += 1
+            x = edges[arc >> 1][arc & 1]
         value += 1
-
-
-def _max_flow_without(g: Graph, s: int, t: int, residual, value: int, e: int):
-    """Repair a maximum s-t flow after removing edge ``e``.
-
-    ``residual`` and ``value`` describe a maximum flow f of a network that
-    still has e; returns (value', residual') for a maximum flow of the
-    network without it, on a copy.  With no net flow on e, f stays maximum.
-    If f sends its unit over e from x to y, the copy first tries to reroute
-    that unit along a residual x-y path, keeping the value.  Failing that,
-    it cancels the unit: it pushes it from x back to s, along the tree of
-    the failed walk, and follows the flow out of y to t, cancelling each
-    arc it passes, and the value drops by one.
-
-    That flow is maximum: if a flow f' of the same value avoided e, then
-    f' - f would be a circulation in f's residual network sending one unit
-    over e from y to x, and the cycle through that arc would close with a
-    residual x-y path avoiding e, which the reroute would have found.  The
-    cancel paths exist: closing f with an arc t -> s gives a circulation,
-    and its cycle through e, having no residual x-y path to close it, runs
-    y ~> t -> s ~> x along flow, whose reverse is a residual x-s path.
-    After that push y sends one unit more than it takes in.  A vertex
-    other than t with such a surplus has an arc carrying a unit out of it
-    (s sends out at least as much as it takes in), and cancelling that
-    unit hands the surplus to the arc's head.  So the walk can stop only at
-    t, and it does stop, as it cancels a different arc at every step.
-    """
-    residual = bytearray(residual)
-    forward = residual[2 * e]
-    residual[2 * e] = residual[2 * e + 1] = 0
-    if forward == 1:
-        return value, residual
-    x, y = g.edges[e] if forward == 0 else g.edges[e][::-1]
-    tree = _bfs(g, x, residual, target=y)
-    if tree[y] is not None:
-        _push(g, residual, x, y, tree)
-        return value, residual
-    if x != s:
-        assert tree[s] is not None, "no residual path back to the source"
-        _push(g, residual, x, s, tree)
-    arcs = g._arcs
-    while y != t:
-        for w, a in arcs[y]:
-            if residual[a ^ 1] == 2:  # a carries a unit out of y
-                break
-        else:
-            raise AssertionError("no flow out of a vertex with a surplus")
-        residual[a] = residual[a ^ 1] = 1
-        y = w
-    return value - 1, residual
 
 
 def _crossing_edges(g: Graph, side: frozenset[int]) -> frozenset[int]:

@@ -6,7 +6,7 @@ n - 1 max flows.  It gives every pair's λ, and its n - 1 cuts are minimum
 cuts for the pairs whose tree paths they lie on, so each is tested for
 rainbowness once and settles those pairs it can.  A pair it leaves open
 runs one color-class DFS, which answers both questions: it picks at most
-one edge per color along live shortest paths and prunes any state that
+one edge per color along live shortest paths and prunes states that
 cannot be completed within a size cap.  The cap is λ(u, v) for a rainbow
 minimum cut (srd) and the number of colors for a rainbow cut of any size
 (rd).  ``find_rainbow_min_cut`` reads λ off the pair's own max flow, merges
@@ -15,18 +15,16 @@ and hands the flow to the search on that smaller graph; a cut of any size
 may cross those sides, so the verifier's searches run on G itself.  Every
 search follows one rule: a state runs no flow while the degrees of u and v
 in G - chosen settle its prune, and the first state where they do not
-takes G's max flow (at most one per search).  When that flow's value is
-the cap, as for every srd search, the flow stays fixed: a state survives
+takes G's max flow (at most one per search), which no state changes.  When
+that flow's value is the cap, as for every srd search, a state survives
 when its chosen edges lie in one minimum cut, which a closure test on the
 flow's residual decides (Picard-Queyranne) with at most one walk per
 state, and a Hall test prunes the states whose flow walks without a
 chosen edge cannot each take a color of their own, by a bipartite
-matching (Régin 1994).  Otherwise the first state repairs the flow along
-its chosen edges, and every state below it repairs a copy of its parent's
-flow for the edge it adds, which costs a few graph walks instead of a flow
-from zero.  It visits each rainbow edge subset at most once, so with k
-colors and classes of sizes s_1..s_k it explores at most
-prod(s_i + 1) <= sum_{l<=k} C(m, l) states — polynomial for fixed k.
+matching (Régin 1994).  A value above the cap prunes the root, and below
+it (rd) no flow prunes a state.  Each rainbow edge subset is visited at
+most once: with k colors in classes of sizes s_1..s_k, at most
+prod(s_i + 1) <= sum_{l<=k} C(m, l) states, polynomial for fixed k.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .connectivity import (
     _flow_walks,
     _lambda_rows,
     _max_flow,
-    _max_flow_without,
     _min_cut_kernel,
     _tree_cuts,
 )
@@ -133,7 +130,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     minimal cut lies on a live path, so path branching stays complete.
     Removing an edge lowers the residual connectivity by at most one, so a
     state whose residual exceeds the edges still allowed has no completion
-    and is pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
+    and may be pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
     cut; with ``cap`` = the number of colors, any rainbow cut fits.
     ``node_budget`` bounds the states, raising BudgetExceededError.  A
     root with λ(u, v) = 0 raises GraphStructureError (u, v disconnected).
@@ -143,16 +140,18 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     smaller degree of u and v in G - chosen, and while that bound is within
     ``cap`` - |chosen| the prune cannot fire, so the state runs no flow and
     its path walk tells whether λ is 0.  The first state whose bound does
-    not settle the prune takes G's flow, handed in or computed then.
+    not settle the prune takes G's flow, handed in or computed then.  No
+    state changes that flow.  If its value λ exceeds ``cap``, every state
+    has λ(G - chosen) ≥ λ - |chosen| > room, and the root is pruned.
 
-    When that flow's value is ``cap``, as for every srd search, no state
-    changes the flow.  λ(G - chosen) is then cap - |chosen| when ``chosen``
-    lies in a minimum cut of G and more otherwise, so a ``_CutClosure`` of
-    the flow decides each prune.  The first state builds it from u and its
-    chosen edges; below it each state adds its own edge, at the cost of at
-    most one walk, and its frame's ``undo`` list takes the edge back when
-    the state is left.  A state whose edge fails the test has its parent's
-    λ, as that edge lowered none, and is pruned.
+    When λ is ``cap``, as for every srd search, λ(G - chosen) is
+    cap - |chosen| when ``chosen`` lies in a minimum cut of G and more
+    otherwise, so a ``_CutClosure`` of the flow decides each prune.  The
+    first state builds it from u and its chosen edges; below it each state
+    adds its own edge, at the cost of at most one walk, and its frame's
+    ``undo`` list takes the edge back when the state is left.  A state
+    whose edge fails the test has its parent's λ, as that edge lowered
+    none, and is pruned.
 
     In that regime a state that survives the closure test also runs a Hall
     test (``_open_walks_matched``) before its path walk.  The first state
@@ -171,21 +170,20 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     where none does has no cut below it, and pruning it changes neither
     the cut found nor the order of the states that remain.
 
-    Any other ``cap`` (rd, or a cap above λ) has the first state repair
-    G's flow along ``chosen`` (``_max_flow_without``), and each state
-    below it passes its children a repaired copy of its own.  A state
-    whose degree bound or flow value is 0 is a cut without a walk; a state
-    with a flow keeps no degrees, as its value already says whether λ is
-    0.  Either way the states and their paths are the same: the flow only
-    decides prunes the degree bound leaves open.
+    When λ is below ``cap`` (rd, or any cap above λ), the flow bounds no
+    λ(G - chosen) from below, so that state and all below it stay on their
+    degrees, and only a state with no room left whose walk reaches v is
+    pruned.  A subtree that a flow per state would prune holds no cut
+    within the cap, so the same cut comes first, after more states.
 
-    The states are visited depth first with an explicit stack that holds
-    one frame per branching state on the current path, each with its own
-    flow or None, so no recursion limit applies.  ``chosen``, ``used`` and
-    ``excluded`` are shared sets that a frame extends while its children
-    run and restores when it is popped; ``open_arcs`` is G - ``chosen`` as
-    arc capacities, for the path walks, and ``degree`` holds the degrees
-    of G - ``chosen`` while no state on the path has a flow.
+    The states are visited depth first with an explicit stack of one frame
+    per branching state on the current path, each with its λ(G - chosen)
+    if λ is the cap and None otherwise, so no recursion limit applies.
+    ``chosen``, ``used`` and ``excluded`` are shared sets that a frame
+    extends while its children run and restores when it is popped;
+    ``open_arcs`` is G - ``chosen`` as arc capacities, for the path walks,
+    and ``degree`` holds the degrees of G - ``chosen`` while no frame on
+    the path has a value.
     """
     colors = c.colors
     edges = g.edges
@@ -194,30 +192,25 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     degree = [len(arcs) for arcs in g.adj]
     closure = None  # the _CutClosure of the states below the first with a flow
     walks = walk_of = None  # _flow_walks of the flow, once it has value cap
-    stack = []  # [flow residual or None, flow value, branch, next index, child undo]
+    stack = []  # [λ(G - chosen) or None, branch, next index, child undo]
 
-    def flow_of_chosen():
-        """(λ(G - chosen), a max flow of G - chosen) from G's flow, or None
-        when ``chosen`` lies in no minimum cut and the cap is λ."""
-        nonlocal flow, closure, walks, walk_of
-        if flow is None:
-            flow = _max_flow(g, u, v)[:2]
-        value, residual = flow
-        if value != cap:
-            for e in chosen:
-                value, residual = _max_flow_without(g, u, v, residual, value, e)
-            return value, residual
+    def closes_over_chosen():
+        """Does ``chosen`` lie in a minimum cut of G?  Builds the closure of
+        G's flow of value ``cap`` over it, and splits that flow into walks
+        the first time."""
+        nonlocal closure, walks, walk_of
+        residual = flow[1]
         closure = _CutClosure(g, u, v, residual)
         if walks is None:
-            paths, walk_of = _flow_walks(g, u, v, residual, value)
+            paths, walk_of = _flow_walks(g, u, v, residual, cap)
             walks = [[(e, head, colors[e]) for e, head in path] for path in paths]
-        if all(closure.add(e, []) for e in chosen):
-            return value - len(chosen), residual
-        return None
+        return all(closure.add(e, []) for e in chosen)
 
-    def enter(value, residual):
+    def enter(value):
         """Count a state; return its cut, or push a frame if it branches.
-        ``value`` and ``residual`` are None for a state without a flow."""
+        ``value`` is the state's λ(G - chosen) below the first state with a
+        flow of value ``cap``, and None elsewhere."""
+        nonlocal flow
         stats.nodes += 1
         if node_budget is not None and stats.nodes > node_budget:
             raise BudgetExceededError(
@@ -227,14 +220,16 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
         if value is None:
             bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
             if bound > room:
-                flowed = flow_of_chosen()
-                if flowed is None:
+                if flow is None:
+                    flow = _max_flow(g, u, v)[:2]
+                if flow[0] > cap:  # λ(G - chosen) ≥ λ - |chosen| > room
                     return None
-                value, residual = flowed
+                if flow[0] == cap:
+                    if not closes_over_chosen():
+                        return None
+                    value = room
         if value is not None:
-            if value > room:
-                return None
-            if closure is not None and not _open_walks_matched(
+            if value > room or not _open_walks_matched(
                 walks, walk_of, closure.reach, chosen, used, excluded
             ):
                 return None
@@ -244,6 +239,8 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             if not chosen:
                 raise GraphStructureError(f"vertices {u} and {v} are disconnected")
             return frozenset(chosen)
+        if room == 0:  # λ(G - chosen) > 0 = room
+            return None
         branch = []
         x = v
         while x != u:
@@ -253,13 +250,13 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             if e not in excluded and colors[e] not in used:
                 branch.append(e)
         branch.reverse()
-        stack.append([residual, value, branch, 0, []])
+        stack.append([value, branch, 0, []])
         return None
 
-    hit = enter(None, None)
+    hit = enter(None)
     while hit is None and stack:
         frame = stack[-1]
-        residual, value, branch, i, undo = frame
+        value, branch, i, undo = frame
         if i:
             # the previous child is done: drop it and exclude it
             prev = branch[i - 1]
@@ -267,30 +264,28 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             open_arcs[2 * prev] = open_arcs[2 * prev + 1] = 1
             used.discard(colors[prev])
             excluded.add(prev)
-            if residual is None:
+            if value is None:
                 a, b = edges[prev]
                 degree[a] += 1
                 degree[b] += 1
-            elif undo:
+            else:
                 closure.remove(undo)
         if i == len(branch):
             stack.pop()
             excluded.difference_update(branch)
             continue
         e = branch[i]
-        frame[3] = i + 1
+        frame[2] = i + 1
         chosen.add(e)
         open_arcs[2 * e] = open_arcs[2 * e + 1] = 0
         used.add(colors[e])
-        if residual is None:
+        if value is None:
             a, b = edges[e]
             degree[a] -= 1
             degree[b] -= 1
-            hit = enter(None, None)
-        elif flow[0] == cap:
-            hit = enter(value - 1 if closure.add(e, undo) else value, residual)
+            hit = enter(None)
         else:
-            hit = enter(*_max_flow_without(g, u, v, residual, value, e))
+            hit = enter(value - 1 if closure.add(e, undo) else value)
     return hit
 
 
@@ -400,9 +395,7 @@ def is_srd_coloring(
 
 
 def is_rd_coloring(
-    g: Graph,
-    c: EdgeColoring,
-    stats: SearchStats | None = None,
+    g: Graph, c: EdgeColoring, *, stats: SearchStats | None = None
 ) -> VerificationReport:
     """Does every vertex pair have a rainbow cut of some size?
 

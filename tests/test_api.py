@@ -4,6 +4,7 @@ Adding or removing a public name is an API change: it has to edit the pin
 below, and say so in CHANGES.md.
 """
 
+import inspect
 import types
 
 import srdkit
@@ -113,3 +114,12 @@ def test_graph_public_attributes_are_pinned():
         "max_degree",
         "vertex_count",
     ]
+
+
+def test_verifier_signatures_are_pinned():
+    # stats is keyword-only on both verifiers
+    for verify in (srdkit.is_srd_coloring, srdkit.is_rd_coloring):
+        assert str(inspect.signature(verify)) == (
+            "(g: 'Graph', c: 'EdgeColoring', *, stats: 'SearchStats | None' = None)"
+            " -> 'VerificationReport'"
+        )

@@ -312,6 +312,21 @@ class TestVerify:
         assert code == 0
         assert text.splitlines()[1:] == [f"graph {g} n=0 m=0", f"mode {mode}", "verdict true"]
 
+    def test_rd_report_below_flowed_states_is_the_recorded_one(
+        self, tmp_path, monkeypatch
+    ):
+        # the cut tree settles three pairs; the DFS of the other three visits
+        # 12 states, some below a state that took G's flow, of a value below
+        # the cap of 3 colors.  verify_rd_flowed.json is the report recorded
+        # while such states still repaired that flow.
+        monkeypatch.chdir(tmp_path)
+        Path("g4.graph").write_text("4 5\n1 2\n0 2\n0 3\n2 3\n1 3\n")
+        Path("g4.col").write_text("1\n3\n3\n2\n1\n")
+        code, text = run(["verify", "--mode", "rd", "--json", "g4.graph", "g4.col"])
+        recorded = (Path(__file__).parent / "verify_rd_flowed.json").read_bytes()
+        assert code == 0
+        assert text.encode() == recorded
+
     def test_wrong_length_coloring_is_exit_2(self, k4_file, tmp_path):
         c = tmp_path / "short.txt"
         c.write_text("1\n2\n")

@@ -534,18 +534,17 @@ class TestKernelOutcomes:
 class TestCheckWork:
     """The machine-independent work of the reduction check's cut search
     over the 236-formula exhaustive family: DFS states, max flows (one per
-    search, for λ), flow repairs and graph walks, for the search on the
-    minimum-cut kernel and for the uncontracted reference.  Both are srd
-    searches handed a flow of value λ, so a closure test and a Hall test on
-    that one flow decide every prune and no state repairs it.  Every walk
-    goes through ``graph._walk``, directly or by ``_bfs``, or
-    ``connectivity._walk``: the DFS's path walks, the closure's walks and
-    the flows' own.  Splitting the flow into u-v walks for the Hall test
-    makes no graph walk."""
+    search, for λ) and graph walks, for the search on the minimum-cut
+    kernel and for the uncontracted reference.  Both are srd searches
+    handed a flow of value λ, so a closure test and a Hall test on that one
+    flow decide every prune.  Every walk goes through ``graph._walk``,
+    directly or by ``_bfs``, or ``connectivity._walk``: the DFS's path
+    walks, the closure's walks and the flows' own.  Splitting the flow into
+    u-v walks for the Hall test makes no graph walk."""
 
     @staticmethod
     def _family_work(search):
-        calls = {"flow": 0, "repair": 0, "walk": 0}
+        calls = {"flow": 0, "walk": 0}
 
         def counting(kind, real):
             def counted(*args):
@@ -560,8 +559,6 @@ class TestCheckWork:
         ), mock.patch.object(
             oracles, "_max_flow", counting("flow", oracles._max_flow)
         ), mock.patch.object(
-            verifier, "_max_flow_without", counting("repair", verifier._max_flow_without)
-        ), mock.patch.object(
             graph, "_walk", counting("walk", graph._walk)
         ), mock.patch.object(
             connectivity, "_walk", counting("walk", connectivity._walk)
@@ -574,9 +571,9 @@ class TestCheckWork:
     def test_exhaustive_family_counts(self):
         nodes, calls = self._family_work(oracles.reference_find_rainbow_min_cut)
         assert nodes == 93_805
-        assert calls == {"flow": 236, "repair": 0, "walk": 125_289}
+        assert calls == {"flow": 236, "walk": 125_289}
 
     def test_kernel_family_counts(self):
         nodes, calls = self._family_work(find_rainbow_min_cut)
         assert nodes == 5_169
-        assert calls == {"flow": 236, "repair": 0, "walk": 9_862}
+        assert calls == {"flow": 236, "walk": 9_862}

@@ -10,7 +10,7 @@ from math import comb, prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srdkit import (
@@ -404,9 +404,8 @@ class TestFlowsPerSearch:
     itself.  Every search follows one rule: a DFS state runs no
     flow while the degrees of u and v in G - chosen settle its prune; the
     first state where they do not takes G's flow.  Capped at λ, the search
-    then decides every prune by a closure test on that flow; with any
-    other cap that state repairs the flow along its chosen edges, and
-    every state below it repairs its parent's."""
+    then decides every prune by a closure test on that flow; capped below
+    λ it prunes that state, and capped above λ it runs no other flow."""
 
     def test_enumeration_path_runs_one_flow(self, flow_calls):
         proper = EdgeColoring((1, 2, 3, 3, 2, 1))
@@ -423,23 +422,14 @@ class TestFlowsPerSearch:
         assert len(flow_calls) == 1
 
     def test_srd_search_repairs_no_flow_where_degrees_settle_every_prune(
-        self, flow_calls, monkeypatch
+        self, flow_calls
     ):
         # K16 with 15 colors: λ = 15 = the degree of every vertex
-        repairs = []
-        real = verifier._max_flow_without
-
-        def counted(*args):
-            repairs.append(args[1:3])
-            return real(*args)
-
-        monkeypatch.setattr(verifier, "_max_flow_without", counted)
         st = SearchStats()
         report = is_srd_coloring(*color_complete(16), stats=st)
         assert report.verdict
         assert (st.nodes, st.settled) == (0, 120)  # every pair by a tree cut
         assert len(flow_calls) == 15  # the tree's, for every λ
-        assert repairs == []
 
     def test_srd_verification_of_the_grid(self, flow_calls):
         # 63 tree flows; the tree cuts settle 1,980 of the 2,016 pairs, and
@@ -495,6 +485,18 @@ class TestFlowsPerSearch:
         assert st.nodes > 1
         assert flow_calls == [(0, 7)]
 
+    def test_any_size_search_below_lambda_prunes_the_root(self, flow_calls):
+        # K4 in 2 colors: λ = 3 exceeds the cap, so no pair has a rainbow
+        # cut.  No tree cut settles (0, 1), and its root takes G's flow and
+        # is pruned: λ(G - chosen) ≥ 3 - |chosen| > the room at every state.
+        c = EdgeColoring((1, 2, 2, 1, 1, 2))
+        st = SearchStats()
+        report = is_rd_coloring(complete_graph(4), c, stats=st)
+        assert (report.verdict, report.failing_pair) == (False, (0, 1))
+        assert (st.nodes, st.settled) == (1, 0)
+        # the cut tree's three flows, then the root's
+        assert flow_calls == [(1, 0), (2, 0), (3, 0), (0, 1)]
+
 
 def _search_outcome(search):
     """(cut or (error type, message), states visited) of one search."""
@@ -506,104 +508,30 @@ def _search_outcome(search):
     return result, stats.nodes
 
 
-def _checked_repair(g, s, t, residual, value, e):
-    """verifier._max_flow_without, checked: the repaired residual is a flow
-    of the returned value with e removed, and that value is λ(s, t) with
-    every removed edge gone."""
-    value, residual = connectivity._max_flow_without(g, s, t, residual, value, e)
-    removed = {x for x in range(g.edge_count) if residual[2 * x] == residual[2 * x + 1] == 0}
-    assert e in removed
-    assert value == lambda_without(g, s, t, removed)
-    net = [0] * g.vertex_count  # outflow minus inflow
-    for x, (a, b) in enumerate(g.edges):
-        if x not in removed:
-            flow = 1 - residual[2 * x]  # units sent a -> b
-            net[a] += flow
-            net[b] -= flow
-    assert net[s] == value == -net[t]
-    assert not any(net[x] for x in range(g.vertex_count) if x not in (s, t))
-    return value, residual
-
-
-def _unit_flow(g, paths):
-    """Arc capacities of the flow that sends one unit along each vertex
-    path in ``paths``, each step over the first unused edge joining its two
-    vertices."""
-    residual = bytearray(b"\x01" * (2 * g.edge_count))
-    for path in paths:
-        for a, b in zip(path, path[1:]):
-            e = next(
-                e for e, ends in enumerate(g.edges)
-                if set(ends) == {a, b} and residual[2 * e] == 1
-            )
-            forward = g.edges[e] == (a, b)
-            residual[2 * e], residual[2 * e + 1] = (0, 2) if forward else (2, 0)
-    return residual
-
-
-class TestFlowRepairCases:
-    """Hand-built maximum flows whose unit on the removed edge goes around a
-    directed flow cycle, or through s, on its way to t."""
-
-    @pytest.mark.parametrize(
-        "edges, s, t, paths, e, after",
-        [
-            # s x y a b c a t: the cancel walk from y runs the cycle a b c
-            (
-                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (3, 6)],
-                0, 6, [(0, 1, 2, 3, 4, 5, 3, 6)], 1, 0,
-            ),
-            # the same with x = s, and a second path that keeps a unit
-            (
-                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (2, 5), (0, 5)],
-                0, 5, [(0, 1, 2, 3, 4, 2, 5), (0, 5)], 0, 1,
-            ),
-            # s x y s w t: the unit comes back through s, and the reroute
-            # x s y keeps it
-            (
-                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)],
-                0, 4, [(0, 1, 2, 0, 3, 4)], 1, 1,
-            ),
-            # s a b s x y t: the unit runs a flow cycle through s before it
-            # reaches x, and is cancelled back to s
-            (
-                [(0, 3), (3, 4), (4, 0), (0, 1), (1, 2), (2, 5)],
-                0, 5, [(0, 3, 4, 0, 1, 2, 5)], 4, 0,
-            ),
-            # two parallel units x y, and a cycle y a b y after them
-            (
-                [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (4, 2),
-                 (2, 5), (2, 5)],
-                0, 5, [(0, 1, 2, 3, 4, 2, 5), (0, 1, 2, 5)], 2, 1,
-            ),
-        ],
-    )
-    def test_repair_is_a_maximum_flow(self, edges, s, t, paths, e, after):
-        g = Graph(max(max(ends) for ends in edges) + 1, edges)
-        residual = _unit_flow(g, paths)
-        value = len(paths)
-        assert value == local_edge_connectivity(g, s, t)  # a maximum flow
-        assert residual[2 * e] != 1  # that uses e
-        value, _ = _checked_repair(g, s, t, residual, value, e)
-        assert value == after
-
-
-class TestRepairedFlowSearch:
+class TestFlowedSearch:
     """The DFS that flows only where its degree bound does not settle the
     prune, against the reference DFS that runs a fresh max flow at every
     state.  A search runs at most one max flow, and none when the caller
-    hands it G's.  Below the first state with a flow, a search capped at
-    λ decides its prunes by a closure test on that flow and repairs none;
-    any other cap repairs its parent's flow at every state.  A search
-    capped at λ also runs the Hall test, which prunes only states without
-    a cut below them: it finds the reference's cut in no more states, and
-    may answer where the reference runs out of budget."""
+    hands it G's, and no state changes that flow.  Capped at λ, a search
+    decides its prunes below the first state with the flow by a closure
+    test on it and a Hall test, which prune only states without a cut
+    below them: it finds the reference's cut in no more states, and may
+    answer where the reference runs out of budget.  Capped below λ it
+    prunes the root; capped above λ it prunes no state by the flow, so it
+    finds the reference's cut in no fewer states, and may run out of
+    budget where the reference answers."""
 
     @settings(max_examples=150, deadline=None)
     @given(colored_multigraph_pairs())
+    # three parallel edges 0-1 in colors 2, 3 and 4, then 1-2 in color 1:
+    # capped at λ + 1 = 2, {0, 1} keeps its degrees and has no room left,
+    # so it is pruned, though {0, 1, 2} is a rainbow cut
+    @example(
+        (Graph(3, [(0, 1)] * 3 + [(1, 2)]), EdgeColoring((2, 3, 4, 1)), 0, 2, None)
+    )
     def test_same_cut_nodes_and_errors_as_fresh_flows(self, case):
         g, c, u, v, budget = case
-        calls = {"flow": 0, "repair": 0, "closure": 0}
+        calls = {"flow": 0, "closure": 0}
 
         def counting(kind, real):
             def counted(*args, **kwargs):
@@ -620,40 +548,43 @@ class TestRepairedFlowSearch:
             (len(c.distinct_colors()), None),  # any size
             (lam + 1, g_flow),  # a cap above λ
         )
+        budget_stop = (
+            BudgetExceededError, f"rainbow min-cut search exceeded {budget} states"
+        )
         with mock.patch.object(
-            verifier, "_max_flow_without", counting("repair", _checked_repair)
-        ), mock.patch.object(
             verifier, "_CutClosure", counting("closure", verifier._CutClosure)
         ):
             for cap, flow in searches:
-                calls.update(flow=0, repair=0, closure=0)
+
+                def search(st, budget=budget):
+                    return verifier._dfs_rainbow_cut(
+                        g, c, u, v, cap, st, budget, flow=flow
+                    )
+
+                def reference(st, budget=budget):
+                    return reference_rainbow_cut_dfs(g, c, u, v, cap, st, budget)
+
+                calls.update(flow=0, closure=0)
                 with mock.patch.object(
                     verifier, "_max_flow", counting("flow", verifier._max_flow)
                 ):
-                    new = _search_outcome(
-                        lambda st: verifier._dfs_rainbow_cut(
-                            g, c, u, v, cap, st, budget, flow=flow
-                        )
-                    )
+                    new = _search_outcome(search)
                 assert calls["flow"] <= (1 if flow is None else 0)
-                if cap == lam:
-                    assert calls["repair"] == 0
-                else:
-                    assert calls["closure"] == 0
-                ref = _search_outcome(
-                    lambda st: reference_rainbow_cut_dfs(g, c, u, v, cap, st, budget)
-                )
                 if cap != lam:
-                    assert new == ref
-                    continue
-                # where the reference runs out of budget, the search may answer
-                budget_stop = f"rainbow min-cut search exceeded {budget} states"
-                if new[0] != ref[0] and ref[0] == (BudgetExceededError, budget_stop):
-                    ref = _search_outcome(
-                        lambda st: reference_rainbow_cut_dfs(g, c, u, v, cap, st)
-                    )
-                assert new[0] == ref[0]
-                assert new[1] <= ref[1]
+                    assert calls["closure"] == 0
+                ref = _search_outcome(reference)
+                # where the side that visits more states runs out of budget,
+                # the other may answer
+                if cap == lam:
+                    if new[0] != ref[0] and ref[0] == budget_stop:
+                        ref = _search_outcome(lambda st: reference(st, None))
+                    assert new[0] == ref[0]
+                    assert new[1] <= ref[1]
+                else:
+                    if new[0] != ref[0] and new[0] == budget_stop:
+                        new = _search_outcome(lambda st: search(st, None))
+                    assert new[0] == ref[0]
+                    assert new[1] >= ref[1]
 
     @pytest.mark.parametrize("handed", [False, True])
     def test_first_flowed_state_closes_over_its_chosen_edges(self, handed):
@@ -665,38 +596,29 @@ class TestRepairedFlowSearch:
         g = Graph(3, [(2, 1), (0, 2), (0, 2), (1, 0)])
         c = EdgeColoring((2, 1, 1, 1))
         flow = connectivity._max_flow(g, 2, 1)[:2] if handed else None
-        repairs = []
-        with mock.patch.object(
-            verifier, "_max_flow_without", lambda *args: repairs.append(args)
-        ):
-            new = _search_outcome(
-                lambda st: verifier._dfs_rainbow_cut(g, c, 2, 1, 2, st, flow=flow)
-            )
+        new = _search_outcome(
+            lambda st: verifier._dfs_rainbow_cut(g, c, 2, 1, 2, st, flow=flow)
+        )
         assert new == (frozenset({0, 3}), 4)
         assert new == _search_outcome(
             lambda st: reference_rainbow_cut_dfs(g, c, 2, 1, 2, st)
         )
-        assert repairs == []
 
-    def test_any_size_search_above_lambda_repairs(self):
+    def test_any_size_search_above_lambda_keeps_degree_bounds(self, flow_calls):
         # three parallel edges 0-1, then 1-2: λ(0, 2) = 1 and 2 colors.  The
-        # degrees settle the root and {edge 0}; {0, 2} takes G's flow and
-        # repairs it along both edges, and its λ of 1 prunes it.
+        # degrees settle the root and {edge 0}; {0, 2} takes G's flow, whose
+        # value 1 is below the cap, so it keeps its degrees and is pruned
+        # as it has no room left and its walk reaches 2.
         g = Graph(3, [(0, 1), (1, 2), (0, 1), (0, 1)])
         c = EdgeColoring((1, 1, 2, 1))
-        repairs = []
-
-        def counted(*args):
-            repairs.append(args[5])
-            return _checked_repair(*args)
-
-        with mock.patch.object(verifier, "_max_flow_without", counted):
+        with mock.patch.object(verifier, "_CutClosure") as closure:
             new = _search_outcome(lambda st: _any_size_cut(g, c, 0, 2, st))
+        assert flow_calls == [(0, 2)]
+        assert not closure.called
         assert new == (frozenset({1}), 4)
         assert new == _search_outcome(
             lambda st: reference_rainbow_cut_dfs(g, c, 0, 2, 2, st)
         )
-        assert sorted(repairs) == [0, 2]
 
 
 class TestCutClosure:
