@@ -5,6 +5,12 @@ Everything runs on the unit-capacity flow network obtained by replacing each
 undirected edge with a pair of opposing arcs (arc 2e goes edges[e][0] ->
 edges[e][1], arc 2e+1 the reverse).  By Menger's theorem the max-flow value
 equals the number of pairwise edge-disjoint u-v paths, i.e. lambda(u, v).
+
+A minimum u-v cut is δ(S) for a vertex set S that holds u but not v and
+that no residual arc of a maximum flow leaves (Picard-Queyranne).  One
+closure test, ``_CutClosure``, decides whether an edge set lies in such a
+cut; it serves both the listing of a pair's minimum cuts, which picks one
+edge per flow walk, and the verifier's rainbow-cut DFS.
 """
 
 from __future__ import annotations
@@ -70,161 +76,38 @@ def local_edge_connectivity(g: Graph, u: int, v: int) -> int:
     return value
 
 
-def _tarjan_scc(n: int, succ) -> list[int]:
-    """Iterative Tarjan SCC; succ[v] is an iterable of successors."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
-
-
 def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
-    """All minimum u-v cuts, as CutCertificates.
+    """All minimum u-v cuts, as CutCertificates, sorted lexicographically by
+    sorted EdgeId tuple.
 
-    Minimum cuts of a unit-capacity network are exactly the residual-closed
-    vertex sets containing u and avoiding v (Picard-Queyranne), so we
-    enumerate closed sets of the residual SCC condensation.  The list is
-    sorted lexicographically by sorted EdgeId tuple and truncated at
-    ``limit`` (truncation keeps determinism but not completeness): the walk
-    stops after limit + 1 closed sets, in a fixed order.
+    One max flow, then ``_walk_min_cuts`` over its walks.  The list is
+    truncated at ``limit``: the walk stops after limit + 1 cuts, in walk
+    order, and a truncated list is the first ``limit`` of those sorted, so
+    it is deterministic but need not hold the lexicographically first cuts.
+    A pair in different components has one cut, the empty one of value 0.
     """
     _check_pair(g, u, v)
     limit = max(limit, 0)  # any limit <= 0 lists nothing
-    value, residual, tree = _max_flow(g, u, v)
-    cuts = sorted(set(_walk_min_cuts(g, u, v, residual, tree, limit)))[:limit]
+    value, residual, _ = _max_flow(g, u, v)
+    cuts = sorted(_walk_min_cuts(g, u, v, residual, value, limit))[:limit]
     return [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
 
 
-def _walk_min_cuts(g: Graph, u: int, v: int, residual, tree, limit: int) -> list:
-    """The minimum u-v cuts of the maximum flow ``residual``, as sorted
-    EdgeId tuples in the order the closed-set walk reaches their source
-    sides, stopping after limit + 1 sides.  ``tree`` is the flow's last
-    walk, the one from u that did not reach v."""
-    n = g.vertex_count
-    edges = g.edges
-    # every edge of a minimum cut carries a unit out of its source side
-    flow_edges = [e for e, r in enumerate(residual[::2]) if r != 1]
-
-    # With S0, T0 and F from _forced_sides: when F is empty, S0 and T0 are
-    # the only minimum cut's sides; when F forms one strongly connected
-    # block the pair has two minimum cuts, d(S0) and d(V - T0).  Either way
-    # S0, T0 and F serve as the walk's components; otherwise the components
-    # come from an SCC pass.
-    comp, swapped = _forced_sides(g, v, residual, tree)
-    loose = [x for x in range(n) if comp[x] == 2]  # F
-    if not loose or _one_block(g, comp, loose, residual, swapped):
-        # F's successors lie in F or S0, so F may always join the source side
-        csucc: list[set[int]] = [set() for _ in range(3 if loose else 2)]
-    else:
-        # The forced sides are then the components of u and v.  An edge's
-        # two arcs have 2 units of residual between them, so across any
-        # vertex set the residual out minus the residual in is twice the
-        # net flow in.  Take A, the vertices that reach u: no arc enters A,
-        # and A holds u and v (a flow path reversed is residual) unless the
-        # flow is zero, so its net inflow is 0 and no arc leaves A either:
-        # all that u reaches reaches u.  The same count on the set that v
-        # reaches shows that all that reaches v is reached from v.
-        succ = [{w for w, arc in arcs if residual[arc]} for arcs in g._arcs]
-        comp = _tarjan_scc(n, [tuple(s) for s in succ])
-        csucc = [set() for _ in range(max(comp) + 1)]
-        for a in range(n):
-            for b in succ[a]:
-                if comp[a] != comp[b]:
-                    csucc[comp[a]].add(comp[b])
-    assert comp[u] != comp[v], "residual u->v path left after max flow"
-
-    # Tarjan gives successors lower ids, so ascending ids decide sinks first
-    free = sorted(set(range(len(csucc))) - {comp[u], comp[v]})
-    # a free comp's successors are free or u's (one of v's would put the
-    # comp itself in v's side), so a free comp may join the source side
-    # once all its successors are in
-    inside = bytearray(len(csucc))  # 1 for the comps on the source side
-    inside[comp[u]] = 1
-    crossing = [
-        (e, comp[edges[e][0]], comp[edges[e][1]])
-        for e in flow_edges
-        if comp[edges[e][0]] != comp[edges[e][1]]
-    ]
-    cuts: list[tuple[int, ...]] = []
-
-    # Depth-first over the include/exclude decisions for free[0], free[1],
-    # ...: "visit i" decides free[i], leaving it out before putting it in,
-    # and stops after limit + 1 sides.  An explicit stack keeps long chains
-    # of free components clear of the recursion limit.
-    stack = [("visit", 0)]
-    while stack and len(cuts) <= limit:
-        action, i = stack.pop()
-        if action == "drop":
-            inside[free[i]] = 0
-        elif action == "include":
-            if all(inside[d] for d in csucc[free[i]]):
-                inside[free[i]] = 1
-                stack += [("drop", i), ("visit", i + 1)]
-        elif i == len(free):
-            cuts.append(tuple(e for e, a, b in crossing if inside[a] != inside[b]))
-        else:
-            stack += [("include", i), ("visit", i + 1)]
-    return cuts
-
-
-def _forced_sides(g: Graph, v: int, residual, tree) -> tuple[list[int], bytearray]:
+def _forced_sides(g: Graph, v: int, residual, tree) -> list[int]:
     """The sides that every minimum u-v cut keeps whole (Picard-Queyranne),
     read off the maximum flow ``residual`` and its last walk ``tree``, the
     one from u that did not reach v.
 
-    Returns (comp, swapped).  comp[x] is 0 for the source side S0, all that
-    u reaches in the residual, which is what ``tree`` reached; 1 for the
-    sink side T0, all that reaches v, found by one walk from v over
-    ``swapped``, the residual with each edge's two arcs swapped; and 2 for
-    the free vertices F between them."""
+    comp[x] is 0 for the source side S0, all that u reaches in the
+    residual, which is what ``tree`` reached; 1 for the sink side T0, all
+    that reaches v, found by one walk from v over the residual with each
+    edge's two arcs swapped; and 2 for the free vertices between them."""
     swapped = bytearray(len(residual))
     swapped[::2], swapped[1::2] = residual[1::2], residual[::2]
-    comp = [
+    return [
         0 if a is not None else 1 if b is not None else 2
         for a, b in zip(tree, _bfs(g, v, swapped))
     ]
-    return comp, swapped
 
 
 def _min_cut_kernel(g: Graph, u: int, v: int, residual, tree):
@@ -244,7 +127,7 @@ def _min_cut_kernel(g: Graph, u: int, v: int, residual, tree):
     it is, so when S0 and T0 are single vertices G comes back with the
     identity map.
     """
-    comp, _ = _forced_sides(g, v, residual, tree)
+    comp = _forced_sides(g, v, residual, tree)
     h, edge_map = g, range(g.edge_count)
     local = list(range(g.vertex_count))  # vertex of G -> vertex of h
     for side in (0, 1):
@@ -346,17 +229,44 @@ def _flow_walks(g: Graph, s: int, t: int, residual, value: int):
     return walks, walk_of
 
 
-def _one_block(g: Graph, comp, loose: list, residual, swapped) -> bool:
-    """Do the free vertices ``loose`` (comp 2) form one strongly connected
-    block?  They do when the walks from one of them over them alone,
-    forward over the residual and backward over ``swapped``, each reach
-    them all."""
-    for capacity in (residual, swapped):
-        tree = [None if c == 2 else -1 for c in comp]  # S0 and T0 pre-marked
-        tree[loose[0]] = -1
-        if len(_walk(g, tree, [loose[0]], capacity)) < len(loose):
-            return False
-    return True
+def _walk_min_cuts(g: Graph, u: int, v: int, residual, value: int, limit: int) -> list:
+    """The minimum u-v cuts of the maximum flow ``residual`` of ``value``
+    units, as sorted EdgeId tuples, each once, in walk order, stopping after
+    limit + 1 cuts.
+
+    Every edge of a minimum cut δ(S) carries a unit of the flow out of S,
+    and no flow enters S, so each of the flow's ``value`` walks
+    (``_flow_walks``) leaves S once and never comes back: δ(S) has one
+    edge on each walk and no other.  So the walk picks one edge per walk,
+    depth first, walk 0 first and each walk's edges from u on, and a
+    ``_CutClosure`` keeps a pick only while the picks lie in one minimum
+    cut.  Once every walk has a pick, the ``value`` picks are that whole
+    cut.  Each cut thus comes out once, and a pick that passes the test
+    always extends to a cut, so no branch is a dead end.  An explicit
+    stack keeps a large ``value`` clear of the recursion limit.  With
+    ``value`` 0 the one cut is the empty one."""
+    walks = [[e for e, _ in walk] for walk in _flow_walks(g, u, v, residual, value)[0]]
+    closure = _CutClosure(g, u, v, residual)
+    undo = [[] for _ in walks]  # undo[i]: what walk i's pick added
+    cuts: list[tuple[int, ...]] = []
+    # stack[i]: the next position to try on walk i, so below the top walk
+    # i's pick is walks[i][stack[i] - 1]
+    stack = [0]
+    while stack and len(cuts) <= limit:
+        i = len(stack) - 1
+        if i == value:  # every walk has a pick
+            cuts.append(tuple(sorted(walks[k][stack[k] - 1] for k in range(i))))
+            stack.pop()
+            continue
+        closure.remove(undo[i])  # take back walk i's last pick, kept or not
+        j = stack[i]
+        if j == len(walks[i]):
+            stack.pop()
+            continue
+        stack[i] = j + 1
+        if closure.add(walks[i][j], undo[i]):
+            stack.append(0)
+    return cuts
 
 
 def _cut_tree(g: Graph) -> tuple[list[int], list[int]]:

@@ -21,8 +21,9 @@ without orbit marking, ``reference_canonical_colorings`` and
 search written as recursions, ``reference_min_nontrivial_pair_cut``, the
 construction's cut choice with a λ flow for every pair before its
 enumeration, ``reference_bfs``, the graph walk that keeps its tree in a
-dict, ``reference_walk_min_cuts``, the min-cut walk that finds its
-forced sides by an SCC pass over the whole residual every time, and the
+dict, ``reference_walk_min_cuts``, the min-cut walk over the closed sets
+of the residual's strongly connected components (``_tarjan_scc``) instead
+of over the flow's walks, and the
 structure questions as the package once answered them on their own:
 ``reference_two_color``, a level-by-level 2-coloring,
 ``reference_is_cactus_with_cycle``, which tests each block for a cycle by
@@ -38,7 +39,6 @@ from srdkit.connectivity import (
     _check_pair,
     _crossing_edges,
     _max_flow,
-    _tarjan_scc,
     enumerate_min_cuts,
     local_edge_connectivity,
 )
@@ -600,12 +600,64 @@ def reference_bfs(g, start, capacity, target=None):
     return tree
 
 
+def _tarjan_scc(n, succ):
+    """Iterative Tarjan SCC; succ[v] is an iterable of successors.  Returns
+    comp, with each component's successors in components of lower ids."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
+    stack = []
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return comp
+
+
 def reference_walk_min_cuts(g, u, v, residual, limit):
-    """``connectivity._walk_min_cuts`` without its shortcuts: an SCC pass
-    over the whole residual for every pair, even one with a single minimum
-    cut, and each side's cut read from all edges.  Returns the cuts as
-    sorted EdgeId tuples in the order the closed-set walk reaches their
-    source sides, stopping after limit + 1 sides."""
+    """The minimum u-v cuts of the maximum flow ``residual`` by
+    Picard-Queyranne over the residual's strongly connected components:
+    include/exclude each free component, depth first, keeping the source
+    side closed, and read each side's cut from all edges.  Returns the cuts
+    as sorted EdgeId tuples in the order the walk reaches their source
+    sides, stopping after limit + 1 sides.  Distinct sides can give one
+    cut when G is disconnected, so a side list may repeat a cut."""
     n = g.vertex_count
     succ = [{w for w, arc in arcs if residual[arc]} for arcs in g._arcs]
     comp = _tarjan_scc(n, [tuple(s) for s in succ])

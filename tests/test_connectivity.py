@@ -11,6 +11,7 @@ except ImportError:
 
 from srdkit import connectivity
 from srdkit.connectivity import (
+    CutCertificate,
     _cut_tree,
     _lambda_rows,
     _max_flow,
@@ -129,7 +130,7 @@ class TestEnumerateMinCuts:
         assert [sorted(c.cut) for c in cuts] == [[0], [1], [2]]
 
     def test_long_path_beyond_the_recursion_limit(self):
-        # one free residual component per inner vertex: 1,498 of them
+        # one flow walk of 1,499 edges, each edge a minimum cut
         cuts = enumerate_min_cuts(path_graph(1500), 0, 1499)
         assert [sorted(c.cut) for c in cuts] == [[e] for e in range(1499)]
 
@@ -154,6 +155,20 @@ class TestEnumerateMinCuts:
             (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (2, 11),
             (3, 9), (3, 10),
         ]
+
+    @pytest.mark.parametrize("limit", [2, 3])
+    def test_isolated_vertices_do_not_count_against_the_limit(self, limit):
+        # the vertex sides {0}, {0, 3}, {0, 4}, ... all give the cut {0}
+        cuts = enumerate_min_cuts(Graph(6, [(0, 1), (1, 2)]), 0, 2, limit=limit)
+        assert [sorted(c.cut) for c in cuts] == [[0], [1]]
+
+    def test_disconnected_pair_has_one_empty_cut(self):
+        g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+        assert enumerate_min_cuts(g, 0, 4) == [CutCertificate((0, 4), frozenset(), 0)]
+
+    def test_limit_zero_lists_nothing(self):
+        assert enumerate_min_cuts(cycle_graph(4), 0, 2, limit=0) == []
+        assert enumerate_min_cuts(Graph(3, [(0, 1)]), 0, 2, limit=0) == []
 
     def test_matches_oracle_exhaustively_n4(self):
         for n, edges in all_labeled_graphs(4):
@@ -186,62 +201,30 @@ def walk_graphs(draw):
 
 
 class TestWalkEmissionOrder:
-    """The min-cut walk that reads its forced sides off the flow emits the
-    same cuts in the same order as the walk with a full SCC pass: a
-    truncated enumeration is taken from that list."""
+    """The min-cut walk over the flow's walks lists each minimum cut once,
+    stops after limit + 1 of them, and lists the same cuts in the same order
+    on every call: a truncated enumeration is taken from that list.  Every
+    listed cut is one of those the SCC walk of ``reference_walk_min_cuts``
+    finds, and an untruncated list holds them all."""
 
     @settings(max_examples=60, deadline=None)
     @given(walk_graphs())
-    def test_matches_the_full_scc_walk(self, g):
+    def test_distinct_minimum_cuts_up_to_the_limit(self, g):
         for u in range(g.vertex_count):
             for v in range(g.vertex_count):
                 if u == v:
                     continue
-                _, residual, tree = _max_flow(g, u, v)
+                value, residual, _ = _max_flow(g, u, v)
+                every = set(reference_walk_min_cuts(g, u, v, residual, 10**9))
                 for limit in (0, 1, 2, 3, 5, 10_001):
-                    got = _walk_min_cuts(g, u, v, residual, tree, limit)
-                    want = reference_walk_min_cuts(g, u, v, residual, limit)
-                    assert got == want, (u, v, limit)
-
-
-class TestOneFreeBlock:
-    """A pair whose free vertices, outside the forced sides S0 and T0,
-    form one strongly connected block has the two minimum cuts d(S0) and
-    d(V - T0); the walk emits them in that order without an SCC pass."""
-
-    @staticmethod
-    def _pairs():
-        for n in (3, 4, 6):
-            g = complete_graph(n)
-            yield g, [(u, v) for u in range(n) for v in range(n) if u != v]
-        # the interior vertices in the middle row or column: one diagonal
-        # to a corner has a third minimum cut, around the corner's block
-        g = grid_graph(5, 5)
-        inner = [
-            grid_vertex(5, 5, r, c)
-            for r in range(1, 4)
-            for c in range(1, 4)
-            if 2 in (r, c)
-        ]
-        yield g, [(u, v) for u in inner for v in inner if u != v]
-
-    def test_no_scc_pass_and_the_full_walk_order(self, monkeypatch):
-        passes = []
-        real = connectivity._tarjan_scc
-
-        def counted(*args):
-            passes.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(connectivity, "_tarjan_scc", counted)
-        for g, pairs in self._pairs():
-            for u, v in pairs:
-                _, residual, tree = _max_flow(g, u, v)
-                for limit in (0, 1, 2, 10_001):
-                    got = _walk_min_cuts(g, u, v, residual, tree, limit)
-                    assert got == reference_walk_min_cuts(g, u, v, residual, limit)
-                    assert len(got) == min(limit + 1, 2)
-        assert passes == []
+                    got = _walk_min_cuts(g, u, v, residual, value, limit)
+                    assert len(set(got)) == len(got), (u, v, limit)
+                    assert len(got) == min(limit + 1, len(every)), (u, v, limit)
+                    assert set(got) <= every, (u, v, limit)
+                    if len(every) <= limit:
+                        assert set(got) == every, (u, v, limit)
+                    again = _walk_min_cuts(g, u, v, residual, value, limit)
+                    assert again == got, (u, v, limit)
 
 
 class TestGlobalValues:

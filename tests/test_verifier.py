@@ -336,7 +336,7 @@ class TestMinCutKernel:
     def test_both_forced_sides_merge(self):
         g, c = _two_cliques()
         value, residual, tree = connectivity._max_flow(g, 0, 11)
-        comp, _ = connectivity._forced_sides(g, 11, residual, tree)
+        comp = connectivity._forced_sides(g, 11, residual, tree)
         assert comp == [0] * 5 + [2, 2] + [1] * 5
         h, hu, hv, edge_map, kept = connectivity._min_cut_kernel(
             g, 0, 11, residual, tree
