@@ -298,12 +298,18 @@ def _cmd_verify(args):
         "failing": None,
     }
     if rep.verdict:
+        # most pairs share one of the cut tree's n - 1 cuts: render each once
+        shown = {}  # cut -> (its sorted EdgeIds, their text)
         for (u, v), cert in sorted(rep.witnesses.items()):
-            ids = sorted(cert.cut)
-            lines.append(f"{u} {v} : {cert.value} {' '.join(map(str, ids))}")
-            payload["witnesses"].append(
-                {"u": u, "v": v, "size": cert.value, "edges": ids}
-            )
+            if cert.cut not in shown:
+                ids = sorted(cert.cut)
+                shown[cert.cut] = ids, " ".join(map(str, ids))
+            ids, text = shown[cert.cut]
+            lines.append(f"{u} {v} : {cert.value} {text}")
+            if args.json:
+                payload["witnesses"].append(
+                    {"u": u, "v": v, "size": cert.value, "edges": ids}
+                )
         return 0, lines, payload
     u, v = rep.failing_pair
     lines.append(f"failing {u} {v}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import edge_connectivity, enumerate_min_cuts
+from .connectivity import _min_cut_tuples, edge_connectivity
 from .errors import (
     BudgetExceededError,
     ColoringError,
@@ -612,28 +612,28 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000, cut_lists=None):
     a pair with ``limit`` or more minimum cuts, too many to enumerate
     exhaustively, has λ no larger than the best cut, because a cut missed
     there could misclassify the graph.  When ``cut_lists`` is a dict, each
-    pair (u, v), u < v, is keyed there to the certificates listed for it.
+    pair (u, v), u < v, is keyed there to the list of its minimum cuts as
+    sorted EdgeId tuples, in ``enumerate_min_cuts`` order.
     """
     n = g.vertex_count
-    stars = [frozenset(eid for _, eid in nb) for nb in g.adj]
+    stars = [tuple(sorted(eid for _, eid in nb)) for nb in g.adj]
     best = None  # (value, cut tuple, pair)
     overflow = None  # least (value, pair) with limit or more cuts
     for u in range(n):
         for v in range(u + 1, n):
-            certs = enumerate_min_cuts(g, u, v, limit)
+            value, cuts = _min_cut_tuples(g, u, v, limit)
             if cut_lists is not None:
-                cut_lists[(u, v)] = certs
-            value = certs[0].value  # a pair always has a minimum cut
-            if len(certs) >= limit:
+                cut_lists[(u, v)] = cuts
+            if len(cuts) >= limit:
                 if overflow is None or value < overflow[0]:
                     overflow = (value, (u, v))
                 continue
             # a minimum cut of a connected graph is a bond, so it has a
-            # one-vertex side only when it is that vertex's star; the
-            # certificates come sorted, so the first other one is the pair's
-            for cert in certs:
-                if cert.cut != stars[u] and cert.cut != stars[v]:
-                    key = (value, tuple(sorted(cert.cut)), (u, v))
+            # one-vertex side only when it is that vertex's star; the cuts
+            # come sorted, so the first other one is the pair's
+            for cut in cuts:
+                if cut != stars[u] and cut != stars[v]:
+                    key = (value, cut, (u, v))
                     if best is None or key < best:
                         best = key
                     break
@@ -681,8 +681,9 @@ def color_general_upper(g: Graph, budget: int = 5_000_000) -> EdgeColoring:
 
 def _general_upper(g: Graph, cut_lists, budget: int = 5_000_000) -> EdgeColoring:
     """``color_general_upper``.  When ``cut_lists`` is a dict, it receives
-    the minimum-cut certificates the construction lists, keyed by pair
-    (u, v), u < v: every pair's unless the graph is a tree or a cactus."""
+    the minimum cuts the construction lists, as sorted EdgeId tuples keyed
+    by pair (u, v), u < v: every pair's unless the graph is a tree or a
+    cactus."""
     if g.vertex_count < 3:
         raise ColoringError("needs at least 3 vertices")
     if not is_connected(g):

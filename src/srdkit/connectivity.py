@@ -86,11 +86,17 @@ def enumerate_min_cuts(g: Graph, u: int, v: int, limit: int = 10**6):
     it is deterministic but need not hold the lexicographically first cuts.
     A pair in different components has one cut, the empty one of value 0.
     """
+    value, cuts = _min_cut_tuples(g, u, v, limit)
+    return [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
+
+
+def _min_cut_tuples(g: Graph, u: int, v: int, limit: int):
+    """(λ(u, v), the cuts of ``enumerate_min_cuts`` as sorted EdgeId tuples),
+    for the callers that read the cuts as tuples."""
     _check_pair(g, u, v)
     limit = max(limit, 0)  # any limit <= 0 lists nothing
     value, residual, _ = _max_flow(g, u, v)
-    cuts = sorted(_walk_min_cuts(g, u, v, residual, value, limit))[:limit]
-    return [CutCertificate((u, v), frozenset(cut), value) for cut in cuts]
+    return value, sorted(_walk_min_cuts(g, u, v, residual, value, limit))[:limit]
 
 
 def _forced_sides(g: Graph, v: int, residual, tree) -> list[int]:

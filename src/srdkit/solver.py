@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .colorings import EdgeColoring, _general_upper, color_by_blocks, normalize_colors
-from .connectivity import _crossing_edges, enumerate_min_cuts
+from .connectivity import _crossing_edges, _min_cut_tuples
 from .errors import BudgetExceededError, ColoringError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, blocks, is_connected
 from .verifier import (
@@ -75,21 +75,22 @@ def _pair_cut_tables(g: Graph, mode: str, cut_lists):
     the cap.
 
     The srd tables take a pair's minimum cuts from ``cut_lists``, the
-    certificates the construction listed ({(u, v): certs}, u < v), and walk
-    only the pairs it lacks.  Those lists ran to a larger limit, so they
-    give the same tables: a pair with at most ``DEFAULT_THRESHOLD`` cuts is
-    listed whole either way, and one with more overflows either way."""
+    sorted EdgeId tuples the construction listed ({(u, v): cuts}, u < v),
+    and walk only the pairs it lacks.  Those lists ran to a larger limit,
+    so they give the same tables: a pair with at most ``DEFAULT_THRESHOLD``
+    cuts is listed whole either way, and one with more overflows either
+    way."""
     n = g.vertex_count
     pairs = list(itertools.combinations(range(n), 2))
     if mode == "srd":
         tables = []
         for u, v in pairs:
-            certs = cut_lists.get((u, v))
-            if certs is None:
-                certs = enumerate_min_cuts(g, u, v, limit=DEFAULT_THRESHOLD + 1)
-            if len(certs) > DEFAULT_THRESHOLD:
+            cuts = cut_lists.get((u, v))
+            if cuts is None:
+                cuts = _min_cut_tuples(g, u, v, DEFAULT_THRESHOLD + 1)[1]
+            if len(cuts) > DEFAULT_THRESHOLD:
                 return None
-            tables.append(tuple(tuple(sorted(cert.cut)) for cert in certs))
+            tables.append(tuple(cuts))
         return tables
     if 2 ** (n - 1) > DEFAULT_THRESHOLD:
         return None
@@ -197,8 +198,8 @@ def _upper_bound_witness(g: Graph, cut_lists) -> tuple[EdgeColoring, int]:
     """A verified rainbow-min-cut coloring, preferring the constructive
     e-1 scheme and falling back to all-distinct colors (always valid), and
     λ+(G), read off the verification: each pair's witness has λ(u, v) edges.
-    The construction keeps the minimum cuts it lists in ``cut_lists`` when
-    that is a dict."""
+    The construction keeps the minimum cuts it lists in ``cut_lists``, as
+    sorted EdgeId tuples keyed by pair, when that is a dict."""
     report = None
     if g.vertex_count >= 3:
         try:

@@ -327,6 +327,27 @@ class TestVerify:
         assert code == 0
         assert text.encode() == recorded
 
+    def test_grid_reports_are_the_recorded_ones(self, tmp_path, monkeypatch):
+        # 190 pairs share 19 distinct witness cuts of 3 sizes, so a report
+        # that mixed up two cuts' rendered text would differ.
+        # verify_grid_4x5.txt holds "# <argv> exit <code>" and then the
+        # report, for srd and rd, in text and with --json, recorded while
+        # every pair's cut was rendered on its own.
+        monkeypatch.chdir(tmp_path)
+        code, _ = run(
+            ["color", "--family", "grid", "--rows", "4", "--cols", "5",
+             "--graph-out", "grid.graph", "--out", "grid.col"]
+        )
+        assert code == 0
+        chunks = []
+        for mode in ("srd", "rd"):
+            for extra in ([], ["--json"]):
+                argv = ["verify", "grid.graph", "grid.col", "--mode", mode, *extra]
+                code, text = run(argv)
+                chunks.append(f"# {' '.join(argv)} exit {code}\n{text}")
+        recorded = (Path(__file__).parent / "verify_grid_4x5.txt").read_bytes()
+        assert "".join(chunks).encode() == recorded
+
     def test_wrong_length_coloring_is_exit_2(self, k4_file, tmp_path):
         c = tmp_path / "short.txt"
         c.write_text("1\n2\n")

@@ -29,6 +29,7 @@ from srdkit import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    enumerate_min_cuts,
     exact_chromatic_index,
     greedy_fan_coloring,
     grid_graph,
@@ -536,6 +537,32 @@ class TestMinNontrivialPairCut:
     def test_matches_reference_on_multigraphs(self, g, limit):
         got, want = pair_cut_outcomes(g, limit)
         assert got == want
+
+    @staticmethod
+    def assert_lists_are_the_enumerated_cuts(g, limit):
+        # what the construction hands the solver's srd tables: every pair's
+        # enumerate_min_cuts list, refused or not, as sorted EdgeId tuples
+        cut_lists = {}
+        try:
+            _min_nontrivial_pair_cut(g, limit, cut_lists)
+        except ColoringError:
+            pass
+        n = g.vertex_count
+        assert sorted(cut_lists) == [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for (u, v), cuts in cut_lists.items():
+            want = [tuple(sorted(c.cut)) for c in enumerate_min_cuts(g, u, v, limit)]
+            assert cuts == want, (g, u, v, limit)
+
+    def test_cut_lists_are_the_enumerated_cuts_up_to_five_vertices(self):
+        for n in range(2, 6):
+            for g in all_connected_graphs(n):
+                for limit in self.LIMITS:
+                    self.assert_lists_are_the_enumerated_cuts(g, limit)
+
+    @given(connected_multigraphs(), st.sampled_from(LIMITS))
+    @settings(max_examples=150, deadline=None)
+    def test_cut_lists_are_the_enumerated_cuts_on_multigraphs(self, g, limit):
+        self.assert_lists_are_the_enumerated_cuts(g, limit)
 
     def test_refusal_names_the_least_pair_that_could_hold_the_cut(self):
         # on C6 every λ is 2; pairs at distance 1, 2, 3 have 5, 8, 9 cuts
