@@ -285,36 +285,40 @@ def _cmd_verify(args):
         rep = is_srd_coloring(g, coloring)
     else:
         rep = is_rd_coloring(g, coloring)
+    code = 0 if rep.verdict else 1
+    # most pairs share one of the cut tree's n - 1 cuts: render each once
+    shown = {}
+    if args.json:
+        witnesses = []
+        if rep.verdict:
+            for (u, v), cert in sorted(rep.witnesses.items()):
+                if cert.cut not in shown:
+                    shown[cert.cut] = sorted(cert.cut)
+                witnesses.append(
+                    {"u": u, "v": v, "size": cert.value, "edges": shown[cert.cut]}
+                )
+        payload = {
+            "graph": args.graph,
+            "mode": mode,
+            "verdict": rep.verdict,
+            "witnesses": witnesses,
+            "failing": None if rep.verdict else list(rep.failing_pair),
+        }
+        return code, [], payload
     lines = [
         f"graph {args.graph} n={g.vertex_count} m={g.edge_count}",
         f"mode {mode}",
         f"verdict {_bool(rep.verdict)}",
     ]
-    payload = {
-        "graph": args.graph,
-        "mode": mode,
-        "verdict": rep.verdict,
-        "witnesses": [],
-        "failing": None,
-    }
     if rep.verdict:
-        # most pairs share one of the cut tree's n - 1 cuts: render each once
-        shown = {}  # cut -> (its sorted EdgeIds, their text)
         for (u, v), cert in sorted(rep.witnesses.items()):
             if cert.cut not in shown:
-                ids = sorted(cert.cut)
-                shown[cert.cut] = ids, " ".join(map(str, ids))
-            ids, text = shown[cert.cut]
-            lines.append(f"{u} {v} : {cert.value} {text}")
-            if args.json:
-                payload["witnesses"].append(
-                    {"u": u, "v": v, "size": cert.value, "edges": ids}
-                )
-        return 0, lines, payload
-    u, v = rep.failing_pair
-    lines.append(f"failing {u} {v}")
-    payload["failing"] = [u, v]
-    return 1, lines, payload
+                shown[cert.cut] = " ".join(map(str, sorted(cert.cut)))
+            lines.append(f"{u} {v} : {cert.value} {shown[cert.cut]}")
+    else:
+        u, v = rep.failing_pair
+        lines.append(f"failing {u} {v}")
+    return code, lines, {}
 
 
 def _cmd_solve(args):

@@ -79,7 +79,12 @@ def _pair_cut_tables(g: Graph, mode: str, cut_lists):
     and walk only the pairs it lacks.  Those lists ran to a larger limit,
     so they give the same tables: a pair with at most ``DEFAULT_THRESHOLD``
     cuts is listed whole either way, and one with more overflows either
-    way."""
+    way.
+
+    The tables hold cuts of every size; ``_search_level`` keeps, at level
+    k, those of at most k edges, the only ones k colors can make rainbow.
+    That drops most rd bonds at low levels, and no srd cut at the levels
+    ``_solve`` asks: a minimum cut has λ(u, v) ≤ λ+ ≤ k edges."""
     n = g.vertex_count
     pairs = list(itertools.combinations(range(n), 2))
     if mode == "srd":
@@ -113,22 +118,33 @@ def _search_level(g, tables, mode, k):
     sequential scan would have consumed.  A DFS over restricted-growth
     prefixes kills a cut once two of its edges share a color and skips a
     prefix leaving some pair no live cut, counting its exactly-k completions
-    as tested; without tables each leaf goes to the verifier."""
+    as tested; without tables each leaf goes to the verifier.
+
+    Only table cuts of at most k edges are indexed: k colors make no larger
+    cut rainbow, so no leaf passes through one, and a pair left without a
+    small cut refutes the level at the root.  A prefix the smaller index
+    prunes earlier holds no passing leaf, and its exactly-k completions are
+    what the scan would have consumed, so the witness and the count stay
+    those of the search over all table cuts."""
     m = g.edge_count
     ways = [[0] * (k + 2) for _ in range(m + 1)]  # [r][mx]: completions to k
     ways[0][k] = 1
     for r in range(1, m + 1):
         for mx in range(k + 1):
             ways[r][mx] = mx * ways[r - 1][mx] + ways[r - 1][mx + 1]
-    cut_pairs: dict = {}  # cut -> indices of the pairs it serves
+    cut_pairs: dict = {}  # cut of at most k edges -> indices of its pairs
+    alive = [0] * len(tables or ())
     for i, cuts in enumerate(tables or ()):
         for cut in cuts:
-            cut_pairs.setdefault(cut, []).append(i)
+            if len(cut) <= k:
+                cut_pairs.setdefault(cut, []).append(i)
+                alive[i] += 1
+    if 0 in alive:
+        return None, ways[m][0]  # a pair has no cut k colors can make rainbow
     touching = [[] for _ in range(m)]  # edge -> (cut id, pairs) of its cuts
     for cid, (cut, pairs) in enumerate(cut_pairs.items()):
         for e in cut:
             touching[e].append((cid, pairs))
-    alive = [len(cuts) for cuts in tables or ()]
     dead = [False] * len(cut_pairs)
     used = [0] * len(cut_pairs)  # cut -> bitmask of its assigned edges' colors
     colors = [0] * m

@@ -51,6 +51,17 @@ def walk_cases(draw):
     return Graph(n, edges), removed, draw(vertex), draw(vertex)
 
 
+@st.composite
+def connected_multigraphs(draw):
+    """A connected multigraph on 3-7 vertices: a random tree plus up to 8
+    more edges, parallel ones allowed."""
+    n = draw(st.integers(3, 7))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    return Graph(n, edges + draw(st.lists(edge, max_size=8)))
+
+
 @pytest.fixture
 def graphs_strategy():
     return small_graphs

@@ -348,6 +348,19 @@ class TestVerify:
         recorded = (Path(__file__).parent / "verify_grid_4x5.txt").read_bytes()
         assert "".join(chunks).encode() == recorded
 
+    @pytest.mark.parametrize("colors", ["1\n2\n3\n3\n2\n1\n", "1\n1\n1\n1\n1\n1\n"])
+    def test_each_report_form_is_built_alone(self, k4_file, tmp_path, colors):
+        # run prints the payload under --json and the lines otherwise, so
+        # the handler builds only the one that is printed
+        c = tmp_path / "c.txt"
+        c.write_text(colors)
+        parser = cli._build_parser()
+        _, lines, payload = cli._cmd_verify(parser.parse_args(["verify", k4_file, str(c)]))
+        assert lines and payload == {}
+        args = parser.parse_args(["verify", "--json", k4_file, str(c)])
+        _, lines, payload = cli._cmd_verify(args)
+        assert lines == [] and payload
+
     def test_wrong_length_coloring_is_exit_2(self, k4_file, tmp_path):
         c = tmp_path / "short.txt"
         c.write_text("1\n2\n")

@@ -46,7 +46,7 @@ from srdkit import (
 from srdkit.colorings import _min_nontrivial_pair_cut
 from srdkit.solver import all_connected_graphs
 
-from conftest import small_graphs
+from conftest import connected_multigraphs, small_graphs
 from oracles import (
     FastSrdOracle,
     all_labeled_graphs,
@@ -493,17 +493,6 @@ class TestGeneralUpper:
             assert c.num_colors <= g.edge_count - 1
             fast = FastSrdOracle(n, edges)
             assert fast.is_srd(list(c.colors))
-
-
-@st.composite
-def connected_multigraphs(draw):
-    """A connected multigraph on 3-7 vertices: a random tree plus up to 8
-    more edges, parallel ones allowed."""
-    n = draw(st.integers(3, 7))
-    vertex = st.integers(0, n - 1)
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
-    return Graph(n, edges + draw(st.lists(edge, max_size=8)))
 
 
 def pair_cut_outcomes(g, limit):

@@ -13,6 +13,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdkit import (
     BudgetExceededError,
@@ -39,6 +41,7 @@ from srdkit import connectivity, solver
 from srdkit.cli import run
 from srdkit.graph import serialize_graph
 from srdkit.solver import DEFAULT_THRESHOLD, _pair_cut_tables, _search_level
+from conftest import connected_multigraphs
 from oracles import (
     oracle_is_rd,
     oracle_is_srd,
@@ -558,7 +561,9 @@ class TestSearchLevelAgainstReference:
     """The explicit-stack level search visits the prefixes of the recursive
     one in the same order: same witness, same count, with and without
     tables, on every level from 1 to the upper bound.  Without tables each
-    leaf goes to the verifier, as in the solver."""
+    leaf goes to the verifier, as in the solver.  Level k indexes only the
+    table cuts of at most k edges, as no larger cut is rainbow under k
+    colors; the reference indexes every table cut."""
 
     GRAPHS = [
         *all_connected_graphs(5),
@@ -576,3 +581,34 @@ class TestSearchLevelAgainstReference:
                     got = _search_level(g, tables, mode, k)
                     want = reference_search_level(g, tables, mode, k)
                     assert got == want, (g, mode, tables is None, k)
+
+    @pytest.mark.parametrize("mode", ["srd", "rd"])
+    def test_every_connected_six_vertex_graph(self, mode):
+        for g in all_connected_graphs(6):
+            tables = _pair_cut_tables(g, mode, {})
+            for k in range(1, srd_number(g).upper_bound + 1):
+                got = _search_level(g, tables, mode, k)
+                want = reference_search_level(g, tables, mode, k)
+                assert got == want, (g, mode, k)
+
+    @given(
+        connected_multigraphs(), st.integers(0, 10**6), st.sampled_from(["srd", "rd"])
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multigraphs_with_parallel_edges(self, g, pick, mode):
+        # one more copy of a drawn edge, so some pair is joined twice
+        doubled = g.edges[pick % g.edge_count]
+        g = Graph(g.vertex_count, [*g.edges, doubled])
+        tables = _pair_cut_tables(g, mode, {})
+        for k in range(1, srd_number(g).upper_bound + 1):
+            got = _search_level(g, tables, mode, k)
+            assert got == reference_search_level(g, tables, mode, k), (g, mode, k)
+
+    @pytest.mark.parametrize("mode", ["srd", "rd"])
+    def test_a_level_below_lambda_plus_is_refuted_at_the_root(self, mode):
+        # every cut of K4 has 3 or 4 edges, so no pair keeps a cut at k = 2:
+        # all S(6, 2) = 31 exactly-2 strings count as tested
+        g = complete_graph(4)
+        tables = _pair_cut_tables(g, mode, {})
+        assert _search_level(g, tables, mode, 2) == (None, 31)
+        assert reference_search_level(g, tables, mode, 2) == (None, 31)
