@@ -9,8 +9,8 @@ equals the number of pairwise edge-disjoint u-v paths, i.e. lambda(u, v).
 A minimum u-v cut is δ(S) for a vertex set S that holds u but not v and
 that no residual arc of a maximum flow leaves (Picard-Queyranne).  One
 closure test, ``_CutClosure``, decides whether an edge set lies in such a
-cut; it serves both the listing of a pair's minimum cuts, which picks one
-edge per flow walk, and the verifier's rainbow-cut DFS.
+cut; it serves both the listing of a pair's minimum cuts and the
+verifier's rainbow-cut search, each of which picks one edge per flow walk.
 """
 
 from __future__ import annotations
@@ -170,30 +170,30 @@ class _CutClosure:
     def __init__(self, g: Graph, u: int, v: int, residual):
         self.g, self.residual = g, residual
         self.reach = [None] * g.vertex_count
-        self.reach[u] = -1
-        _walk(g, self.reach, [u], residual)
+        _walk(g, self.reach, u, residual)
         self.heads = [0] * g.vertex_count
         self.heads[v] = 1
 
     def add(self, e: int, undo: list) -> bool:
         """Add edge e to C; False when C then lies in no minimum cut.  Appends
         to the empty list ``undo`` what changed, for ``remove``: e's head,
-        then the vertices R gained.  R grows by at most one walk."""
+        then the vertices R gained.  R grows by at most one walk, which
+        stops at the first head it reaches, so after a False the closure
+        is sound again only once ``remove`` has taken e back."""
         forward = self.residual[2 * e]
         if forward == 1:  # f sends nothing over e
             return False
         x, y = self.g.edges[e] if forward == 0 else self.g.edges[e][::-1]
-        reach = self.reach
+        reach, heads = self.reach, self.heads
         if reach[y] is not None:
             return False
-        self.heads[y] += 1
+        heads[y] += 1
         undo.append(y)
         if reach[x] is not None:
             return True
-        reach[x] = -1
-        added = _walk(self.g, reach, [x], self.residual)
+        added = _walk(self.g, reach, x, self.residual, None, heads)
         undo += added
-        return not any(self.heads[w] for w in added)
+        return not heads[added[-1]]
 
     def remove(self, undo: list):
         """Take back the ``add`` that filled ``undo``, and empty it."""

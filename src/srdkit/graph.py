@@ -182,15 +182,20 @@ def _bfs(g: Graph, start: int, capacity, target=None) -> list:
     reaches.
     """
     tree = [None] * g.vertex_count
-    tree[start] = -1
-    _walk(g, tree, [start], capacity, target)
+    _walk(g, tree, start, capacity, target)
     return tree
 
 
-def _walk(g: Graph, tree: list, queue: list, capacity, target=None) -> list:
-    """The walk behind ``_bfs``, extending ``tree`` from the vertices in
-    ``queue``, which it returns grown by the vertices it reached, in order.
-    A tree kept across walks skips what earlier walks reached."""
+def _walk(g: Graph, tree: list, start: int, capacity, target=None, stop=None) -> list:
+    """The walk behind ``_bfs``: marks tree[start] = -1, extends ``tree`` from
+    there, skipping what earlier walks reached, and returns the vertices it
+    reached in order.  It ends on reaching ``target``, and, with ``stop`` a
+    per-vertex sequence, on reaching a w with stop[w] set, returned last,
+    or at once if stop[start] is set."""
+    tree[start] = -1
+    queue = [start]
+    if stop is not None and stop[start]:
+        return queue
     arcs = g._arcs
     for x in queue:  # the queue grows while it is read
         for w, a in arcs[x]:
@@ -199,6 +204,8 @@ def _walk(g: Graph, tree: list, queue: list, capacity, target=None) -> list:
                 if w == target:
                     return queue
                 queue.append(w)
+                if stop is not None and stop[w]:
+                    return queue
     return queue
 
 
@@ -215,8 +222,7 @@ def components(g: Graph) -> tuple[frozenset[int], ...]:
     out = []
     for start in range(g.vertex_count):
         if tree[start] is None:
-            tree[start] = -1
-            out.append(frozenset(_walk(g, tree, [start], capacity)))
+            out.append(frozenset(_walk(g, tree, start, capacity)))
     return tuple(out)
 
 
@@ -245,8 +251,7 @@ def _odd_cycle(g: Graph) -> tuple[int, ...] | None:
 
     for start in range(g.vertex_count):
         if tree[start] is None:
-            tree[start] = -1
-            for w in _walk(g, tree, [start], capacity)[1:]:
+            for w in _walk(g, tree, start, capacity)[1:]:
                 depth[w] = depth[up(w)] + 1
     for a, b in g.edges:
         if depth[a] == depth[b]:

@@ -337,10 +337,10 @@ def check_equivalence(
     """Run the SAT oracle on ``inst.formula`` and the rainbow-cut search
     on ``inst``, as build_reduction made it, and compare.
 
-    The cut search is the verifier's exhaustive DFS, which never lists the
-    minimum cuts: the clique makes their number astronomically large.  It
-    runs on the minimum-cut kernel, where t, the clique and the hubs are
-    one vertex, so ``node_budget`` counts the states of that search.  On
+    The cut search is the verifier's exhaustive walk search, which never
+    lists the minimum cuts: the clique makes their number astronomically
+    large.  It runs on the minimum-cut kernel, where t, the clique and the
+    hubs are one vertex, and ``node_budget`` counts its states.  On
     agreement with a satisfiable formula the witness cut is round-tripped
     through extract_assignment.
     """

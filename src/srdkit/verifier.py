@@ -1,29 +1,13 @@
 """Decide whether an edge-colored graph has rainbow (minimum) cuts for
 every vertex pair.
 
-``is_srd_coloring`` and ``is_rd_coloring`` build one Gomory-Hu cut tree of
-n - 1 max flows.  It gives every pair's λ, and its n - 1 cuts are minimum
-cuts for the pairs whose tree paths they lie on, so each is tested for
-rainbowness once and settles those pairs it can.  A pair it leaves open
-runs one color-class DFS, which answers both questions: it picks at most
-one edge per color along live shortest paths and prunes states that
-cannot be completed within a size cap.  The cap is λ(u, v) for a rainbow
-minimum cut (srd) and the number of colors for a rainbow cut of any size
-(rd).  ``find_rainbow_min_cut`` reads λ off the pair's own max flow, merges
-the two sides that flow forces on every minimum cut into one vertex each,
-and hands the flow to the search on that smaller graph; a cut of any size
-may cross those sides, so the verifier's searches run on G itself.  Every
-search follows one rule: a state runs no flow while the degrees of u and v
-in G - chosen settle its prune, and the first state where they do not
-takes G's max flow (at most one per search), which no state changes.  When
-that flow's value is the cap, as for every srd search, a state survives
-when its chosen edges lie in one minimum cut, which a closure test on the
-flow's residual decides (Picard-Queyranne) with at most one walk per
-state, and a Hall test prunes the states whose flow walks without a
-chosen edge cannot each take a color of their own, by a bipartite
-matching (Régin 1994).  A value above the cap prunes the root, and below
-it (rd) no flow prunes a state.  Each rainbow edge subset is visited at
-most once: with k colors in classes of sizes s_1..s_k, at most
+``is_srd_coloring`` and ``is_rd_coloring`` test the n - 1 cuts of one
+Gomory-Hu cut tree for rainbowness and run the rainbow-cut search
+``_dfs_rainbow_cut`` for each pair that no tree cut settles, capped at
+λ(u, v) for a rainbow minimum cut (srd) and at the number of colors for a
+rainbow cut of any size (rd).  ``find_rainbow_min_cut`` runs it on the
+minimum-cut kernel of the pair's max flow.  Each rainbow edge subset is
+visited at most once: with k colors in classes of sizes s_1..s_k, at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states, polynomial for fixed k.
 """
 
@@ -76,14 +60,13 @@ def is_rainbow(c: EdgeColoring, edge_set) -> bool:
 
 
 def _open_walks_matched(walks, walk_of, reach, chosen, used, excluded) -> bool:
-    """The Hall test of a DFS state that keeps a flow of value λ fixed: can
-    every flow walk (``_flow_walks``) without a chosen edge take its own
-    color, unused by ``chosen``, from its edges that are not excluded and
-    whose heads lie outside ``reach``, the closure's R?  ``walks`` holds
-    (edge, head, color) triples.  A walk without any such color fails at
-    once; otherwise Kuhn's method matches the walks to colors one by one,
-    and a walk that finds no augmenting path leaves every maximum matching
-    short (the all-different check of Régin 1994)."""
+    """The Hall test of a walk-search state (``_search_walks``): can every
+    flow walk without a chosen edge take its own color, unused by
+    ``chosen``, from its edges that are not excluded and whose heads lie
+    outside ``reach``, the closure's R?  ``walks`` holds (edge, head, color)
+    triples.  A walk without any such color fails at once; otherwise Kuhn's
+    method matches the walks to colors one by one, and a walk without an
+    augmenting path leaves every maximum matching short (Régin 1994)."""
     closed = {walk_of[e] for e in chosen}
     wanted = []
     for w, walk in enumerate(walks):
@@ -104,6 +87,10 @@ def _open_walks_matched(walks, walk_of, reach, chosen, used, excluded) -> bool:
 def _augment(i, wanted, owner, held) -> bool:
     """Match index i by one augmenting path, breadth first over the colors,
     and flip it into ``owner`` and ``held``; False when there is none."""
+    for col in wanted[i]:  # a free color: the path the search below finds first
+        if col not in owner:
+            owner[col], held[i] = i, col
+            return True
     came = {}  # color -> the index that reached it
     queue = [i]
     for x in queue:
@@ -122,122 +109,56 @@ def _augment(i, wanted, owner, held) -> bool:
 
 
 def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
-    """Complete search for a rainbow u-v cut of at most ``cap`` edges.
+    """Complete search for a rainbow u-v cut of at most ``cap`` edges: with
+    ``cap`` = λ(u, v) every cut found is a minimum cut, and with ``cap`` =
+    the number of colors any rainbow cut fits.  ``node_budget`` bounds the
+    states (BudgetExceededError); λ(u, v) = 0 raises GraphStructureError.
 
-    Branches over the edges of a live shortest path whose colors are still
-    unused; exclusion sets keep the visited rainbow subsets distinct.  Any
-    rainbow cut contains an inclusion-minimal one, and every edge of a
-    minimal cut lies on a live path, so path branching stays complete.
-    Removing an edge lowers the residual connectivity by at most one, so a
-    state whose residual exceeds the edges still allowed has no completion
-    and may be pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
-    cut; with ``cap`` = the number of colors, any rainbow cut fits.
-    ``node_budget`` bounds the states, raising BudgetExceededError.  A
-    root with λ(u, v) = 0 raises GraphStructureError (u, v disconnected).
-
-    A search runs at most one max flow, and none if the caller hands it
-    G's as ``flow`` = (value, residual).  λ(G - chosen) is at most the
-    smaller degree of u and v in G - chosen, and while that bound is within
-    ``cap`` - |chosen| the prune cannot fire, so the state runs no flow and
-    its path walk tells whether λ is 0.  The first state whose bound does
-    not settle the prune takes G's flow, handed in or computed then.  No
-    state changes that flow.  If its value λ exceeds ``cap``, every state
-    has λ(G - chosen) ≥ λ - |chosen| > room, and the root is pruned.
-
-    When λ is ``cap``, as for every srd search, λ(G - chosen) is
-    cap - |chosen| when ``chosen`` lies in a minimum cut of G and more
-    otherwise, so a ``_CutClosure`` of the flow decides each prune.  The
-    first state builds it from u and its chosen edges; below it each state
-    adds its own edge, at the cost of at most one walk, and its frame's
-    ``undo`` list takes the edge back when the state is left.  A state
-    whose edge fails the test has its parent's λ, as that edge lowered
-    none, and is pruned.
-
-    In that regime a state that survives the closure test also runs a Hall
-    test (``_open_walks_matched``) before its path walk.  The first state
-    with the flow splits it into ``cap`` edge-disjoint u-v walks
-    (``_flow_walks``), once per search, however often the closure is
-    rebuilt.  Let D ⊇ ``chosen`` be a minimum cut, δ(S) with S closed in
-    the residual.  Each edge of D carries a unit out of S and no flow
-    enters S, so each walk leaves S once and never comes back: it crosses
-    D exactly once, on an edge that carries flow and whose head lies
-    outside S, so outside the closure's reach R ⊆ S.  The chosen edges
-    thus lie on distinct walks, and each of the room = cap - |chosen|
-    walks without one crosses D on an edge of its own outside ``chosen``.
-    For D to be rainbow and to avoid ``excluded``, as every cut below the
-    state must, those edges have distinct colors outside ``used``, so a
-    matching of the open walks to such colors covers them all.  A state
-    where none does has no cut below it, and pruning it changes neither
-    the cut found nor the order of the states that remain.
-
-    When λ is below ``cap`` (rd, or any cap above λ), the flow bounds no
-    λ(G - chosen) from below, so that state and all below it stay on their
-    degrees, and only a state with no room left whose walk reaches v is
-    pruned.  A subtree that a flow per state would prune holds no cut
-    within the cap, so the same cut comes first, after more states.
-
-    The states are visited depth first with an explicit stack of one frame
-    per branching state on the current path, each with its λ(G - chosen)
-    if λ is the cap and None otherwise, so no recursion limit applies.
-    ``chosen``, ``used`` and ``excluded`` are shared sets that a frame
-    extends while its children run and restores when it is popped;
-    ``open_arcs`` is G - ``chosen`` as arc capacities, for the path walks,
-    and ``degree`` holds the degrees of G - ``chosen`` while no frame on
-    the path has a value.
+    A state branches over the unused-color edges of a live shortest path,
+    excluding its earlier siblings; every edge of an inclusion-minimal cut
+    lies on a live path, so this is complete.  A state whose λ(G - chosen)
+    exceeds its room ``cap`` - |chosen| has no completion.  While the
+    smaller degree of u and v in G - chosen, a bound on that λ, is within
+    the room, the state needs no flow.  The first state where it is not
+    takes G's max flow, and the root takes ``flow`` = (value, residual) if
+    handed one; no search runs a second.  A value above ``cap`` prunes the
+    state, as λ(G - chosen) ≥ λ - |chosen| > room.  A value equal to
+    ``cap``, as in every srd search, hands the state to ``_search_walks``.
+    Below ``cap`` (rd) the states go on by their degrees, and one with no
+    room left whose path walk reaches v is pruned.  An explicit stack of
+    [branch, next index] frames keeps clear of the recursion limit.
     """
     colors = c.colors
     edges = g.edges
     chosen, used, excluded = set(), set(), set()
     open_arcs = _open_arcs(g)
     degree = [len(arcs) for arcs in g.adj]
-    closure = None  # the _CutClosure of the states below the first with a flow
-    walks = walk_of = None  # _flow_walks of the flow, once it has value cap
-    stack = []  # [λ(G - chosen) or None, branch, next index, child undo]
+    stack = []
 
-    def closes_over_chosen():
-        """Does ``chosen`` lie in a minimum cut of G?  Builds the closure of
-        G's flow of value ``cap`` over it, and splits that flow into walks
-        the first time."""
-        nonlocal closure, walks, walk_of
-        residual = flow[1]
-        closure = _CutClosure(g, u, v, residual)
-        if walks is None:
-            paths, walk_of = _flow_walks(g, u, v, residual, cap)
-            walks = [[(e, head, colors[e]) for e, head in path] for path in paths]
-        return all(closure.add(e, []) for e in chosen)
-
-    def enter(value):
-        """Count a state; return its cut, or push a frame if it branches.
-        ``value`` is the state's λ(G - chosen) below the first state with a
-        flow of value ``cap``, and None elsewhere."""
-        nonlocal flow
+    def count():
         stats.nodes += 1
         if node_budget is not None and stats.nodes > node_budget:
             raise BudgetExceededError(
                 f"rainbow min-cut search exceeded {node_budget} states"
             )
+
+    def enter():
+        """Count a state; return its cut, or push a frame if it branches."""
+        nonlocal flow
+        count()
         room = cap - len(chosen)
-        if value is None:
-            bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
-            if bound > room:
-                if flow is None:
-                    flow = _max_flow(g, u, v)[:2]
-                if flow[0] > cap:  # λ(G - chosen) ≥ λ - |chosen| > room
-                    return None
-                if flow[0] == cap:
-                    if not closes_over_chosen():
-                        return None
-                    value = room
-        if value is not None:
-            if value > room or not _open_walks_matched(
-                walks, walk_of, closure.reach, chosen, used, excluded
-            ):
+        bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
+        if bound > room or flow is not None and not chosen:
+            if flow is None:
+                flow = _max_flow(g, u, v)[:2]
+            if flow[0] > cap:  # λ(G - chosen) ≥ λ - |chosen| > room
                 return None
-            bound = value
+            if flow[0] == cap:
+                return _search_walks(
+                    g, colors, u, v, flow, chosen, used, excluded, count
+                )
         tree = None if bound == 0 else _bfs(g, u, open_arcs, target=v)
         if tree is None or tree[v] is None:  # λ(G - chosen) = 0
-            if not chosen:
-                raise GraphStructureError(f"vertices {u} and {v} are disconnected")
             return frozenset(chosen)
         if room == 0:  # λ(G - chosen) > 0 = room
             return None
@@ -250,42 +171,121 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             if e not in excluded and colors[e] not in used:
                 branch.append(e)
         branch.reverse()
-        stack.append([value, branch, 0, []])
+        stack.append([branch, 0])
         return None
 
-    hit = enter(None)
+    hit = enter()
     while hit is None and stack:
         frame = stack[-1]
-        value, branch, i, undo = frame
-        if i:
-            # the previous child is done: drop it and exclude it
+        branch, i = frame
+        if i:  # the previous child is done: drop it and exclude it
             prev = branch[i - 1]
             chosen.discard(prev)
             open_arcs[2 * prev] = open_arcs[2 * prev + 1] = 1
             used.discard(colors[prev])
             excluded.add(prev)
-            if value is None:
-                a, b = edges[prev]
-                degree[a] += 1
-                degree[b] += 1
-            else:
-                closure.remove(undo)
+            a, b = edges[prev]
+            degree[a] += 1
+            degree[b] += 1
         if i == len(branch):
             stack.pop()
             excluded.difference_update(branch)
             continue
         e = branch[i]
-        frame[2] = i + 1
+        frame[1] = i + 1
         chosen.add(e)
         open_arcs[2 * e] = open_arcs[2 * e + 1] = 0
         used.add(colors[e])
-        if value is None:
-            a, b = edges[e]
-            degree[a] -= 1
-            degree[b] -= 1
-            hit = enter(None)
-        else:
-            hit = enter(value - 1 if closure.add(e, undo) else value)
+        a, b = edges[e]
+        degree[a] -= 1
+        degree[b] -= 1
+        hit = enter()
+    if hit == frozenset():  # λ = 0 at the root
+        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
+    return hit
+
+
+def _search_walks(g, colors, u, v, flow, chosen, used, excluded, count):
+    """The first rainbow minimum u-v cut that holds ``chosen`` and avoids
+    ``excluded``, or None, which leaves the sets as they were: the search
+    below a state of ``_dfs_rainbow_cut`` that holds G's max flow ``flow``
+    of value λ.  ``count`` counts each pick that the closure accepts.
+
+    A minimum cut D ⊇ ``chosen`` is δ(S) for S closed in the residual
+    (Picard-Queyranne), so each of the flow's λ walks (``_flow_walks``)
+    crosses D once, on an edge whose head lies outside S ⊇ R, the reach of
+    a ``_CutClosure`` over ``chosen``.  So a rainbow D clear of ``excluded``
+    crosses each walk without a chosen edge on a candidate: an edge with
+    its head outside R and an unused color that is not excluded.  A state
+    is pruned unless its open walks can each take a candidate color of
+    their own: a first fit shows most that can, and the Hall test
+    (``_open_walks_matched``) decides the rest.  It branches on the
+    candidates of the open walk with the fewest, the lowest on a tie, in
+    walk order (fail-first: Haralick and Elliott 1980).  Every cut below it
+    holds one of them, so no sibling is excluded.  Once every walk has a
+    pick, the λ picks lie in a minimum cut of λ edges: they are that cut.
+    """
+    closure = _CutClosure(g, u, v, flow[1])
+    if not all(closure.add(e, []) for e in chosen):
+        return None
+    paths, walk_of = _flow_walks(g, u, v, flow[1], flow[0])
+    closed = {walk_of[e] for e in chosen}
+    walks = [  # None for a walk with a pick
+        None if w in closed else [(e, h, colors[e]) for e, h in p if e not in excluded]
+        for w, p in enumerate(paths)
+    ]
+    reach = closure.reach
+    stack = []  # [candidates below, branch, next index, undo] per branching state
+
+    def enter(above):
+        """Return the state's cut, or push a frame if it branches.  ``above``
+        holds each walk's candidates at the state above, None for a walk
+        with a pick; a walk's candidates here are among those there."""
+        if len(chosen) == len(walks):  # every walk has its pick
+            return frozenset(chosen)
+        cands = [
+            c and [t for t in c if reach[t[1]] is None and t[2] not in used]
+            for c in above
+        ]
+        best, fit = None, set()  # fit: each open walk's first color not yet taken
+        for w, c in enumerate(cands):
+            if c is not None:
+                if best is None or len(c) < len(cands[best]):
+                    best = w
+                for t in c:
+                    if t[2] not in fit:
+                        fit.add(t[2])
+                        break
+                else:
+                    fit.add(None)  # first fit fails, so the Hall test decides
+        if None in fit and not _open_walks_matched(
+            cands, walk_of, reach, chosen, used, excluded
+        ):
+            return None
+        branch = [t[0] for t in cands[best]]
+        cands[best] = None
+        stack.append([cands, branch, 0, []])
+        return None
+
+    hit = enter(walks)
+    while hit is None and stack:
+        frame = stack[-1]
+        below, branch, i, undo = frame
+        if i:  # the previous pick is done
+            prev = branch[i - 1]
+            closure.remove(undo)
+            chosen.discard(prev)
+            used.discard(colors[prev])
+        if i == len(branch):
+            stack.pop()
+            continue
+        e = branch[i]
+        frame[2] = i + 1
+        chosen.add(e)
+        used.add(colors[e])
+        if closure.add(e, undo):
+            count()
+            hit = enter(below)
     return hit
 
 
@@ -299,18 +299,12 @@ def find_rainbow_min_cut(
     node_budget: int | None = None,
 ) -> CutCertificate | None:
     """A rainbow u-v cut of size exactly λ(u, v), or None after a complete
-    search: the color-class DFS capped at λ, which it reads off the max flow
-    it starts from.
-
-    The DFS runs on the minimum-cut kernel of that flow
-    (``_min_cut_kernel``): the sides S0 and T0 that every minimum u-v cut
-    keeps whole are each merged into one vertex, and the edges inside them
-    drop out, since no minimum cut can use one.  The search starts from the
-    same flow on the kept edges, which is still maximum, and its cut maps
-    back to G's EdgeIds.  On the 3-SAT reduction T0 takes in t, the padding
-    clique and the clause hubs, so the search never branches on a plain
-    clique edge.  ``node_budget`` bounds the DFS states of the contracted
-    search, raising BudgetExceededError instead of answering."""
+    search: ``_search_walks`` from the root, handed the max flow that gives
+    λ.  It runs on that flow's minimum-cut kernel (``_min_cut_kernel``),
+    where the sides S0 and T0 that every minimum cut keeps whole are each
+    one vertex, and maps the cut back to G's EdgeIds; on the 3-SAT
+    reduction T0 takes in t, the padding clique and the clause hubs.
+    ``node_budget`` bounds the states, raising BudgetExceededError."""
     check_coloring_fits(g, c)
     _check_pair(g, u, v)
     stats = stats if stats is not None else SearchStats()

@@ -8,10 +8,13 @@ runs the package's max flow from zero at every state on G rebuilt without
 the chosen edges (``lambda_without``),
 ``reference_rainbow_min_cut_by_enumeration``, the verifier's former srd
 pair check that tested the listed minimum cuts one by one,
-``reference_verify``, the verifier's former pair loop, which runs that DFS
-for every pair instead of first trying the cuts of a Gomory-Hu cut tree,
-``reference_find_rainbow_min_cut``, the single-pair srd search on all of G
-instead of on the kernel that merges the forced sides of its flow,
+``reference_closure_dfs``, the rainbow-cut DFS that branched on shortest
+paths with a closure test per state where the verifier's now searches the
+flow's walks, ``reference_verify``, the verifier's former pair loop, which
+runs that DFS for every pair instead of first trying the cuts of a
+Gomory-Hu cut tree, ``reference_find_rainbow_min_cut``, the single-pair
+srd search by that DFS on all of G instead of by the walk search on the
+kernel that merges the forced sides of its flow,
 ``reference_edge_connectivity`` and ``reference_upper_edge_connectivity``,
 λ and λ+ with one max flow per pair instead of the cut tree,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
@@ -36,8 +39,10 @@ from itertools import combinations, permutations
 from srdkit.colorings import EdgeColoring, check_coloring_fits
 from srdkit.connectivity import (
     CutCertificate,
+    _CutClosure,
     _check_pair,
     _crossing_edges,
+    _flow_walks,
     _max_flow,
     enumerate_min_cuts,
     local_edge_connectivity,
@@ -48,11 +53,11 @@ from srdkit.errors import (
     GraphStructureError,
     NotBipartiteError,
 )
-from srdkit.graph import Graph, blocks, is_connected
+from srdkit.graph import Graph, _bfs, _open_arcs, blocks, is_connected
 from srdkit.verifier import (
     SearchStats,
     VerificationReport,
-    _dfs_rainbow_cut,
+    _open_walks_matched,
     is_rd_coloring,
     is_srd_coloring,
 )
@@ -284,6 +289,178 @@ def reference_rainbow_cut_dfs(g, colors, u, v, cap, stats, node_budget=None):
     return rec(frozenset(), frozenset(), frozenset())
 
 
+def reference_closure_dfs(g, c, u, v, cap, stats, node_budget=None, flow=None):
+    """The verifier's rainbow-cut DFS before its walk search: below the
+    first state that holds G's flow of value ``cap`` it keeps branching on
+    the edges of a shortest path, with a closure test per state.
+
+    Complete search for a rainbow u-v cut of at most ``cap`` edges.
+
+    Branches over the edges of a live shortest path whose colors are still
+    unused; exclusion sets keep the visited rainbow subsets distinct.  Any
+    rainbow cut contains an inclusion-minimal one, and every edge of a
+    minimal cut lies on a live path, so path branching stays complete.
+    Removing an edge lowers the residual connectivity by at most one, so a
+    state whose residual exceeds the edges still allowed has no completion
+    and may be pruned.  With ``cap`` = λ(u, v) every cut found is a minimum
+    cut; with ``cap`` = the number of colors, any rainbow cut fits.
+    ``node_budget`` bounds the states, raising BudgetExceededError.  A
+    root with λ(u, v) = 0 raises GraphStructureError (u, v disconnected).
+
+    A search runs at most one max flow, and none if the caller hands it
+    G's as ``flow`` = (value, residual).  λ(G - chosen) is at most the
+    smaller degree of u and v in G - chosen, and while that bound is within
+    ``cap`` - |chosen| the prune cannot fire, so the state runs no flow and
+    its path walk tells whether λ is 0.  The first state whose bound does
+    not settle the prune takes G's flow, handed in or computed then.  No
+    state changes that flow.  If its value λ exceeds ``cap``, every state
+    has λ(G - chosen) ≥ λ - |chosen| > room, and the root is pruned.
+
+    When λ is ``cap``, as for every srd search, λ(G - chosen) is
+    cap - |chosen| when ``chosen`` lies in a minimum cut of G and more
+    otherwise, so a ``_CutClosure`` of the flow decides each prune.  The
+    first state builds it from u and its chosen edges; below it each state
+    adds its own edge, at the cost of at most one walk, and its frame's
+    ``undo`` list takes the edge back when the state is left.  A state
+    whose edge fails the test has its parent's λ, as that edge lowered
+    none, and is pruned.
+
+    In that regime a state that survives the closure test also runs a Hall
+    test (``_open_walks_matched``) before its path walk.  The first state
+    with the flow splits it into ``cap`` edge-disjoint u-v walks
+    (``_flow_walks``), once per search, however often the closure is
+    rebuilt.  Let D ⊇ ``chosen`` be a minimum cut, δ(S) with S closed in
+    the residual.  Each edge of D carries a unit out of S and no flow
+    enters S, so each walk leaves S once and never comes back: it crosses
+    D exactly once, on an edge that carries flow and whose head lies
+    outside S, so outside the closure's reach R ⊆ S.  The chosen edges
+    thus lie on distinct walks, and each of the room = cap - |chosen|
+    walks without one crosses D on an edge of its own outside ``chosen``.
+    For D to be rainbow and to avoid ``excluded``, as every cut below the
+    state must, those edges have distinct colors outside ``used``, so a
+    matching of the open walks to such colors covers them all.  A state
+    where none does has no cut below it, and pruning it changes neither
+    the cut found nor the order of the states that remain.
+
+    When λ is below ``cap`` (rd, or any cap above λ), the flow bounds no
+    λ(G - chosen) from below, so that state and all below it stay on their
+    degrees, and only a state with no room left whose walk reaches v is
+    pruned.  A subtree that a flow per state would prune holds no cut
+    within the cap, so the same cut comes first, after more states.
+
+    The states are visited depth first with an explicit stack of one frame
+    per branching state on the current path, each with its λ(G - chosen)
+    if λ is the cap and None otherwise, so no recursion limit applies.
+    ``chosen``, ``used`` and ``excluded`` are shared sets that a frame
+    extends while its children run and restores when it is popped;
+    ``open_arcs`` is G - ``chosen`` as arc capacities, for the path walks,
+    and ``degree`` holds the degrees of G - ``chosen`` while no frame on
+    the path has a value.
+    """
+    colors = c.colors
+    edges = g.edges
+    chosen, used, excluded = set(), set(), set()
+    open_arcs = _open_arcs(g)
+    degree = [len(arcs) for arcs in g.adj]
+    closure = None  # the _CutClosure of the states below the first with a flow
+    walks = walk_of = None  # _flow_walks of the flow, once it has value cap
+    stack = []  # [λ(G - chosen) or None, branch, next index, child undo]
+
+    def closes_over_chosen():
+        """Does ``chosen`` lie in a minimum cut of G?  Builds the closure of
+        G's flow of value ``cap`` over it, and splits that flow into walks
+        the first time."""
+        nonlocal closure, walks, walk_of
+        residual = flow[1]
+        closure = _CutClosure(g, u, v, residual)
+        if walks is None:
+            paths, walk_of = _flow_walks(g, u, v, residual, cap)
+            walks = [[(e, head, colors[e]) for e, head in path] for path in paths]
+        return all(closure.add(e, []) for e in chosen)
+
+    def enter(value):
+        """Count a state; return its cut, or push a frame if it branches.
+        ``value`` is the state's λ(G - chosen) below the first state with a
+        flow of value ``cap``, and None elsewhere."""
+        nonlocal flow
+        stats.nodes += 1
+        if node_budget is not None and stats.nodes > node_budget:
+            raise BudgetExceededError(
+                f"rainbow min-cut search exceeded {node_budget} states"
+            )
+        room = cap - len(chosen)
+        if value is None:
+            bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
+            if bound > room:
+                if flow is None:
+                    flow = _max_flow(g, u, v)[:2]
+                if flow[0] > cap:  # λ(G - chosen) ≥ λ - |chosen| > room
+                    return None
+                if flow[0] == cap:
+                    if not closes_over_chosen():
+                        return None
+                    value = room
+        if value is not None:
+            if value > room or not _open_walks_matched(
+                walks, walk_of, closure.reach, chosen, used, excluded
+            ):
+                return None
+            bound = value
+        tree = None if bound == 0 else _bfs(g, u, open_arcs, target=v)
+        if tree is None or tree[v] is None:  # λ(G - chosen) = 0
+            if not chosen:
+                raise GraphStructureError(f"vertices {u} and {v} are disconnected")
+            return frozenset(chosen)
+        if room == 0:  # λ(G - chosen) > 0 = room
+            return None
+        branch = []
+        x = v
+        while x != u:
+            arc = tree[x]
+            e = arc >> 1
+            x = edges[e][arc & 1]
+            if e not in excluded and colors[e] not in used:
+                branch.append(e)
+        branch.reverse()
+        stack.append([value, branch, 0, []])
+        return None
+
+    hit = enter(None)
+    while hit is None and stack:
+        frame = stack[-1]
+        value, branch, i, undo = frame
+        if i:
+            # the previous child is done: drop it and exclude it
+            prev = branch[i - 1]
+            chosen.discard(prev)
+            open_arcs[2 * prev] = open_arcs[2 * prev + 1] = 1
+            used.discard(colors[prev])
+            excluded.add(prev)
+            if value is None:
+                a, b = edges[prev]
+                degree[a] += 1
+                degree[b] += 1
+            else:
+                closure.remove(undo)
+        if i == len(branch):
+            stack.pop()
+            excluded.difference_update(branch)
+            continue
+        e = branch[i]
+        frame[2] = i + 1
+        chosen.add(e)
+        open_arcs[2 * e] = open_arcs[2 * e + 1] = 0
+        used.add(colors[e])
+        if value is None:
+            a, b = edges[e]
+            degree[a] -= 1
+            degree[b] -= 1
+            hit = enter(None)
+        else:
+            hit = enter(value - 1 if closure.add(e, undo) else value)
+    return hit
+
+
 def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
     """The first rainbow certificate in ``enumerate_min_cuts`` order, or
     None: how the verifier once checked a pair whose minimum cuts it could
@@ -295,17 +472,17 @@ def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
 
 
 def reference_find_rainbow_min_cut(g, c, u, v, stats=None):
-    """``find_rainbow_min_cut`` before its minimum-cut kernel: the
-    rainbow-cut DFS on all of G, capped at λ from one max flow, which it
-    hands to the search.  It calls the production DFS, so its prunes come
-    from the same closure test on that flow; ``reference_rainbow_cut_dfs``,
-    with a fresh flow per state, is the independent check of that test.
+    """``find_rainbow_min_cut`` before its minimum-cut kernel and its walk
+    search: ``reference_closure_dfs`` on all of G, capped at λ from one max
+    flow, which it hands to the search.  Its prunes come from the package's
+    closure and Hall tests on that flow; ``reference_rainbow_cut_dfs``,
+    with a fresh flow per state, is the independent check of those tests.
     Returns the CutCertificate or None."""
     check_coloring_fits(g, c)
     _check_pair(g, u, v)
     stats = stats if stats is not None else SearchStats()
     flow = _max_flow(g, u, v)[:2]
-    cut = _dfs_rainbow_cut(g, c, u, v, flow[0], stats, flow=flow)
+    cut = reference_closure_dfs(g, c, u, v, flow[0], stats, flow=flow)
     if cut is None:
         return None
     return CutCertificate((u, v), cut, len(cut))
@@ -317,8 +494,8 @@ def reference_verify(g, c, mode, stats=None):
     per pair for ``mode`` "srd" and at the number of colors for "rd".
     Returns the VerificationReport the verifier would give: the first pair
     without a cut fails, and each pair before it carries the DFS's cut.
-    It calls the production DFS, so its srd prunes are the closure test on
-    the pair's flow, as the verifier's are."""
+    It runs ``reference_closure_dfs``, so its srd prunes are the package's
+    closure and Hall tests on the pair's flow."""
     check_coloring_fits(g, c)
     if not is_connected(g):
         raise GraphStructureError("graph must be connected")
@@ -328,7 +505,7 @@ def reference_verify(g, c, mode, stats=None):
     for u, v in combinations(range(g.vertex_count), 2):
         if mode == "srd":
             cap = local_edge_connectivity(g, u, v)
-        cut = _dfs_rainbow_cut(g, c, u, v, cap, stats)
+        cut = reference_closure_dfs(g, c, u, v, cap, stats)
         if cut is None:
             return VerificationReport(False, witnesses, (u, v))
         witnesses[(u, v)] = CutCertificate((u, v), cut, len(cut))

@@ -31,7 +31,7 @@ from srdkit import (
     parse_dimacs_cnf,
     sat_brute_force,
 )
-from srdkit import connectivity, graph, verifier
+from srdkit import connectivity, graph, reduction, verifier
 
 import oracles
 
@@ -39,6 +39,11 @@ from test_acceptance import _exhaustive_family
 
 FIGURE_CLAUSE = CnfFormula(3, ((1, -2, 3),))
 UNSAT = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
+# all eight sign patterns of (x1, x2, x3): the smallest unsatisfiable 3-CNF
+# whose clauses each hold three distinct variables
+EIGHT_PATTERNS = CnfFormula(
+    3, tuple((a, 2 * b, 3 * c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+)
 
 
 def random_formula(rng, max_vars=4, max_clauses=3) -> CnfFormula:
@@ -405,6 +410,19 @@ class TestEquivalence:
         assert not rep.satisfiable and not rep.cut_found
         assert rep.assignment is None
 
+    def test_eight_patterns_refuted_within_the_default_budget(self):
+        inst = build_reduction(EIGHT_PATTERNS)
+        stats = SearchStats()
+        real = reduction.find_rainbow_min_cut
+
+        def counted(*args, **kwargs):
+            return real(*args, stats=stats, **kwargs)
+
+        with mock.patch.object(reduction, "find_rainbow_min_cut", counted):
+            rep = check_equivalence(inst)
+        assert (rep.consistent, rep.satisfiable, rep.cut_found) == (True, False, False)
+        assert stats.nodes == 58_417
+
     def test_exhaustive_single_clauses(self):
         # every 3-literal clause over x1..x3 up to renaming and sign flips
         shapes = [
@@ -459,10 +477,10 @@ def six_variable_formula(seed) -> CnfFormula:
 
 
 class TestSixVariableFormulas:
-    """The 6-variable, 14-clause reductions of seeds 0, 1 and 3 decide
-    within the default budget of ``check_equivalence``."""
+    """The 6-variable, 14-clause reductions of seeds 0 to 3 decide within
+    the default budget of ``check_equivalence``."""
 
-    @pytest.mark.parametrize("seed, nodes", [(0, 85), (1, 91), (3, 89)])
+    @pytest.mark.parametrize("seed, nodes", [(0, 143), (1, 85), (2, 85), (3, 85)])
     def test_satisfiable_within_the_default_budget(self, seed, nodes):
         phi = six_variable_formula(seed)
         inst = build_reduction(phi)
@@ -537,10 +555,11 @@ class TestCheckWork:
     search, for λ) and graph walks, for the search on the minimum-cut
     kernel and for the uncontracted reference.  Both are srd searches
     handed a flow of value λ, so a closure test and a Hall test on that one
-    flow decide every prune.  Every walk goes through ``graph._walk``,
-    directly or by ``_bfs``, or ``connectivity._walk``: the DFS's path
-    walks, the closure's walks and the flows' own.  Splitting the flow into
-    u-v walks for the Hall test makes no graph walk."""
+    flow decide every prune; the kernel's search picks one edge per flow
+    walk and walks no path.  Every walk goes through ``graph._walk``,
+    directly or by ``_bfs``, or ``connectivity._walk``: the reference DFS's
+    path walks, the closure's walks and the flows' own.  Splitting the flow
+    into u-v walks makes no graph walk."""
 
     @staticmethod
     def _family_work(search):
@@ -575,5 +594,5 @@ class TestCheckWork:
 
     def test_kernel_family_counts(self):
         nodes, calls = self._family_work(find_rainbow_min_cut)
-        assert nodes == 5_169
-        assert calls == {"flow": 236, "walk": 9_862}
+        assert nodes == 3_763
+        assert calls == {"flow": 236, "walk": 4_881}

@@ -226,11 +226,12 @@ class TestSearchOrder:
         assert sorted(cert.cut) == self.REDUCTION_WITNESS
 
     def test_kernel_reduction_witness_and_nodes(self):
-        # on the kernel: t, the padding clique and the hubs are one vertex
+        # on the kernel: t, the padding clique and the hubs are one vertex,
+        # and the walk search picks one edge per flow walk from the root
         inst = _three_variable_reduction()
         st = SearchStats()
         cert = find_rainbow_min_cut(inst.graph, inst.coloring, inst.s, inst.t, stats=st)
-        assert st.nodes == 27
+        assert st.nodes == 25
         assert sorted(cert.cut) == self.REDUCTION_WITNESS
 
     @staticmethod
@@ -353,8 +354,10 @@ class TestMinCutKernel:
         ref = reference_find_rainbow_min_cut(g, c, 0, 11, stats=ref_st)
         assert (sorted(ref.cut), ref_st.nodes) == ([21, 22], 5)
 
+    # with color 2 the Hall test prunes the root: the bridge's walk has
+    # only color 2, which leaves the two path walks one color, 1, for both
     @pytest.mark.parametrize(
-        "bridge_color, witness, nodes", [(3, [20, 23, 24], 4), (2, None, 3)]
+        "bridge_color, witness, nodes", [(3, [20, 23, 24], 4), (2, None, 1)]
     )
     def test_an_edge_between_the_forced_sides_is_in_every_cut(
         self, bridge_color, witness, nodes
@@ -445,7 +448,8 @@ class TestFlowsPerSearch:
         assert len(flow_calls) == n - 1
 
     def test_an_end_without_edges_is_a_cut_without_a_walk(self, monkeypatch):
-        # the root walks 0-1-2; its first child, {edge 0}, leaves 0 no edge
+        # handed the flow, the root is a walk search: its one flow walk 0-1-2
+        # has both edges as candidates, and the first, {edge 0}, is a cut
         walks = []
         real = verifier._bfs
 
@@ -458,7 +462,7 @@ class TestFlowsPerSearch:
         cert = find_rainbow_min_cut(path_graph(3), EdgeColoring((1, 1)), 0, 2, stats=st)
         assert cert.cut == frozenset({0})
         assert st.nodes == 2
-        assert walks == [0]
+        assert walks == []
 
     def test_any_size_search_runs_no_flow_where_degrees_settle_the_prune(
         self, flow_calls
@@ -512,14 +516,14 @@ class TestFlowedSearch:
     """The DFS that flows only where its degree bound does not settle the
     prune, against the reference DFS that runs a fresh max flow at every
     state.  A search runs at most one max flow, and none when the caller
-    hands it G's, and no state changes that flow.  Capped at λ, a search
-    decides its prunes below the first state with the flow by a closure
-    test on it and a Hall test, which prune only states without a cut
-    below them: it finds the reference's cut in no more states, and may
-    answer where the reference runs out of budget.  Capped below λ it
-    prunes the root; capped above λ it prunes no state by the flow, so it
-    finds the reference's cut in no fewer states, and may run out of
-    budget where the reference answers."""
+    hands it G's, and no state changes that flow.  Capped at λ, the state
+    that takes the flow, or the root of a search handed it, goes on as the
+    walk search: it answers as the reference does, with a cut, None or the
+    same error, though the cut may be another rainbow minimum cut, and it
+    visits at most prod(s_i + 1) states.  Capped below λ it prunes the
+    root; capped above λ it prunes no state by the flow, so it finds the
+    reference's cut in no fewer states, and may run out of budget where the
+    reference answers."""
 
     @settings(max_examples=150, deadline=None)
     @given(colored_multigraph_pairs())
@@ -551,6 +555,7 @@ class TestFlowedSearch:
         budget_stop = (
             BudgetExceededError, f"rainbow min-cut search exceeded {budget} states"
         )
+        bound = prod(c.colors.count(col) + 1 for col in set(c.colors))
         with mock.patch.object(
             verifier, "_CutClosure", counting("closure", verifier._CutClosure)
         ):
@@ -573,13 +578,20 @@ class TestFlowedSearch:
                 if cap != lam:
                     assert calls["closure"] == 0
                 ref = _search_outcome(reference)
-                # where the side that visits more states runs out of budget,
-                # the other may answer
                 if cap == lam:
-                    if new[0] != ref[0] and ref[0] == budget_stop:
+                    # either side may run out of budget where the other answers
+                    if new[0] == budget_stop:
+                        new = _search_outcome(lambda st: search(st, None))
+                    if ref[0] == budget_stop:
                         ref = _search_outcome(lambda st: reference(st, None))
-                    assert new[0] == ref[0]
-                    assert new[1] <= ref[1]
+                    assert new[1] <= bound
+                    if isinstance(ref[0], frozenset):
+                        cut = new[0]
+                        assert isinstance(cut, frozenset) and len(cut) == lam
+                        assert is_rainbow(c, cut)
+                        assert oracle_separates(g.vertex_count, g.edges, cut, u, v)
+                    else:
+                        assert new[0] == ref[0]
                 else:
                     if new[0] != ref[0] and new[0] == budget_stop:
                         new = _search_outcome(lambda st: search(st, None))
@@ -592,17 +604,20 @@ class TestFlowedSearch:
         # {edge 0}; {0, 1} is the first state they leave open, and it lies
         # in no minimum cut, since edge 1 joins u to 0 and 0 lies on u's
         # side of the only one, {0, 3}.  The closure built from u alone
-        # would take {0, 1} for a cut.
+        # would take {0, 1} for a cut.  Handed the flow, the root is a walk
+        # search instead: edge 0 is its own walk, and edge 3 is the one
+        # candidate of the other, as u reaches 0 over the parallel edge
+        # without flow.
         g = Graph(3, [(2, 1), (0, 2), (0, 2), (1, 0)])
         c = EdgeColoring((2, 1, 1, 1))
         flow = connectivity._max_flow(g, 2, 1)[:2] if handed else None
         new = _search_outcome(
             lambda st: verifier._dfs_rainbow_cut(g, c, 2, 1, 2, st, flow=flow)
         )
-        assert new == (frozenset({0, 3}), 4)
-        assert new == _search_outcome(
+        assert new == (frozenset({0, 3}), 3 if handed else 4)
+        assert new[0] == _search_outcome(
             lambda st: reference_rainbow_cut_dfs(g, c, 2, 1, 2, st)
-        )
+        )[0]
 
     def test_any_size_search_above_lambda_keeps_degree_bounds(self, flow_calls):
         # three parallel edges 0-1, then 1-2: λ(0, 2) = 1 and 2 colors.  The
@@ -736,6 +751,52 @@ class TestHallPrune:
         assert verifier._open_walks_matched(walks, [], reach, set(), set(), set()) == (
             distinct
         )
+
+
+class TestWalkSearch:
+    """``_search_walks``, the search below a state that holds G's flow of
+    value λ, against brute force over the listed minimum cuts: started from
+    any rainbow ``chosen`` and any ``excluded``, it returns a rainbow
+    minimum cut that holds ``chosen`` and avoids ``excluded`` exactly when
+    one exists, and otherwise None with the three sets as they were."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(colored_multigraph_pairs(), st.data())
+    def test_a_cut_through_the_state_exactly_when_one_exists(self, case, data):
+        g, c, u, v, _ = case
+        lam, residual, _ = connectivity._max_flow(g, u, v)
+        if lam == 0 or not g.edge_count:
+            return
+        cuts = [cert.cut for cert in enumerate_min_cuts(g, u, v)]
+        # edges of one minimum cut, rainbow if one is, so that some states
+        # lie on a cut, or any edges
+        on = [cut for cut in cuts if is_rainbow(c, cut)] or cuts
+        in_a_cut = st.sampled_from(on).flatmap(
+            lambda cut: st.sets(st.sampled_from(sorted(cut)), max_size=3)
+        )
+        edge_sets = st.sets(st.integers(0, g.edge_count - 1), max_size=3)
+        chosen, excluded = data.draw(in_a_cut | edge_sets), data.draw(edge_sets)
+        excluded -= chosen
+        used = {c.colors[e] for e in chosen}
+        if len(used) < len(chosen):  # a search state's edges are rainbow
+            return
+        want = [
+            cut
+            for cut in cuts
+            if chosen <= cut and not cut & excluded and is_rainbow(c, cut)
+        ]
+        before = (set(chosen), set(used), set(excluded))
+        nodes = []
+        hit = verifier._search_walks(
+            g, c.colors, u, v, (lam, residual), chosen, used, excluded,
+            lambda: nodes.append(1),
+        )
+        if want:
+            assert hit in want, (g, c.colors, u, v, before)
+        else:
+            assert hit is None, (g, c.colors, u, v, before)
+            assert (chosen, used, excluded) == before
+        assert len(nodes) <= prod(c.colors.count(col) + 1 for col in set(c.colors))
 
 
 class TestReports:
