@@ -6,7 +6,10 @@ Gomory-Hu cut tree for rainbowness and run the rainbow-cut search
 ``_dfs_rainbow_cut`` for each pair that no tree cut settles, capped at
 λ(u, v) for a rainbow minimum cut (srd) and at the number of colors for a
 rainbow cut of any size (rd).  ``find_rainbow_min_cut`` runs it on the
-minimum-cut kernel of the pair's max flow.  Each rainbow edge subset is
+minimum-cut kernel of the pair's max flow.  Once a search holds a flow
+whose value is its cap, ``_search_walks`` picks one edge per flow walk and
+prunes a state unless one matching gives its open walks distinct unused
+colors (``_walks_matched``).  Each rainbow edge subset is
 visited at most once: with k colors in classes of sizes s_1..s_k, at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states, polynomial for fixed k.
 """
@@ -59,42 +62,33 @@ def is_rainbow(c: EdgeColoring, edge_set) -> bool:
     return True
 
 
-def _open_walks_matched(walks, walk_of, reach, chosen, used, excluded) -> bool:
+def _walks_matched(cands) -> bool:
     """The Hall test of a walk-search state (``_search_walks``): can every
-    flow walk without a chosen edge take its own color, unused by
-    ``chosen``, from its edges that are not excluded and whose heads lie
-    outside ``reach``, the closure's R?  ``walks`` holds (edge, head, color)
-    triples.  A walk without any such color fails at once; otherwise Kuhn's
-    method matches the walks to colors one by one, and a walk without an
-    augmenting path leaves every maximum matching short (Régin 1994)."""
-    closed = {walk_of[e] for e in chosen}
-    wanted = []
-    for w, walk in enumerate(walks):
-        if w not in closed:
-            cands = {
-                col
-                for e, head, col in walk
-                if reach[head] is None and col not in used and e not in excluded
-            }
-            if not cands:
-                return False
-            wanted.append(cands)
+    open walk take a color of its own?  ``cands`` holds each walk's
+    candidate (edge, head, color) triples, None for a walk with a pick.
+    Kuhn's method matches the open walks to colors one by one, and a walk
+    without an augmenting path leaves every maximum matching short (Régin
+    1994), whatever order the walks are matched in."""
     owner = {}  # color -> the walk matched to it
-    held = [None] * len(wanted)  # walk -> its color
-    return all(_augment(i, wanted, owner, held) for i in range(len(wanted)))
+    held = [None] * len(cands)  # walk -> its color
+    return all(
+        c is None or _augment(w, cands, owner, held) for w, c in enumerate(cands)
+    )
 
 
 def _augment(i, wanted, owner, held) -> bool:
-    """Match index i by one augmenting path, breadth first over the colors,
-    and flip it into ``owner`` and ``held``; False when there is none."""
-    for col in wanted[i]:  # a free color: the path the search below finds first
-        if col not in owner:
-            owner[col], held[i] = i, col
+    """Match index i to the color of one of its triples ``wanted[i]`` by one
+    augmenting path, breadth first over the colors, and flip it into
+    ``owner`` and ``held``; False when there is none."""
+    for t in wanted[i]:  # a free color: the path the search below finds first
+        if t[2] not in owner:
+            owner[t[2]], held[i] = i, t[2]
             return True
     came = {}  # color -> the index that reached it
     queue = [i]
     for x in queue:
-        for col in wanted[x]:
+        for t in wanted[x]:
+            col = t[2]
             if col in came:
                 continue
             came[col] = x
@@ -218,12 +212,12 @@ def _search_walks(g, colors, u, v, flow, chosen, used, excluded, count):
     crosses each walk without a chosen edge on a candidate: an edge with
     its head outside R and an unused color that is not excluded.  A state
     is pruned unless its open walks can each take a candidate color of
-    their own: a first fit shows most that can, and the Hall test
-    (``_open_walks_matched``) decides the rest.  It branches on the
-    candidates of the open walk with the fewest, the lowest on a tie, in
-    walk order (fail-first: Haralick and Elliott 1980).  Every cut below it
-    holds one of them, so no sibling is excluded.  Once every walk has a
-    pick, the λ picks lie in a minimum cut of λ edges: they are that cut.
+    their own, which one matching over the candidates decides
+    (``_walks_matched``).  It branches on the candidates of the open walk
+    with the fewest, the lowest on a tie, in walk order (fail-first:
+    Haralick and Elliott 1980).  Every cut below it holds one of them, so
+    no sibling is excluded.  Once every walk has a pick, the λ picks lie in
+    a minimum cut of λ edges: they are that cut.
     """
     closure = _CutClosure(g, u, v, flow[1])
     if not all(closure.add(e, []) for e in chosen):
@@ -247,21 +241,12 @@ def _search_walks(g, colors, u, v, flow, chosen, used, excluded, count):
             c and [t for t in c if reach[t[1]] is None and t[2] not in used]
             for c in above
         ]
-        best, fit = None, set()  # fit: each open walk's first color not yet taken
-        for w, c in enumerate(cands):
-            if c is not None:
-                if best is None or len(c) < len(cands[best]):
-                    best = w
-                for t in c:
-                    if t[2] not in fit:
-                        fit.add(t[2])
-                        break
-                else:
-                    fit.add(None)  # first fit fails, so the Hall test decides
-        if None in fit and not _open_walks_matched(
-            cands, walk_of, reach, chosen, used, excluded
-        ):
+        if not _walks_matched(cands):
             return None
+        best = None
+        for w, c in enumerate(cands):
+            if c is not None and (best is None or len(c) < len(cands[best])):
+                best = w
         branch = [t[0] for t in cands[best]]
         cands[best] = None
         stack.append([cands, branch, 0, []])

@@ -57,7 +57,7 @@ from srdkit.graph import Graph, _bfs, _open_arcs, blocks, is_connected
 from srdkit.verifier import (
     SearchStats,
     VerificationReport,
-    _open_walks_matched,
+    _walks_matched,
     is_rd_coloring,
     is_srd_coloring,
 )
@@ -326,7 +326,10 @@ def reference_closure_dfs(g, c, u, v, cap, stats, node_budget=None, flow=None):
     none, and is pruned.
 
     In that regime a state that survives the closure test also runs a Hall
-    test (``_open_walks_matched``) before its path walk.  The first state
+    test before its path walk: it lists, for each walk without a chosen
+    edge, the edges that are not excluded, whose heads lie outside the
+    closure's reach and whose colors are unused, and hands those lists to
+    the library's matcher (``_walks_matched``).  The first state
     with the flow splits it into ``cap`` edge-disjoint u-v walks
     (``_flow_walks``), once per search, however often the closure is
     rebuilt.  Let D ⊇ ``chosen`` be a minimum cut, δ(S) with S closed in
@@ -401,9 +404,23 @@ def reference_closure_dfs(g, c, u, v, cap, stats, node_budget=None, flow=None):
                         return None
                     value = room
         if value is not None:
-            if value > room or not _open_walks_matched(
-                walks, walk_of, closure.reach, chosen, used, excluded
-            ):
+            if value > room:
+                return None
+            closed = {walk_of[e] for e in chosen}
+            reach = closure.reach
+            cands = [  # each open walk's candidates, None for a closed one
+                None
+                if w in closed
+                else [
+                    t
+                    for t in walk
+                    if t[0] not in excluded
+                    and reach[t[1]] is None
+                    and t[2] not in used
+                ]
+                for w, walk in enumerate(walks)
+            ]
+            if not _walks_matched(cands):
                 return None
             bound = value
         tree = None if bound == 0 else _bfs(g, u, open_arcs, target=v)

@@ -26,6 +26,7 @@ from srdkit import (
     color_grid,
     color_regular,
     complete_graph,
+    components,
     cycle_graph,
     enumerate_min_cuts,
     exact_chromatic_index,
@@ -58,14 +59,19 @@ from oracles import (
 
 
 @st.composite
-def colored_multigraph_pairs(draw):
+def colored_multigraph_pairs(draw, joined=False):
     """A multigraph on 2-8 vertices with up to 16 edges (possibly
-    disconnected), 1-4 colors, a vertex pair and an optional node budget."""
+    disconnected), 1-4 colors, a vertex pair and an optional node budget.
+    With ``joined`` the graph has an edge and the pair lies in one
+    component, so λ(u, v) > 0."""
     n = draw(st.integers(2, 8))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=16))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=int(joined), max_size=16))
     k = draw(st.integers(1, 4))
     colors = draw(st.lists(st.integers(1, k), min_size=len(edges), max_size=len(edges)))
+    if joined:
+        part = {x: i for i, comp in enumerate(components(Graph(n, edges))) for x in comp}
+        pairs = [(a, b) for a, b in pairs if part[a] == part[b]]
     u, v = draw(st.sampled_from(pairs))
     budget = draw(st.none() | st.integers(1, 40))
     return Graph(n, edges), EdgeColoring(tuple(colors)), u, v, budget
@@ -690,18 +696,26 @@ class TestFlowWalks:
 
 def _hall_prunes(g, c, u, v):
     """(chosen, excluded) of each state of the DFS capped at λ(u, v) that
-    the Hall test prunes."""
-    pruned = []
-    real = verifier._open_walks_matched
+    the Hall test prunes.  The walk search receives the DFS's shared
+    ``chosen`` and ``excluded`` sets, so the matcher's wrapper reads the
+    state from them."""
+    pruned, state = [], []
+    search, matched = verifier._search_walks, verifier._walks_matched
 
-    def recording(walks, walk_of, reach, chosen, used, excluded):
-        matched = real(walks, walk_of, reach, chosen, used, excluded)
-        if not matched:
-            pruned.append((frozenset(chosen), frozenset(excluded)))
-        return matched
+    def searching(g, colors, u, v, flow, chosen, used, excluded, count):
+        state[:] = [chosen, excluded]
+        return search(g, colors, u, v, flow, chosen, used, excluded, count)
+
+    def recording(cands):
+        verdict = matched(cands)
+        if not verdict:
+            pruned.append(tuple(map(frozenset, state)))
+        return verdict
 
     lam = local_edge_connectivity(g, u, v)
-    with mock.patch.object(verifier, "_open_walks_matched", recording):
+    with mock.patch.object(verifier, "_search_walks", searching), mock.patch.object(
+        verifier, "_walks_matched", recording
+    ):
         verifier._dfs_rainbow_cut(g, c, u, v, lam, SearchStats())
     return pruned
 
@@ -713,11 +727,9 @@ class TestHallPrune:
     below which no rainbow minimum cut lies."""
 
     @settings(max_examples=300, deadline=None)
-    @given(colored_multigraph_pairs())
+    @given(colored_multigraph_pairs(joined=True))
     def test_a_pruned_state_has_no_rainbow_minimum_cut(self, case):
         g, c, u, v, _ = case
-        if local_edge_connectivity(g, u, v) == 0:
-            return
         cuts = [cert.cut for cert in enumerate_min_cuts(g, u, v)]
         for chosen, excluded in _hall_prunes(g, c, u, v):
             assert not any(
@@ -740,17 +752,25 @@ class TestHallPrune:
         ) == (None, 2)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.integers(1, 5), max_size=4), max_size=5))
+    @given(
+        st.lists(
+            st.none() | st.lists(st.integers(1, 5), max_size=4), max_size=5
+        )
+    )
     def test_matching_covers_the_walks_exactly_when_colors_can_be_picked(
         self, palettes
     ):
-        # one walk per palette, of one edge per color, none chosen or excluded
-        walks = [[(0, 0, col) for col in palette] for palette in palettes]
-        reach = [None]
-        distinct = any(len(set(pick)) == len(pick) for pick in product(*palettes))
-        assert verifier._open_walks_matched(walks, [], reach, set(), set(), set()) == (
-            distinct
+        # one walk per palette, of one candidate per color; None for a walk
+        # with a pick, which needs no color
+        cands = [
+            None if palette is None else [(0, 0, col) for col in palette]
+            for palette in palettes
+        ]
+        open_palettes = [palette for palette in palettes if palette is not None]
+        distinct = any(
+            len(set(pick)) == len(pick) for pick in product(*open_palettes)
         )
+        assert verifier._walks_matched(cands) == distinct
 
 
 class TestWalkSearch:
@@ -761,12 +781,10 @@ class TestWalkSearch:
     one exists, and otherwise None with the three sets as they were."""
 
     @settings(max_examples=300, deadline=None)
-    @given(colored_multigraph_pairs(), st.data())
+    @given(colored_multigraph_pairs(joined=True), st.data())
     def test_a_cut_through_the_state_exactly_when_one_exists(self, case, data):
         g, c, u, v, _ = case
         lam, residual, _ = connectivity._max_flow(g, u, v)
-        if lam == 0 or not g.edge_count:
-            return
         cuts = [cert.cut for cert in enumerate_min_cuts(g, u, v)]
         # edges of one minimum cut, rainbow if one is, so that some states
         # lie on a cut, or any edges
