@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import _min_cut_tuples, edge_connectivity
+from .connectivity import _all_min_cuts, edge_connectivity
 from .errors import (
     BudgetExceededError,
     ColoringError,
@@ -608,35 +608,34 @@ def _min_nontrivial_pair_cut(g: Graph, limit: int = 200_000, cut_lists=None):
     graph, as the vertex side containing the pair's first vertex, or None
     when every minimum cut of every pair is some vertex star.
 
-    Deterministic: smallest (cut size, edge tuple, pair) wins.  Raises when
-    a pair with ``limit`` or more minimum cuts, too many to enumerate
-    exhaustively, has λ no larger than the best cut, because a cut missed
-    there could misclassify the graph.  When ``cut_lists`` is a dict, each
-    pair (u, v), u < v, is keyed there to the list of its minimum cuts as
-    sorted EdgeId tuples, in ``enumerate_min_cuts`` order.
+    Every pair's minimum cuts come from one ``_all_min_cuts``, which walks
+    the n - 1 pairs of a cut tree, not all n(n - 1)/2.  Deterministic:
+    smallest (cut size, edge tuple, pair) wins.  Raises when a pair with
+    ``limit`` or more minimum cuts, too many to enumerate exhaustively, has
+    λ no larger than the best cut, because a cut missed there could
+    misclassify the graph.  When ``cut_lists`` is a dict, each pair (u, v),
+    u < v, is keyed there to the list of its minimum cuts as sorted EdgeId
+    tuples, in ``enumerate_min_cuts`` order.
     """
-    n = g.vertex_count
     stars = [tuple(sorted(eid for _, eid in nb)) for nb in g.adj]
     best = None  # (value, cut tuple, pair)
     overflow = None  # least (value, pair) with limit or more cuts
-    for u in range(n):
-        for v in range(u + 1, n):
-            value, cuts = _min_cut_tuples(g, u, v, limit)
-            if cut_lists is not None:
-                cut_lists[(u, v)] = cuts
-            if len(cuts) >= limit:
-                if overflow is None or value < overflow[0]:
-                    overflow = (value, (u, v))
-                continue
-            # a minimum cut of a connected graph is a bond, so it has a
-            # one-vertex side only when it is that vertex's star; the cuts
-            # come sorted, so the first other one is the pair's
-            for cut in cuts:
-                if cut != stars[u] and cut != stars[v]:
-                    key = (value, cut, (u, v))
-                    if best is None or key < best:
-                        best = key
-                    break
+    for (u, v), (value, cuts) in _all_min_cuts(g, limit).items():
+        if cut_lists is not None:
+            cut_lists[(u, v)] = cuts
+        if len(cuts) >= limit:
+            if overflow is None or value < overflow[0]:
+                overflow = (value, (u, v))
+            continue
+        # a minimum cut of a connected graph is a bond, so it has a
+        # one-vertex side only when it is that vertex's star; the cuts
+        # come sorted, so the first other one is the pair's
+        for cut in cuts:
+            if cut != stars[u] and cut != stars[v]:
+                key = (value, cut, (u, v))
+                if best is None or key < best:
+                    best = key
+                break
     if overflow is not None and (best is None or overflow[0] <= best[0]):
         raise ColoringError(
             f"pair {overflow[1]} has at least {limit} minimum cuts; "
@@ -683,7 +682,8 @@ def _general_upper(g: Graph, cut_lists, budget: int = 5_000_000) -> EdgeColoring
     """``color_general_upper``.  When ``cut_lists`` is a dict, it receives
     the minimum cuts the construction lists, as sorted EdgeId tuples keyed
     by pair (u, v), u < v: every pair's unless the graph is a tree or a
-    cactus."""
+    cactus.  They come from one walk per cut-tree edge, n - 1 in all, with
+    the lists of the other pairs read off those walks' cuts."""
     if g.vertex_count < 3:
         raise ColoringError("needs at least 3 vertices")
     if not is_connected(g):

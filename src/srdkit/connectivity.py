@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, _walk, contract
+from .graph import Graph, _bfs, _open_arcs, _reached, _walk, contract, is_connected
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,15 @@ def _flow_walks(g: Graph, s: int, t: int, residual, value: int):
     return walks, walk_of
 
 
-def _walk_min_cuts(g: Graph, u: int, v: int, residual, value: int, limit: int) -> list:
+def _walk_min_cuts(
+    g: Graph, u: int, v: int, residual, value: int, limit: int, sides=None
+) -> list:
     """The minimum u-v cuts of the maximum flow ``residual`` of ``value``
     units, as sorted EdgeId tuples, each once, in walk order, stopping after
-    limit + 1 cuts.
+    limit + 1 cuts.  When ``sides`` is a list, it receives each cut's
+    source side, in the same order: the closure's reach when the cut comes
+    out, the vertices a cut δ(S) leaves with u.  In a connected graph a
+    minimum cut is a bond, so that is all of u's part of G less the cut.
 
     Every edge of a minimum cut δ(S) carries a unit of the flow out of S,
     and no flow enters S, so each of the flow's ``value`` walks
@@ -262,6 +267,8 @@ def _walk_min_cuts(g: Graph, u: int, v: int, residual, value: int, limit: int) -
         i = len(stack) - 1
         if i == value:  # every walk has a pick
             cuts.append(tuple(sorted(walks[k][stack[k] - 1] for k in range(i))))
+            if sides is not None:
+                sides.append(_reached(closure.reach))
             stack.pop()
             continue
         closure.remove(undo[i])  # take back walk i's last pick, kept or not
@@ -362,6 +369,52 @@ def _lambda_rows(parent, weight, marked):
                 else:
                     stack.append((y, x, least, edge))
         yield low, first
+
+
+def _all_min_cuts(g: Graph, limit: int) -> dict:
+    """``_min_cut_tuples(g, u, v, limit)`` for every pair u < v of a
+    connected graph, keyed (u, v) in lexicographic order, from the n - 1
+    tree edges of ``_cut_tree`` rather than one flow and walk per pair.
+
+    Each tree edge (s, parent[s]) takes one max flow and one walk of its
+    minimum cuts, which hands out each cut's side.  A cut D then goes to
+    every pair it separates whose λ, read off the tree, is |D|.  That
+    finds all of a pair's minimum cuts: the tree path from u to v crosses
+    D at some tree edge (s, p), so |D| ≥ λ(s, p) ≥ λ(u, v) = |D|, and D is
+    a minimum s-p cut, listed by that edge's walk.  A walk that stops
+    short, past ``limit`` cuts, sends every pair to ``_min_cut_tuples``,
+    and so does a pair given more than ``limit`` cuts: their truncated
+    lists keep that walk's order."""
+    if not is_connected(g):
+        raise GraphStructureError("listing every pair's minimum cuts needs a connected graph")
+    limit = max(limit, 0)
+    n = g.vertex_count
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    parent, weight = _cut_tree(g)
+    side_of = {}  # each distinct cut -> a side of it
+    for s in range(1, n):
+        value, residual, _ = _max_flow(g, s, parent[s])
+        sides = []
+        cuts = _walk_min_cuts(g, s, parent[s], residual, value, limit, sides)
+        if len(cuts) > limit:
+            return {(u, v): _min_cut_tuples(g, u, v, limit) for u, v in pairs}
+        side_of.update(zip(cuts, sides))
+    lam = [low for low, _ in _lambda_rows(parent, weight, [False] * n)]
+    found = {pair: [] for pair in pairs}
+    for cut, side in side_of.items():
+        size = len(cut)
+        rest = [y for y in range(n) if y not in side]
+        for x in side:
+            row = lam[x]
+            for y in rest:
+                if row[y] == size:
+                    found[(x, y) if x < y else (y, x)].append(cut)
+    return {
+        (u, v): (lam[u][v], sorted(cuts))
+        if len(cuts) <= limit
+        else _min_cut_tuples(g, u, v, limit)
+        for (u, v), cuts in found.items()
+    }
 
 
 def _tree_weights(g: Graph) -> list[int]:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .colorings import EdgeColoring, _general_upper, color_by_blocks, normalize_colors
-from .connectivity import _crossing_edges, _min_cut_tuples
+from .connectivity import _all_min_cuts, _crossing_edges
 from .errors import BudgetExceededError, ColoringError, GraphStructureError
 from .graph import Graph, _bfs, _open_arcs, blocks, is_connected
 from .verifier import (
@@ -75,11 +75,12 @@ def _pair_cut_tables(g: Graph, mode: str, cut_lists):
     the cap.
 
     The srd tables take a pair's minimum cuts from ``cut_lists``, the
-    sorted EdgeId tuples the construction listed ({(u, v): cuts}, u < v),
-    and walk only the pairs it lacks.  Those lists ran to a larger limit,
-    so they give the same tables: a pair with at most ``DEFAULT_THRESHOLD``
-    cuts is listed whole either way, and one with more overflows either
-    way.
+    sorted EdgeId tuples the construction listed ({(u, v): cuts}, u < v).
+    When it lacks a pair, one ``_all_min_cuts`` lists them all afresh,
+    walking the cut tree's n - 1 pairs.  The construction's lists ran to a
+    larger limit, so they give the same tables: a pair with at most
+    ``DEFAULT_THRESHOLD`` cuts is listed whole either way, and one with
+    more overflows either way.
 
     The tables hold cuts of every size; ``_search_level`` keeps, at level
     k, those of at most k edges, the only ones k colors can make rainbow.
@@ -88,15 +89,11 @@ def _pair_cut_tables(g: Graph, mode: str, cut_lists):
     n = g.vertex_count
     pairs = list(itertools.combinations(range(n), 2))
     if mode == "srd":
-        tables = []
-        for u, v in pairs:
-            cuts = cut_lists.get((u, v))
-            if cuts is None:
-                cuts = _min_cut_tuples(g, u, v, DEFAULT_THRESHOLD + 1)[1]
-            if len(cuts) > DEFAULT_THRESHOLD:
-                return None
-            tables.append(tuple(cuts))
-        return tables
+        if any(pair not in cut_lists for pair in pairs):
+            fresh = _all_min_cuts(g, DEFAULT_THRESHOLD + 1)
+            cut_lists = {pair: cuts for pair, (_, cuts) in fresh.items()}
+        tables = [tuple(cut_lists[pair]) for pair in pairs]
+        return None if any(len(cuts) > DEFAULT_THRESHOLD for cuts in tables) else tables
     if 2 ** (n - 1) > DEFAULT_THRESHOLD:
         return None
     tables = [[] for _ in pairs]
@@ -234,8 +231,8 @@ def _solve(g, modes, max_edges) -> dict:
     """{mode: SolveResult} for each of ``modes`` ("srd", "rd").  The bound
     stage (the verified upper witness and λ+) runs once for all of them.
     Within the edge budget the construction hands the minimum cuts it lists
-    to the srd tables, so each pair's cuts are walked once per solve; past
-    it no pair's list is kept, as the search does not run."""
+    to the srd tables, so each cut-tree edge's cuts are walked once per
+    solve; past it no pair's list is kept, as the search does not run."""
     if g.vertex_count < 2:
         raise GraphStructureError("need at least two vertices")
     if not is_connected(g):

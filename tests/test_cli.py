@@ -7,6 +7,7 @@ report bytes are asserted directly without spawning an interpreter.
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -16,12 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srdkit import (
+    Graph,
     SrdKitError,
     all_connected_graphs,
     grid_graph,
     parse_coloring,
     parse_dimacs_cnf,
     parse_graph,
+    petersen_graph,
     serialize_graph,
 )
 from srdkit import cli, connectivity, reduction, solver, verifier
@@ -207,6 +210,32 @@ class TestColor:
         code, text = run(["color", "--family", "regular", "--graph", str(p)])
         assert code == 0
         assert parse_coloring(text, edge_count=1200).num_colors == 2
+
+    def test_general_reports_are_the_recorded_ones(self, tmp_path, monkeypatch):
+        # the general construction colors around the least nontrivial
+        # minimum cut over all pairs, and most pairs' cut lists there come
+        # from cuts listed for other pairs.  color_general.txt holds
+        # "# <argv> exit <code>" and then the text report, coloring body
+        # included, for seeded connected graphs on 8-14 vertices (a random
+        # spanning tree plus distinct random edges) and for Petersen.
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(2020)
+        graphs = []
+        for n in (8, 10, 12, 14):
+            for m in (n + n // 2, 2 * n):
+                edges = {(rng.randrange(v), v) for v in range(1, n)}
+                while len(edges) < m:
+                    edges.add(tuple(sorted(rng.sample(range(n), 2))))
+                graphs.append((f"g{n}-{m}.graph", Graph(n, sorted(edges))))
+        graphs.append(("petersen.graph", petersen_graph()))
+        chunks = []
+        for name, g in graphs:
+            Path(name).write_text(serialize_graph(g))
+            argv = ["color", "--family", "general", "--graph", name]
+            code, text = run(argv)
+            chunks.append(f"# {' '.join(argv)} exit {code}\n{text}")
+        recorded = (Path(__file__).parent / "color_general.txt").read_bytes()
+        assert "".join(chunks).encode() == recorded
 
     @pytest.mark.parametrize(
         "text, m", [("2 1\n0 1\n", 1), ("2 3\n0 1\n1 0\n0 1\n", 3)]

@@ -9,12 +9,15 @@ try:
 except ImportError:
     nx = None
 
-from srdkit import connectivity
+from srdkit import all_connected_graphs, connectivity
 from srdkit.connectivity import (
     CutCertificate,
+    _all_min_cuts,
+    _crossing_edges,
     _cut_tree,
     _lambda_rows,
     _max_flow,
+    _min_cut_tuples,
     _tree_cuts,
     _walk_min_cuts,
     edge_connectivity,
@@ -37,7 +40,7 @@ from srdkit.graph import (
     star_graph,
 )
 
-from conftest import small_graphs, walk_cases
+from conftest import connected_multigraphs, small_graphs, walk_cases
 from oracles import (
     all_labeled_graphs,
     oracle_all_min_cuts,
@@ -225,6 +228,94 @@ class TestWalkEmissionOrder:
                         assert set(got) == every, (u, v, limit)
                     again = _walk_min_cuts(g, u, v, residual, value, limit)
                     assert again == got, (u, v, limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_multigraphs())
+    def test_each_side_is_the_cut_s_side_of_the_source(self, g):
+        # in a connected graph the closure's reach is all of u's part of
+        # G less the cut, so the cut is exactly the edges leaving it
+        for u in range(g.vertex_count):
+            for v in range(g.vertex_count):
+                if u == v:
+                    continue
+                value, residual, _ = _max_flow(g, u, v)
+                sides = []
+                cuts = _walk_min_cuts(g, u, v, residual, value, 10**9, sides)
+                assert len(sides) == len(cuts)
+                for cut, side in zip(cuts, sides):
+                    assert u in side and v not in side
+                    assert _crossing_edges(g, side) == frozenset(cut), (u, v, cut)
+
+
+class TestAllMinCuts:
+    """``_all_min_cuts`` walks the cut tree's n - 1 pairs and gives every
+    pair what its own flow and walk, ``_min_cut_tuples``, gives."""
+
+    LIMITS = (0, 1, 2, 3, 5, 10_001, 200_000)
+
+    @staticmethod
+    def per_pair(g, limit):
+        n = g.vertex_count
+        return {
+            (u, v): _min_cut_tuples(g, u, v, limit)
+            for u in range(n)
+            for v in range(u + 1, n)
+        }
+
+    def test_every_connected_graph_on_two_to_six_vertices(self):
+        for n in range(2, 7):
+            for g in all_connected_graphs(n):
+                for limit in self.LIMITS:
+                    assert _all_min_cuts(g, limit) == self.per_pair(g, limit), (g, limit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_multigraphs(), st.sampled_from(LIMITS))
+    def test_connected_multigraphs(self, g, limit):
+        assert _all_min_cuts(g, limit) == self.per_pair(g, limit)
+
+    @pytest.mark.parametrize(
+        "g, limit, fallbacks",
+        [
+            # no tree edge has more than 3 cuts to list, but each pair of
+            # leaves has 2 minimum cuts, one past the limit of 1
+            (star_graph(4), 1, 6),
+            (star_graph(4), 2, 0),
+            # a tree edge's walk stops past 3 of C8's 2-edge cuts, so every
+            # pair takes its own flow and walk
+            (cycle_graph(8), 3, 28),
+            (cycle_graph(8), 10_001, 0),
+        ],
+    )
+    def test_a_list_past_the_limit_takes_the_pair_s_own_walk(
+        self, monkeypatch, g, limit, fallbacks
+    ):
+        want = self.per_pair(g, limit)
+        calls = []
+        real = connectivity._min_cut_tuples
+
+        def counted(g, u, v, limit):
+            calls.append((u, v))
+            return real(g, u, v, limit)
+
+        monkeypatch.setattr(connectivity, "_min_cut_tuples", counted)
+        assert _all_min_cuts(g, limit) == want
+        assert len(calls) == fallbacks
+
+    def test_a_cut_listed_for_two_tree_edges_is_kept_once(self):
+        # C5's cut tree is a star at 0, and 6 of its 10 cuts separate two
+        # or more of the star's 4 edges, whose walks all list them; a pair
+        # of neighbours has 4 minimum cuts, the other pairs 6
+        got = _all_min_cuts(cycle_graph(5), 10)
+        assert all(len(set(cuts)) == len(cuts) for _, cuts in got.values())
+        assert sorted(len(cuts) for _, cuts in got.values()) == [4] * 5 + [6] * 5
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_pairs_below_two_vertices(self, n):
+        assert _all_min_cuts(Graph(n, []), 5) == {}
+
+    def test_disconnected_graph_raises(self):
+        with pytest.raises(GraphStructureError, match="connected"):
+            _all_min_cuts(Graph(4, [(0, 1), (2, 3)]), 5)
 
 
 class TestGlobalValues:

@@ -432,8 +432,9 @@ class TestLambdaPlus:
 
 class TestCutListHandOver:
     """Within the edge budget the construction hands the minimum cuts it
-    lists to the srd tables, so each pair's cuts are walked once per solve;
-    past the budget no pair's list is kept."""
+    lists to the srd tables, so each cut-tree edge's cuts are walked once
+    per solve, and no other pair's; past the budget no pair's list is
+    kept."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -448,14 +449,21 @@ class TestCutListHandOver:
         monkeypatch.setattr(connectivity, "_walk_min_cuts", counted)
         return walks
 
-    def test_solve_both_on_the_grid_walks_each_pair_once(self, monkeypatch, tmp_path):
+    @staticmethod
+    def tree_edges(g):
+        """(edges, (s, parent[s])) for each edge of G's cut tree."""
+        parent, _ = connectivity._cut_tree(g)
+        return [(g.edges, (s, parent[s])) for s in range(1, g.vertex_count)]
+
+    def test_solve_both_on_the_grid_walks_each_tree_edge_once(self, monkeypatch, tmp_path):
         walks = self.spy(monkeypatch)
         g = grid_graph(2, 3)
         path = tmp_path / "grid.txt"
         path.write_text(serialize_graph(g))
         code, text = run(["solve", str(path), "--mode", "both"])
         assert (code, text.splitlines()[2]) == (0, "rd=3 srd=3")
-        assert walks == {(g.edges, p): 1 for p in itertools.combinations(range(6), 2)}
+        assert walks == {edge: 1 for edge in self.tree_edges(g)}
+        assert sum(walks.values()) == 5
 
     @pytest.mark.parametrize("max_edges, kept", [(5, False), (6, True)])
     def test_only_within_the_edge_budget(self, monkeypatch, max_edges, kept):
@@ -473,18 +481,20 @@ class TestCutListHandOver:
         res = srd_number(g, max_edges)
         assert res.complete == kept and (res.lower_bound, res.upper_bound) == (3, 4)
         pairs = list(itertools.combinations(range(4), 2))
-        assert walks == {(g.edges, p): 1 for p in pairs}
+        assert walks == {edge: 1 for edge in self.tree_edges(g)}
+        assert sum(walks.values()) == 3
         (cut_lists,) = handed
         if kept:
             assert sorted(cut_lists) == pairs
         else:
             assert cut_lists is None
 
-    def test_census_walks_each_pair_at_most_once(self, monkeypatch):
-        # the tables walk only the pairs the construction did not list
+    def test_census_walks_each_tree_edge_at_most_once(self, monkeypatch):
+        # 89 of the graphs list their cuts, in the construction or else in
+        # the tables, each over its cut tree's 5 edges
         walks = self.spy(monkeypatch)
         conjecture_scan(all_connected_graphs(6), max_edges=11)
-        assert sum(walks.values()) == 1_335
+        assert sum(walks.values()) == 445
         assert set(walks.values()) == {1}
 
 
