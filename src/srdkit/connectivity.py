@@ -56,12 +56,6 @@ def _max_flow(g: Graph, s: int, t: int):
         value += 1
 
 
-def _crossing_edges(g: Graph, side: frozenset[int]) -> frozenset[int]:
-    return frozenset(
-        eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
-    )
-
-
 def _check_pair(g: Graph, u: int, v: int):
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise GraphStructureError(f"vertex pair ({u}, {v}) out of range")
@@ -282,7 +276,7 @@ def _walk_min_cuts(
     return cuts
 
 
-def _cut_tree(g: Graph) -> tuple[list[int], list[int]]:
+def _cut_tree(g: Graph, flows=None) -> tuple[list[int], list[int]]:
     """Gusfield's Gomory-Hu cut tree ("Very simple methods for all pairs
     network flow analysis", 1990; Gomory and Hu 1961), from n - 1 max flows.
 
@@ -297,14 +291,18 @@ def _cut_tree(g: Graph) -> tuple[list[int], list[int]]:
     ``_max_flow(g, s, t)`` gives weight[s], and X, what its last walk
     reached, is the smallest source side of a minimum s-t cut.  Every other
     vertex under t that lies in X moves under s; then, if t's own parent
-    lies in X, s takes t's place under it, and s and t swap weights.
+    lies in X, s takes t's place under it, and s and t swap weights.  When
+    ``flows`` is a dict, it receives each step's residual, keyed (s, t):
+    a later step may move s off t, so the key need not be a tree edge.
     """
     n = g.vertex_count
     parent = [0] * n
     weight = [0] * n  # weight[0] is unused
     for s in range(1, n):
         t = parent[s]
-        weight[s], _, side = _max_flow(g, s, t)
+        weight[s], residual, side = _max_flow(g, s, t)
+        if flows is not None:
+            flows[(s, t)] = residual
         for i in range(n):
             if parent[i] == t and side[i] is not None and i != s:
                 parent[i] = s
@@ -376,26 +374,30 @@ def _all_min_cuts(g: Graph, limit: int) -> dict:
     connected graph, keyed (u, v) in lexicographic order, from the n - 1
     tree edges of ``_cut_tree`` rather than one flow and walk per pair.
 
-    Each tree edge (s, parent[s]) takes one max flow and one walk of its
-    minimum cuts, which hands out each cut's side.  A cut D then goes to
-    every pair it separates whose λ, read off the tree, is |D|.  That
-    finds all of a pair's minimum cuts: the tree path from u to v crosses
-    D at some tree edge (s, p), so |D| ≥ λ(s, p) ≥ λ(u, v) = |D|, and D is
-    a minimum s-p cut, listed by that edge's walk.  A walk that stops
-    short, past ``limit`` cuts, sends every pair to ``_min_cut_tuples``,
-    and so does a pair given more than ``limit`` cuts: their truncated
-    lists keep that walk's order."""
+    Each tree edge (s, parent[s]) takes one walk of its minimum cuts, which
+    hands out each cut's side.  It walks the residual of the tree's own flow
+    from s when that flow ran against parent[s], and else, where the tree's
+    re-hanging moved s, a fresh max flow: the same deterministic flow.  A
+    cut D then goes to every pair it separates whose λ, read off the tree,
+    is |D|.  That finds all of a pair's minimum cuts: the tree path from u
+    to v crosses D at some tree edge (s, p), so |D| ≥ λ(s, p) ≥ λ(u, v) =
+    |D|, and D is a minimum s-p cut, listed by that edge's walk.  A walk
+    that stops short, past ``limit`` cuts, sends every pair to
+    ``_min_cut_tuples``, and so does a pair given more than ``limit`` cuts:
+    their truncated lists keep that walk's order."""
     if not is_connected(g):
         raise GraphStructureError("listing every pair's minimum cuts needs a connected graph")
     limit = max(limit, 0)
     n = g.vertex_count
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    parent, weight = _cut_tree(g)
+    flows = {}
+    parent, weight = _cut_tree(g, flows)
     side_of = {}  # each distinct cut -> a side of it
     for s in range(1, n):
-        value, residual, _ = _max_flow(g, s, parent[s])
+        t = parent[s]
+        residual = flows[(s, t)] if (s, t) in flows else _max_flow(g, s, t)[1]
         sides = []
-        cuts = _walk_min_cuts(g, s, parent[s], residual, value, limit, sides)
+        cuts = _walk_min_cuts(g, s, t, residual, weight[s], limit, sides)
         if len(cuts) > limit:
             return {(u, v): _min_cut_tuples(g, u, v, limit) for u, v in pairs}
         side_of.update(zip(cuts, sides))

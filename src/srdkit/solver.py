@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from .colorings import EdgeColoring, _general_upper, color_by_blocks, normalize_colors
-from .connectivity import _all_min_cuts, _crossing_edges
+from .connectivity import _all_min_cuts
 from .errors import BudgetExceededError, ColoringError, GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, blocks, is_connected
+from .graph import Graph, _open_arcs, _walk, blocks, is_connected
 from .verifier import (
     _cut_tree_with_cuts,
     _verify_pairs,
@@ -70,17 +70,18 @@ def _pair_cut_tables(g: Graph, mode: str, cut_lists):
     """Each pair's cuts (sorted EdgeId tuples) one rainbow member of which
     settles it, or None when a pair has more than ``DEFAULT_THRESHOLD``:
     minimum cuts for srd; for rd the bonds δ(S) with G[S] and G[V∖S]
-    connected, enough as every cut contains one.  Bonds come from walking
-    the 2^(n-1) sides that hold vertex 0, done only when that many fit in
-    the cap.
+    connected, enough as every cut contains one.  Bonds come from the
+    2^(n-1) sides S that hold vertex 0, as vertex bitmasks, done only when
+    that many fit in the cap: δ(S) is a bond when the walks from 0 and
+    from the least vertex outside S, in G less δ(S), reach all n vertices.
 
     The srd tables take a pair's minimum cuts from ``cut_lists``, the
     sorted EdgeId tuples the construction listed ({(u, v): cuts}, u < v).
     When it lacks a pair, one ``_all_min_cuts`` lists them all afresh,
-    walking the cut tree's n - 1 pairs.  The construction's lists ran to a
-    larger limit, so they give the same tables: a pair with at most
-    ``DEFAULT_THRESHOLD`` cuts is listed whole either way, and one with
-    more overflows either way.
+    walking the cut tree's n - 1 pairs on the tree's own flows.  The
+    construction's lists ran to a larger limit, so they give the same
+    tables: a pair with at most ``DEFAULT_THRESHOLD`` cuts is listed whole
+    either way, and one with more overflows either way.
 
     The tables hold cuts of every size; ``_search_level`` keeps, at level
     k, those of at most k edges, the only ones k colors can make rainbow.
@@ -98,14 +99,13 @@ def _pair_cut_tables(g: Graph, mode: str, cut_lists):
         return None
     tables = [[] for _ in pairs]
     for bits in range(2 ** (n - 1) - 1):
-        side = {0} | {v for v in range(1, n) if bits >> (v - 1) & 1}
-        cut = tuple(sorted(_crossing_edges(g, side)))
-        other = min(set(range(n)) - side)
-        capacity = _open_arcs(g, cut)
-        # a bond: the walks from 0 and from other reach all n vertices
-        if _bfs(g, 0, capacity).count(None) + _bfs(g, other, capacity).count(None) == n:
+        side = bits << 1 | 1  # the vertex bitmask of S, 0 included
+        cut = tuple([e for e, (a, b) in enumerate(g.edges) if (side >> a ^ side >> b) & 1])
+        other = (~side & side + 1).bit_length() - 1  # the least vertex outside S
+        capacity, tree = _open_arcs(g, cut), [None] * n
+        if len(_walk(g, tree, 0, capacity)) + len(_walk(g, tree, other, capacity)) == n:
             for i, (u, v) in enumerate(pairs):
-                if (u in side) != (v in side):
+                if (side >> u ^ side >> v) & 1:
                     tables[i].append(cut)
     return tables
 

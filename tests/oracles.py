@@ -26,7 +26,9 @@ construction's cut choice with a λ flow for every pair before its
 enumeration, ``reference_bfs``, the graph walk that keeps its tree in a
 dict, ``reference_walk_min_cuts``, the min-cut walk over the closed sets
 of the residual's strongly connected components (``_tarjan_scc``) instead
-of over the flow's walks, and the
+of over the flow's walks, ``reference_bond_tables``, the solver's rd bond
+sweep on vertex sets with ``_crossing_edges`` and two walks of their own
+per side, and the
 structure questions as the package once answered them on their own:
 ``reference_two_color``, a level-by-level 2-coloring,
 ``reference_is_cactus_with_cycle``, which tests each block for a cycle by
@@ -41,7 +43,6 @@ from srdkit.connectivity import (
     CutCertificate,
     _CutClosure,
     _check_pair,
-    _crossing_edges,
     _flow_walks,
     _max_flow,
     enumerate_min_cuts,
@@ -54,6 +55,7 @@ from srdkit.errors import (
     NotBipartiteError,
 )
 from srdkit.graph import Graph, _bfs, _open_arcs, blocks, is_connected
+from srdkit.solver import DEFAULT_THRESHOLD
 from srdkit.verifier import (
     SearchStats,
     VerificationReport,
@@ -842,6 +844,35 @@ def _tarjan_scc(n, succ):
                         break
                 ncomp += 1
     return comp
+
+
+def _crossing_edges(g, side):
+    return frozenset(
+        eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
+    )
+
+
+def reference_bond_tables(g):
+    """The rd tables of ``solver._pair_cut_tables``: each pair's bonds
+    δ(S), S holding vertex 0, found by one set S per side, its crossing
+    edges sorted, and two ``_bfs`` walks over G less them; None when the
+    2^(n-1) sides pass ``DEFAULT_THRESHOLD``."""
+    n = g.vertex_count
+    pairs = list(combinations(range(n), 2))
+    if 2 ** (n - 1) > DEFAULT_THRESHOLD:
+        return None
+    tables = [[] for _ in pairs]
+    for bits in range(2 ** (n - 1) - 1):
+        side = {0} | {v for v in range(1, n) if bits >> (v - 1) & 1}
+        cut = tuple(sorted(_crossing_edges(g, side)))
+        other = min(set(range(n)) - side)
+        capacity = _open_arcs(g, cut)
+        # a bond: the walks from 0 and from other reach all n vertices
+        if _bfs(g, 0, capacity).count(None) + _bfs(g, other, capacity).count(None) == n:
+            for i, (u, v) in enumerate(pairs):
+                if (u in side) != (v in side):
+                    tables[i].append(cut)
+    return tables
 
 
 def reference_walk_min_cuts(g, u, v, residual, limit):

@@ -13,7 +13,6 @@ from srdkit import all_connected_graphs, connectivity
 from srdkit.connectivity import (
     CutCertificate,
     _all_min_cuts,
-    _crossing_edges,
     _cut_tree,
     _lambda_rows,
     _max_flow,
@@ -42,6 +41,7 @@ from srdkit.graph import (
 
 from conftest import connected_multigraphs, small_graphs, walk_cases
 from oracles import (
+    _crossing_edges,
     all_labeled_graphs,
     oracle_all_min_cuts,
     oracle_lambda,
@@ -300,6 +300,24 @@ class TestAllMinCuts:
         monkeypatch.setattr(connectivity, "_min_cut_tuples", counted)
         assert _all_min_cuts(g, limit) == want
         assert len(calls) == fallbacks
+
+    def test_tree_edges_walk_the_tree_s_own_flows(self, monkeypatch):
+        # step 3 of the cut tree flows 3 against 1, then hangs 3 under 1's
+        # parent 0 and 1 under 3, so tree edges (1, 3) and (3, 0) run a
+        # fresh flow each; the other three walk the tree's flows
+        g = Graph(6, [(0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+        want = self.per_pair(g, 10_001)
+        assert _cut_tree(g)[0] == [0, 3, 1, 0, 1, 0]
+        flows = []
+        real = connectivity._max_flow
+
+        def counted(g, s, t):
+            flows.append((s, t))
+            return real(g, s, t)
+
+        monkeypatch.setattr(connectivity, "_max_flow", counted)
+        assert _all_min_cuts(g, 10_001) == want
+        assert flows == [(1, 0), (2, 1), (3, 1), (4, 1), (5, 0), (1, 3), (3, 0)]
 
     def test_a_cut_listed_for_two_tree_edges_is_kept_once(self):
         # C5's cut tree is a star at 0, and 6 of its 10 cuts separate two

@@ -37,7 +37,7 @@ from srdkit import (
     star_graph,
     upper_edge_connectivity,
 )
-from srdkit import connectivity, solver
+from srdkit import connectivity, solver, verifier
 from srdkit.cli import run
 from srdkit.graph import serialize_graph
 from srdkit.solver import DEFAULT_THRESHOLD, _pair_cut_tables, _search_level
@@ -45,6 +45,7 @@ from conftest import connected_multigraphs
 from oracles import (
     oracle_is_rd,
     oracle_is_srd,
+    reference_bond_tables,
     reference_canonical_colorings,
     reference_connected_graphs,
     reference_search_level,
@@ -493,9 +494,21 @@ class TestCutListHandOver:
         # 89 of the graphs list their cuts, in the construction or else in
         # the tables, each over its cut tree's 5 edges
         walks = self.spy(monkeypatch)
+        flows = []
+        real = connectivity._max_flow
+
+        def counted(g, s, t):
+            flows.append((s, t))
+            return real(g, s, t)
+
+        for module in (connectivity, verifier):
+            monkeypatch.setattr(module, "_max_flow", counted)
         conjecture_scan(all_connected_graphs(6), max_edges=11)
         assert sum(walks.values()) == 445
         assert set(walks.values()) == {1}
+        # most walks run on their cut tree's own flows; with a fresh flow
+        # for each of the 445 walks the census ran 1,494
+        assert len(flows) == 1_053
 
 
 class TestPrunedSearch:
@@ -536,6 +549,17 @@ class TestPrunedSearch:
             tabled.witness,
             tabled.colorings_tested,
         )
+
+    def test_rd_tables_match_the_set_sweep(self):
+        for n in range(2, 7):
+            for g in all_connected_graphs(n):
+                assert _pair_cut_tables(g, "rd", {}) == reference_bond_tables(g), g
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_multigraphs())
+    def test_rd_tables_match_the_set_sweep_on_multigraphs(self, g):
+        # parallel edges keep their own ids in each bond
+        assert _pair_cut_tables(g, "rd", {}) == reference_bond_tables(g)
 
     def test_rd_tables_hold_only_bonds(self, monkeypatch):
         # side {0, 2} of the path 0-1-2 is disconnected, so δ({0, 2}) is
