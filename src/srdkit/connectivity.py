@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphStructureError
-from .graph import Graph, _bfs, _open_arcs, _reached, _walk, contract, is_connected
+from .graph import Graph, _bfs, _open_arcs, _reached, _walk, is_connected
 
 
 @dataclass(frozen=True)
@@ -93,56 +93,15 @@ def _min_cut_tuples(g: Graph, u: int, v: int, limit: int):
     return value, sorted(_walk_min_cuts(g, u, v, residual, value, limit))[:limit]
 
 
-def _forced_sides(g: Graph, v: int, residual, tree) -> list[int]:
-    """The sides that every minimum u-v cut keeps whole (Picard-Queyranne),
-    read off the maximum flow ``residual`` and its last walk ``tree``, the
-    one from u that did not reach v.
-
-    comp[x] is 0 for the source side S0, all that u reaches in the
-    residual, which is what ``tree`` reached; 1 for the sink side T0, all
-    that reaches v, found by one walk from v over the residual with each
-    edge's two arcs swapped; and 2 for the free vertices between them."""
+def _sink_side(g: Graph, v: int, residual) -> frozenset[int]:
+    """T0, the sink side of the maximum u-v flow ``residual``: the vertices
+    that reach v in the residual, found by one walk from v with each
+    edge's two arcs swapped.  Every minimum u-v cut keeps T0 on v's side
+    (Picard-Queyranne), and no flow leaves T0: a unit from x in T0 to y
+    leaves the arc y -> x open, so y reaches v too."""
     swapped = bytearray(len(residual))
     swapped[::2], swapped[1::2] = residual[1::2], residual[::2]
-    return [
-        0 if a is not None else 1 if b is not None else 2
-        for a, b in zip(tree, _bfs(g, v, swapped))
-    ]
-
-
-def _min_cut_kernel(g: Graph, u: int, v: int, residual, tree):
-    """G with the forced sides S0 and T0 of ``_forced_sides`` each merged
-    into one vertex by ``contract``, for a search over minimum u-v cuts.
-
-    Returns (h, u', v', edge_map, residual').  The edges inside S0 or
-    inside T0 are gone; edge_map[i] is the EdgeId in G of h's edge i, in
-    ascending order, and u', v' are the merged S0 and T0.  residual' is
-    ``residual`` on the kept edges, a maximum u'-v' flow of h of the same
-    value: the merged vertices keep their net flow, and d(S0) is a cut of
-    h of that many edges.  Every minimum u-v cut of G has S0 on its source
-    side and T0 on its sink side, so it cuts no dropped edge, and the
-    minimum u-v cuts of G are exactly the images under edge_map of the
-    minimum u'-v' cuts of h.  A cut of any larger size may cut a dropped
-    edge, so h serves minimum cuts only.  A side of one vertex is left as
-    it is, so when S0 and T0 are single vertices G comes back with the
-    identity map.
-    """
-    comp = _forced_sides(g, v, residual, tree)
-    h, edge_map = g, range(g.edge_count)
-    local = list(range(g.vertex_count))  # vertex of G -> vertex of h
-    for side in (0, 1):
-        merged = [x for x in range(g.vertex_count) if comp[x] == side]
-        if len(merged) > 1:
-            result = contract(h, [local[x] for x in merged])
-            h = result.graph
-            local = [result.vertex_map[y] for y in local]
-            edge_map = tuple(edge_map[e] for e in result.edge_map)
-    if h is g:
-        return g, u, v, edge_map, residual
-    kept = bytearray(2 * len(edge_map))
-    kept[::2] = bytes(residual[2 * e] for e in edge_map)
-    kept[1::2] = bytes(residual[2 * e + 1] for e in edge_map)
-    return h, local[u], local[v], edge_map, kept
+    return _reached(_bfs(g, v, swapped))
 
 
 class _CutClosure:
@@ -154,19 +113,23 @@ class _CutClosure:
     leaves (Picard-Queyranne), and each of those edges carries a unit of f
     out of S.  So C lies in one when every edge of C carries a unit of f,
     from its tail to its head, and R, all that u and the tails reach in the
-    residual, holds neither v nor a head: R is then such an S.  ``reach``
-    is R as a walk tree, and ``heads[x]`` counts the edges of C with head
-    x, plus one for x = v.
+    residual, holds neither v nor a head: R is then such an S.  ``sink``
+    holds v and maybe more of T0 (``_sink_side``), all of which reach v, so
+    R touches ``sink`` exactly when it reaches v; a larger ``sink`` only
+    stops a failing walk sooner.  ``reach`` is R as a walk tree, and
+    ``heads[x]`` counts the edges of C with head x, plus one for x in
+    ``sink``.
     """
 
     __slots__ = ("g", "residual", "reach", "heads")
 
-    def __init__(self, g: Graph, u: int, v: int, residual):
+    def __init__(self, g: Graph, u: int, sink, residual):
         self.g, self.residual = g, residual
         self.reach = [None] * g.vertex_count
         _walk(g, self.reach, u, residual)
         self.heads = [0] * g.vertex_count
-        self.heads[v] = 1
+        for x in sink:
+            self.heads[x] = 1
 
     def add(self, e: int, undo: list) -> bool:
         """Add edge e to C; False when C then lies in no minimum cut.  Appends
@@ -198,25 +161,29 @@ class _CutClosure:
             undo.clear()
 
 
-def _flow_walks(g: Graph, s: int, t: int, residual, value: int):
+def _flow_walks(g: Graph, s: int, ends, residual, value: int):
     """The maximum s-t flow ``residual`` of ``value`` units split into
-    ``value`` edge-disjoint s-t walks.
+    ``value`` edge-disjoint walks from s, each up to its first vertex in
+    ``ends``, which holds t and maybe more of the sink side T0
+    (``_sink_side``).  No flow leaves T0, so a walk that reaches T0 would
+    stay there up to t.
 
     Returns (walks, walk_of): walks[i] lists the (edge, head) pairs of walk
-    i from s to t, head being the end the flow enters, and walk_of[e] is the
-    index of the walk through edge e, or -1 for an edge that no walk uses
-    (one without flow, or on a flow cycle).  Each walk follows unused flow
-    out of its current vertex until it reaches t, which it always can: a
-    vertex other than s sends out what it takes in, and s sends ``value``
-    more, so a walk that entered a vertex other than t finds flow left
-    to follow.  Every vertex's arcs are scanned once over all the walks."""
+    i, head being the end the flow enters, and walk_of[e] is the index of
+    the walk through edge e, or -1 for an edge that no walk uses (one
+    without flow, past ``ends``, or on a flow cycle).  Each walk follows
+    unused flow out of its current vertex until it reaches ``ends``, which
+    it always can: a vertex other than s sends out what it takes in, and s
+    sends ``value`` more, so a walk that entered a vertex outside ``ends``
+    finds flow left to follow.  Every vertex's arcs are scanned once over
+    all the walks."""
     arcs, edges = g._arcs, g.edges
     spent = [0] * g.vertex_count  # arcs[x][:spent[x]] need no second look
     walk_of = [-1] * g.edge_count
     walks = []
     for i in range(value):
         walk, x = [], s
-        while x != t:
+        while x not in ends:
             out = arcs[x]
             j = spent[x]
             while residual[out[j][1] ^ 1] != 2 or walk_of[out[j][1] >> 1] != -1:
@@ -250,8 +217,8 @@ def _walk_min_cuts(
     always extends to a cut, so no branch is a dead end.  An explicit
     stack keeps a large ``value`` clear of the recursion limit.  With
     ``value`` 0 the one cut is the empty one."""
-    walks = [[e for e, _ in walk] for walk in _flow_walks(g, u, v, residual, value)[0]]
-    closure = _CutClosure(g, u, v, residual)
+    walks = [[e for e, _ in walk] for walk in _flow_walks(g, u, {v}, residual, value)[0]]
+    closure = _CutClosure(g, u, {v}, residual)
     undo = [[] for _ in walks]  # undo[i]: what walk i's pick added
     cuts: list[tuple[int, ...]] = []
     # stack[i]: the next position to try on walk i, so below the top walk

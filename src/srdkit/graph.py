@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ContractionError, GraphParseError, GraphStructureError
+from .errors import ColoringError, ContractionError, GraphParseError, GraphStructureError
 
 
 class Graph:
@@ -492,8 +492,6 @@ def export_dot(g: Graph, coloring=None, vertex_labels=None, color_labels=None) -
     replace them, escaped for DOT; an id they leave out keeps its raw id.
     """
     if coloring is not None and len(coloring) != g.edge_count:
-        from .errors import ColoringError
-
         raise ColoringError(
             f"coloring covers {len(coloring)} edges, graph has {g.edge_count}"
         )

@@ -339,8 +339,8 @@ def check_equivalence(
 
     The cut search is the verifier's exhaustive walk search, which never
     lists the minimum cuts: the clique makes their number astronomically
-    large.  It runs on the minimum-cut kernel, where t, the clique and the
-    hubs are one vertex, and ``node_budget`` counts its states.  On
+    large.  Its candidates stop at the sink side of its flow, which holds t,
+    the clique and the hubs, and ``node_budget`` counts its states.  On
     agreement with a satisfiable formula the witness cut is round-tripped
     through extract_assignment.
     """

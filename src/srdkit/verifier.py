@@ -5,11 +5,12 @@ every vertex pair.
 Gomory-Hu cut tree for rainbowness and run the rainbow-cut search
 ``_dfs_rainbow_cut`` for each pair that no tree cut settles, capped at
 λ(u, v) for a rainbow minimum cut (srd) and at the number of colors for a
-rainbow cut of any size (rd).  ``find_rainbow_min_cut`` runs it on the
-minimum-cut kernel of the pair's max flow.  Once a search holds a flow
-whose value is its cap, ``_search_walks`` picks one edge per flow walk and
-prunes a state unless one matching gives its open walks distinct unused
-colors (``_walks_matched``).  Each rainbow edge subset is
+rainbow cut of any size (rd); ``find_rainbow_min_cut`` runs it for one
+pair, handed the pair's max flow.  Once a search holds a flow whose value
+is its cap, ``_search_walks`` picks one edge per flow walk, up to the
+walk's first edge into the flow's sink side, and prunes a state unless
+one matching gives its open walks distinct unused colors
+(``_walks_matched``).  Each rainbow edge subset is
 visited at most once: with k colors in classes of sizes s_1..s_k, at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states, polynomial for fixed k.
 """
@@ -27,7 +28,7 @@ from .connectivity import (
     _flow_walks,
     _lambda_rows,
     _max_flow,
-    _min_cut_kernel,
+    _sink_side,
     _tree_cuts,
 )
 from .errors import BudgetExceededError, GraphStructureError
@@ -117,16 +118,18 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     takes G's max flow, and the root takes ``flow`` = (value, residual) if
     handed one; no search runs a second.  A value above ``cap`` prunes the
     state, as λ(G - chosen) ≥ λ - |chosen| > room.  A value equal to
-    ``cap``, as in every srd search, hands the state to ``_search_walks``.
-    Below ``cap`` (rd) the states go on by their degrees, and one with no
-    room left whose path walk reaches v is pruned.  An explicit stack of
-    [branch, next index] frames keeps clear of the recursion limit.
+    ``cap``, as in every srd search, hands the state to ``_search_walks``
+    with the flow's sink side, walked once per search.  Below ``cap`` (rd)
+    the states go on by their degrees, and one with no room left whose
+    path walk reaches v is pruned.  An explicit stack of [branch, next
+    index] frames keeps clear of the recursion limit.
     """
     colors = c.colors
     edges = g.edges
     chosen, used, excluded = set(), set(), set()
     open_arcs = _open_arcs(g)
     degree = [len(arcs) for arcs in g.adj]
+    sink = None  # T0 of the flow, once a walk search needs it
     stack = []
 
     def count():
@@ -138,7 +141,7 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
 
     def enter():
         """Count a state; return its cut, or push a frame if it branches."""
-        nonlocal flow
+        nonlocal flow, sink
         count()
         room = cap - len(chosen)
         bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
@@ -148,8 +151,10 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
             if flow[0] > cap:  # λ(G - chosen) ≥ λ - |chosen| > room
                 return None
             if flow[0] == cap:
+                if sink is None:
+                    sink = _sink_side(g, v, flow[1])
                 return _search_walks(
-                    g, colors, u, v, flow, chosen, used, excluded, count
+                    g, colors, u, v, flow, sink, chosen, used, excluded, count
                 )
         tree = None if bound == 0 else _bfs(g, u, open_arcs, target=v)
         if tree is None or tree[v] is None:  # λ(G - chosen) = 0
@@ -199,30 +204,33 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
     return hit
 
 
-def _search_walks(g, colors, u, v, flow, chosen, used, excluded, count):
+def _search_walks(g, colors, u, v, flow, sink, chosen, used, excluded, count):
     """The first rainbow minimum u-v cut that holds ``chosen`` and avoids
     ``excluded``, or None, which leaves the sets as they were: the search
     below a state of ``_dfs_rainbow_cut`` that holds G's max flow ``flow``
-    of value λ.  ``count`` counts each pick that the closure accepts.
+    of value λ and its sink side ``sink`` (``_sink_side``).  ``count``
+    counts each pick that the closure accepts.
 
     A minimum cut D ⊇ ``chosen`` is δ(S) for S closed in the residual
     (Picard-Queyranne), so each of the flow's λ walks (``_flow_walks``)
     crosses D once, on an edge whose head lies outside S ⊇ R, the reach of
-    a ``_CutClosure`` over ``chosen``.  So a rainbow D clear of ``excluded``
-    crosses each walk without a chosen edge on a candidate: an edge with
-    its head outside R and an unused color that is not excluded.  A state
-    is pruned unless its open walks can each take a candidate color of
-    their own, which one matching over the candidates decides
-    (``_walks_matched``).  It branches on the candidates of the open walk
-    with the fewest, the lowest on a tie, in walk order (fail-first:
-    Haralick and Elliott 1980).  Every cut below it holds one of them, so
-    no sibling is excluded.  Once every walk has a pick, the λ picks lie in
-    a minimum cut of λ edges: they are that cut.
+    a ``_CutClosure`` over ``chosen``, and whose tail lies in S, so outside
+    T0 = ``sink``.  No flow leaves T0, so the walks stop at their first
+    edge into T0, and the closure fails a pick as soon as R touches T0.
+    So a rainbow D clear of ``excluded`` crosses each walk without a
+    chosen edge on a candidate: an edge with its head outside R and an
+    unused color that is not excluded.  A state is pruned unless its open
+    walks can each take a candidate color of their own, which one matching
+    over the candidates decides (``_walks_matched``).  It branches on the
+    candidates of the open walk with the fewest, the lowest on a tie, in
+    walk order (fail-first: Haralick and Elliott 1980).  Every cut below it
+    holds one of them, so no sibling is excluded.  Once every walk has a
+    pick, the λ picks lie in a minimum cut of λ edges: they are that cut.
     """
-    closure = _CutClosure(g, u, v, flow[1])
+    closure = _CutClosure(g, u, sink, flow[1])
     if not all(closure.add(e, []) for e in chosen):
         return None
-    paths, walk_of = _flow_walks(g, u, v, flow[1], flow[0])
+    paths, walk_of = _flow_walks(g, u, sink, flow[1], flow[0])
     closed = {walk_of[e] for e in chosen}
     walks = [  # None for a walk with a pick
         None if w in closed else [(e, h, colors[e]) for e, h in p if e not in excluded]
@@ -285,26 +293,19 @@ def find_rainbow_min_cut(
 ) -> CutCertificate | None:
     """A rainbow u-v cut of size exactly λ(u, v), or None after a complete
     search: ``_search_walks`` from the root, handed the max flow that gives
-    λ.  It runs on that flow's minimum-cut kernel (``_min_cut_kernel``),
-    where the sides S0 and T0 that every minimum cut keeps whole are each
-    one vertex, and maps the cut back to G's EdgeIds; on the 3-SAT
-    reduction T0 takes in t, the padding clique and the clause hubs.
-    ``node_budget`` bounds the states, raising BudgetExceededError."""
+    λ.  Its candidates stop at the sink side T0 of that flow, all that
+    reaches v in the residual; on the 3-SAT reduction T0 takes in t, the
+    padding clique and the clause hubs, so no clique edge is tried.
+    ``node_budget`` bounds the states, raising BudgetExceededError;
+    λ(u, v) = 0 raises GraphStructureError."""
     check_coloring_fits(g, c)
     _check_pair(g, u, v)
     stats = stats if stats is not None else SearchStats()
-    value, residual, tree = _max_flow(g, u, v)
-    if value == 0:  # refused here, as the kernel's ids name other vertices
-        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
-    h, hu, hv, edge_map, kept = _min_cut_kernel(g, u, v, residual, tree)
-    colors = EdgeColoring(tuple(c.colors[e] for e in edge_map))
-    cut = _dfs_rainbow_cut(
-        h, colors, hu, hv, value, stats, node_budget=node_budget, flow=(value, kept)
-    )
+    flow = _max_flow(g, u, v)[:2]
+    cut = _dfs_rainbow_cut(g, c, u, v, flow[0], stats, node_budget, flow)
     if cut is None:
         return None
     # a cut within the cap λ has exactly λ edges
-    cut = frozenset(edge_map[e] for e in cut)
     return CutCertificate(pair=(u, v), cut=cut, value=len(cut))
 
 

@@ -13,8 +13,8 @@ paths with a closure test per state where the verifier's now searches the
 flow's walks, ``reference_verify``, the verifier's former pair loop, which
 runs that DFS for every pair instead of first trying the cuts of a
 Gomory-Hu cut tree, ``reference_find_rainbow_min_cut``, the single-pair
-srd search by that DFS on all of G instead of by the walk search on the
-kernel that merges the forced sides of its flow,
+srd search by that DFS, whose closure stops at v alone, instead of by the
+walk search that stops at the sink side of its flow,
 ``reference_edge_connectivity`` and ``reference_upper_edge_connectivity``,
 λ and λ+ with one max flow per pair instead of the cut tree,
 ``reference_chromatic_index``, the chromatic-index backtracking without its
@@ -377,9 +377,9 @@ def reference_closure_dfs(g, c, u, v, cap, stats, node_budget=None, flow=None):
         the first time."""
         nonlocal closure, walks, walk_of
         residual = flow[1]
-        closure = _CutClosure(g, u, v, residual)
+        closure = _CutClosure(g, u, {v}, residual)
         if walks is None:
-            paths, walk_of = _flow_walks(g, u, v, residual, cap)
+            paths, walk_of = _flow_walks(g, u, {v}, residual, cap)
             walks = [[(e, head, colors[e]) for e, head in path] for path in paths]
         return all(closure.add(e, []) for e in chosen)
 
@@ -491,9 +491,9 @@ def reference_rainbow_min_cut_by_enumeration(g, colors, u, v):
 
 
 def reference_find_rainbow_min_cut(g, c, u, v, stats=None):
-    """``find_rainbow_min_cut`` before its minimum-cut kernel and its walk
-    search: ``reference_closure_dfs`` on all of G, capped at λ from one max
-    flow, which it hands to the search.  Its prunes come from the package's
+    """``find_rainbow_min_cut`` before its walk search and its stop at the
+    sink side: ``reference_closure_dfs`` on all of G, capped at λ from one
+    max flow, which it hands to the search.  Its prunes come from the package's
     closure and Hall tests on that flow; ``reference_rainbow_cut_dfs``,
     with a fresh flow per state, is the independent check of those tests.
     Returns the CutCertificate or None."""

@@ -512,10 +512,10 @@ def formulas(draw):
     )
 
 
-class TestKernelOutcomes:
-    """``check_equivalence``, which searches the minimum-cut kernel, reports
-    the outcome the search on all of G gives, and every assignment it
-    extracts satisfies its formula.  The acceptance gate checks every
+class TestCheckOutcomes:
+    """``check_equivalence``, whose walk search stops at the sink side of its
+    flow, reports the outcome the path-branching search on all of G gives,
+    and every assignment it extracts satisfies its formula.  The acceptance gate checks every
     formula of the exhaustive family for consistency."""
 
     @settings(max_examples=60, deadline=None)
@@ -552,14 +552,14 @@ class TestKernelOutcomes:
 class TestCheckWork:
     """The machine-independent work of the reduction check's cut search
     over the 236-formula exhaustive family: DFS states, max flows (one per
-    search, for λ) and graph walks, for the search on the minimum-cut
-    kernel and for the uncontracted reference.  Both are srd searches
-    handed a flow of value λ, so a closure test and a Hall test on that one
-    flow decide every prune; the kernel's search picks one edge per flow
-    walk and walks no path.  Every walk goes through ``graph._walk``,
-    directly or by ``_bfs``, or ``connectivity._walk``: the reference DFS's
-    path walks, the closure's walks and the flows' own.  Splitting the flow
-    into u-v walks makes no graph walk."""
+    search, for λ) and graph walks, for the walk search and for the
+    path-branching reference.  Both are srd searches handed a flow of value
+    λ, so a closure test and a Hall test on that one flow decide every
+    prune; the walk search picks one edge per flow walk, stops at the sink
+    side T0 of its flow and walks no path.  Every walk goes through
+    ``graph._walk``, directly or by ``_bfs``, or ``connectivity._walk``:
+    the reference DFS's path walks, the closure's walks, T0's walk and the
+    flows' own.  Splitting the flow into u-v walks makes no graph walk."""
 
     @staticmethod
     def _family_work(search):
@@ -592,7 +592,7 @@ class TestCheckWork:
         assert nodes == 93_805
         assert calls == {"flow": 236, "walk": 125_289}
 
-    def test_kernel_family_counts(self):
+    def test_walk_search_family_counts(self):
         nodes, calls = self._family_work(find_rainbow_min_cut)
         assert nodes == 3_763
         assert calls == {"flow": 236, "walk": 4_881}

@@ -44,6 +44,7 @@ from srdkit import (
 )
 
 from srdkit import connectivity, verifier
+from srdkit.graph import _reached
 
 from oracles import (
     all_labeled_graphs,
@@ -232,8 +233,8 @@ class TestSearchOrder:
         assert sorted(cert.cut) == self.REDUCTION_WITNESS
 
     def test_kernel_reduction_witness_and_nodes(self):
-        # on the kernel: t, the padding clique and the hubs are one vertex,
-        # and the walk search picks one edge per flow walk from the root
+        # the walk search picks one edge per flow walk from the root, and
+        # stops at T0, which holds t, the padding clique and the hubs
         inst = _three_variable_reduction()
         st = SearchStats()
         cert = find_rainbow_min_cut(inst.graph, inst.coloring, inst.s, inst.t, stats=st)
@@ -315,9 +316,12 @@ def _two_cliques(bridge_color=None):
 
 
 class TestMinCutKernel:
-    """``find_rainbow_min_cut`` searches the graph with the forced sides of
-    its flow merged.  It must find a rainbow minimum cut exactly when the
-    search on all of G does, and every cut it finds must be one of G."""
+    """The minimum-cut kernel of a pair's flow: the edges of G that a
+    minimum cut can hold, none inside the source side S0 or with its tail
+    in the sink side T0.  ``find_rainbow_min_cut`` keeps to it on G itself:
+    S0 is the closure's first reach, and every walk's candidates and the
+    closure stop at T0.  It must find a rainbow minimum cut exactly when
+    the search on all of G does, and every cut it finds must be one of G."""
 
     @settings(max_examples=300, deadline=None)
     @given(colored_multigraph_pairs())
@@ -340,22 +344,17 @@ class TestMinCutKernel:
             assert is_rainbow(c, cert.cut)
             assert oracle_separates(g.vertex_count, g.edges, cert.cut, u, v)
 
-    def test_both_forced_sides_merge(self):
+    def test_sink_side_is_the_far_clique(self):
         g, c = _two_cliques()
         value, residual, tree = connectivity._max_flow(g, 0, 11)
-        comp = connectivity._forced_sides(g, 11, residual, tree)
-        assert comp == [0] * 5 + [2, 2] + [1] * 5
-        h, hu, hv, edge_map, kept = connectivity._min_cut_kernel(
-            g, 0, 11, residual, tree
-        )
-        # only the four path edges are left, between S0 = 2 and T0 = 3
-        assert (h.edges, hu, hv) == (((2, 0), (2, 1), (0, 3), (1, 3)), 2, 3)
-        assert edge_map == (20, 21, 22, 23)
-        assert connectivity._max_flow(h, hu, hv)[0] == value == 2
-        assert kept == bytes([0, 2]) * 4  # both paths carry the flow
+        assert value == 2
+        assert connectivity._sink_side(g, 11, residual) == set(range(7, 12))
+        assert _reached(tree) == set(range(5))  # S0, the closure's first reach
+        # walk 0 leaves S0 over 0-3-6, G's first arcs, so its first candidate
+        # 21 is picked first, and then 22, the other walk's one of color 2
         st = SearchStats()
         cert = find_rainbow_min_cut(g, c, 0, 11, stats=st)
-        assert (sorted(cert.cut), st.nodes) == ([20, 23], 3)
+        assert (sorted(cert.cut), st.nodes) == ([21, 22], 3)
         ref_st = SearchStats()
         ref = reference_find_rainbow_min_cut(g, c, 0, 11, stats=ref_st)
         assert (sorted(ref.cut), ref_st.nodes) == ([21, 22], 5)
@@ -363,20 +362,16 @@ class TestMinCutKernel:
     # with color 2 the Hall test prunes the root: the bridge's walk has
     # only color 2, which leaves the two path walks one color, 1, for both
     @pytest.mark.parametrize(
-        "bridge_color, witness, nodes", [(3, [20, 23, 24], 4), (2, None, 1)]
+        "bridge_color, witness, nodes", [(3, [21, 22, 24], 4), (2, None, 1)]
     )
     def test_an_edge_between_the_forced_sides_is_in_every_cut(
         self, bridge_color, witness, nodes
     ):
-        # (1, 9) joins S0 to T0, so it is in each of the four minimum cuts
-        # and stays in the kernel as a parallel edge between the merged ends
+        # (1, 9) joins S0 to T0, so it is in each of the four minimum cuts,
+        # the one candidate of its walk, which enters T0 at once
         g, c = _two_cliques(bridge_color)
         cuts = enumerate_min_cuts(g, 0, 11)
         assert len(cuts) == 4 and all(24 in cert.cut for cert in cuts)
-        h, hu, hv, edge_map, _ = connectivity._min_cut_kernel(
-            g, 0, 11, *connectivity._max_flow(g, 0, 11)[1:]
-        )
-        assert h.edges[edge_map.index(24)] == (hu, hv)
         st = SearchStats()
         cert = find_rainbow_min_cut(g, c, 0, 11, stats=st)
         assert (cert and sorted(cert.cut), st.nodes) == (witness, nodes)
@@ -384,11 +379,37 @@ class TestMinCutKernel:
             witness is None
         )
 
-    def test_nothing_merges_when_both_sides_are_single_vertices(self):
-        g = cycle_graph(4)
-        value, residual, tree = connectivity._max_flow(g, 0, 2)
-        h, hu, hv, edge_map, kept = connectivity._min_cut_kernel(g, 0, 2, residual, tree)
-        assert (h, hu, hv, list(edge_map), kept) == (g, 0, 2, [0, 1, 2, 3], residual)
+    def test_no_edge_out_of_the_sink_side_is_tried(self, monkeypatch):
+        # on the reduction T0 holds t, the padding clique and the hubs: the
+        # flow walks run on through T0 to t, but no edge that leaves a
+        # vertex of T0 is a candidate of the Hall test or offered to the
+        # closure
+        inst = _three_variable_reduction()
+        g, t = inst.graph, inst.t
+        value, residual, _ = connectivity._max_flow(g, inst.s, t)
+        sink = connectivity._sink_side(g, t, residual)
+        assert {x for x, role in inst.vertex_roles.items() if role[0] == "y"} < sink
+
+        def tail(e):  # where e's unit of flow starts
+            return g.edges[e][0 if residual[2 * e] == 0 else 1]
+
+        offered = []
+        real_add, real_matched = connectivity._CutClosure.add, verifier._walks_matched
+
+        def add(closure, e, undo):
+            offered.append(e)
+            return real_add(closure, e, undo)
+
+        def matched(cands):
+            offered.extend(triple[0] for c in cands if c is not None for triple in c)
+            return real_matched(cands)
+
+        monkeypatch.setattr(connectivity._CutClosure, "add", add)
+        monkeypatch.setattr(verifier, "_walks_matched", matched)
+        assert find_rainbow_min_cut(g, inst.coloring, inst.s, t) is not None
+        assert offered and not any(tail(e) in sink for e in offered)
+        walks = connectivity._flow_walks(g, inst.s, {t}, residual, value)[0]
+        assert any(tail(e) in sink for walk in walks for e, _ in walk)
 
 
 @pytest.fixture
@@ -455,20 +476,23 @@ class TestFlowsPerSearch:
 
     def test_an_end_without_edges_is_a_cut_without_a_walk(self, monkeypatch):
         # handed the flow, the root is a walk search: its one flow walk 0-1-2
-        # has both edges as candidates, and the first, {edge 0}, is a cut
+        # has both edges as candidates, and the first, {edge 0}, is a cut.
+        # The root walks no path toward v: past the flow's two passes from
+        # 0 to 2, the one walk is T0's, from 2 with no target
         walks = []
-        real = verifier._bfs
+        for module in (connectivity, verifier):
 
-        def counted(g, start, *args, **kwargs):
-            walks.append(start)
-            return real(g, start, *args, **kwargs)
+            def counted(g, start, capacity, target=None, real=module._bfs, by=module):
+                walks.append((by.__name__, start, target))
+                return real(g, start, capacity, target)
 
-        monkeypatch.setattr(verifier, "_bfs", counted)
+            monkeypatch.setattr(module, "_bfs", counted)
         st = SearchStats()
         cert = find_rainbow_min_cut(path_graph(3), EdgeColoring((1, 1)), 0, 2, stats=st)
         assert cert.cut == frozenset({0})
         assert st.nodes == 2
-        assert walks == []
+        flow = [("srdkit.connectivity", 0, 2)] * 2
+        assert walks == flow + [("srdkit.connectivity", 2, None)]
 
     def test_any_size_search_runs_no_flow_where_degrees_settle_the_prune(
         self, flow_calls
@@ -644,12 +668,14 @@ class TestFlowedSearch:
 
 class TestCutClosure:
     """``_CutClosure``, the test that decides the prunes of a DFS capped at
-    λ, against λ of G without the edges from a flow from zero."""
+    λ, against λ of G without the edges from a flow from zero.  R must not
+    reach v, which the min-cut walk marks alone and the walk search marks
+    with the rest of the sink side T0: the verdicts are the same."""
 
     @settings(max_examples=300, deadline=None)
-    @given(colored_multigraph_pairs(), st.data())
+    @given(colored_multigraph_pairs(), st.data(), st.booleans())
     def test_verdict_is_whether_the_edges_lower_lambda_by_their_count(
-        self, case, data
+        self, case, data, whole_sink
     ):
         g, _, u, v, _ = case
         subsets = st.lists(st.integers(0, max(g.edge_count - 1, 0)), unique=True)
@@ -657,7 +683,8 @@ class TestCutClosure:
             subsets = st.just([])
         detour, chosen = data.draw(subsets), data.draw(subsets)
         lam, residual, _ = connectivity._max_flow(g, u, v)
-        closure = connectivity._CutClosure(g, u, v, residual)
+        sink = connectivity._sink_side(g, v, residual) if whole_sink else {v}
+        closure = connectivity._CutClosure(g, u, sink, residual)
         fresh = (list(closure.reach), list(closure.heads))
         # edges added and taken back, in stack order, leave no trace
         undos = [[] for _ in detour]
@@ -671,27 +698,36 @@ class TestCutClosure:
 
 
 class TestFlowWalks:
-    """``_flow_walks`` splits a maximum flow into λ edge-disjoint u-v walks,
-    each edge taken in the direction of its unit of flow."""
+    """``_flow_walks`` splits a maximum flow into λ edge-disjoint walks from
+    u, each edge taken in the direction of its unit of flow, each walk up
+    to its first vertex in the set it is given: v alone, or the sink side
+    T0, where the walks to v keep the same edges up to T0."""
 
     @settings(max_examples=200, deadline=None)
     @given(colored_multigraph_pairs())
     def test_walks_follow_the_flow_from_u_to_v(self, case):
         g, _, u, v, _ = case
         lam, residual, _ = connectivity._max_flow(g, u, v)
-        walks, walk_of = connectivity._flow_walks(g, u, v, residual, lam)
-        assert len(walks) == lam
-        for i, walk in enumerate(walks):
-            x = u
-            for e, head in walk:
-                assert walk_of[e] == i
-                a, b = g.edges[e]
-                # the flow crosses e from x to head
-                assert (x, head) == ((a, b) if residual[2 * e] == 0 else (b, a))
-                assert residual[2 * e] != 1
-                x = head
-            assert x == v
-        assert sum(map(len, walks)) == sum(w != -1 for w in walk_of)
+        sink = connectivity._sink_side(g, v, residual)
+        to_v = connectivity._flow_walks(g, u, {v}, residual, lam)
+        to_sink = connectivity._flow_walks(g, u, sink, residual, lam)
+        for (walks, walk_of), ends in ((to_v, {v}), (to_sink, sink)):
+            assert len(walks) == lam
+            for i, walk in enumerate(walks):
+                x = u
+                for e, head in walk:
+                    assert x not in ends
+                    assert walk_of[e] == i
+                    a, b = g.edges[e]
+                    # the flow crosses e from x to head
+                    assert (x, head) == ((a, b) if residual[2 * e] == 0 else (b, a))
+                    assert residual[2 * e] != 1
+                    x = head
+                assert x in ends
+            assert sum(map(len, walks)) == sum(w != -1 for w in walk_of)
+        for walk, prefix in zip(to_v[0], to_sink[0]):
+            assert walk[: len(prefix)] == prefix
+            assert all(head in sink for _, head in walk[len(prefix) :])
 
 
 def _hall_prunes(g, c, u, v):
@@ -702,9 +738,9 @@ def _hall_prunes(g, c, u, v):
     pruned, state = [], []
     search, matched = verifier._search_walks, verifier._walks_matched
 
-    def searching(g, colors, u, v, flow, chosen, used, excluded, count):
+    def searching(g, colors, u, v, flow, sink, chosen, used, excluded, count):
         state[:] = [chosen, excluded]
-        return search(g, colors, u, v, flow, chosen, used, excluded, count)
+        return search(g, colors, u, v, flow, sink, chosen, used, excluded, count)
 
     def recording(cands):
         verdict = matched(cands)
@@ -806,7 +842,8 @@ class TestWalkSearch:
         before = (set(chosen), set(used), set(excluded))
         nodes = []
         hit = verifier._search_walks(
-            g, c.colors, u, v, (lam, residual), chosen, used, excluded,
+            g, c.colors, u, v, (lam, residual),
+            connectivity._sink_side(g, v, residual), chosen, used, excluded,
             lambda: nodes.append(1),
         )
         if want:
