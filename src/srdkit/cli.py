@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -439,6 +440,8 @@ def _cmd_reduce(args):
         f"{prefix}.colors": serialize_coloring(inst.coloring),
         f"{prefix}.roles": "\n".join(role_lines) + "\n",
     }
+    if os.path.abspath(args.cnf) in map(os.path.abspath, outputs):  # no filesystem call
+        raise _UsageError(f"an output file would overwrite the CNF file {args.cnf}")
 
     lines = [
         f"formula vars={phi.variable_count} clauses={phi.num_clauses}",

@@ -18,6 +18,7 @@ from .graph import (
     _bfs,
     _cactus_cycles,
     _int,
+    _integers,
     _multiplicity,
     _odd_cycle,
     _open_arcs,
@@ -44,7 +45,7 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        object.__setattr__(self, "colors", _integers(self.colors, ColoringError, "colors"))
         if any(c < 1 for c in self.colors):
             raise ColoringError("colors must be positive integers")
 
@@ -524,7 +525,7 @@ def color_complete_multipartite(
     then rainbow, and no pair's minimum cut needs that star: λ(0, v) is
     deg v, so E_v is a minimum cut.
     """
-    sizes = tuple(int(s) for s in sizes)
+    sizes = _integers(sizes, ColoringError, "part sizes")
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ColoringError("need at least two parts of positive size")
     if list(sizes) != sorted(sizes):
@@ -555,7 +556,7 @@ def color_grid(m: int, n: int) -> tuple[Graph, EdgeColoring]:
     rows 2-3, with all indices 1-based.  Wide grids take a proper
     4-coloring, which is rainbow on every vertex star.
     """
-    m, n = int(m), int(n)
+    m, n = _integers((m, n), ColoringError, "grid sides")
     if m < 1 or n < 1 or m * n < 2:
         raise ColoringError("grid needs at least two vertices")
     if m > n:

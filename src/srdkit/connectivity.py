@@ -304,20 +304,20 @@ def _tree_cuts(g: Graph, parent) -> list[frozenset[int]]:
     return [frozenset(cut) for cut in cuts]
 
 
-def _lambda_rows(parent, weight, marked):
+def _lambda_rows(parent, weight, marked, sources=None):
     """One walk of the tree (parent, weight) from each u = 0, 1, ..., n - 1,
-    yielding (low, first) per u.  For v != u, low[v] is the least weight on
-    the tree path from u to v, λ(u, v) for ``_cut_tree``'s tree, and
-    first[v] is the first tree edge on that path, seen from u, that has
-    that least weight and is marked, or None.  A tree edge is named by its
-    child end s, so it is (s, parent[s]), and marked[s] says whether it is
-    marked.  low[u] and first[u] are None."""
+    or from each u in ``sources``, yielding (low, first) per u.  For v != u,
+    low[v] is the least weight on the tree path from u to v, λ(u, v) for
+    ``_cut_tree``'s tree, and first[v] is the first tree edge on that path,
+    seen from u, that has that least weight and is marked, or None.  A tree
+    edge is named by its child end s, so it is (s, parent[s]), and
+    marked[s] says whether it is marked.  low[u] and first[u] are None."""
     n = len(parent)
     links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s in range(1, n):
         links[s].append((parent[s], s))
         links[parent[s]].append((s, s))
-    for u in range(n):
+    for u in range(n) if sources is None else sources:
         low, first = [None] * n, [None] * n
         stack = [(u, -1, None, None)]  # vertex, the one it came from, low, first
         while stack:

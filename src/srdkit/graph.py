@@ -9,6 +9,7 @@ not a convenience.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,9 +28,16 @@ class Graph:
     __slots__ = ("vertex_count", "edges", "adj", "_arcs")
 
     def __init__(self, vertex_count: int, edges):
+        edges, index = tuple(edges), operator.index
+        try:
+            vertex_count = index(vertex_count)
+            edges = tuple((index(u), index(v)) for u, v in edges)
+        except TypeError:  # name the value that int() would truncate or parse
+            ends = [vertex_count, *(x for e in edges for x in e)]
+            _integers(ends, GraphStructureError, "vertex_count and endpoints")
+            raise
         if vertex_count < 0:
             raise GraphStructureError("vertex_count must be non-negative")
-        edges = tuple((int(u), int(v)) for u, v in edges)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         arcs: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         for eid, (u, v) in enumerate(edges):
@@ -82,6 +90,17 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(vertex_count={self.vertex_count}, edges={list(self.edges)})"
+
+
+def _integers(values, error, what) -> tuple:
+    """``values`` as ints by ``operator.index``: ints and bools pass, and the
+    first value that int() would truncate or parse raises ``error``."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(x, "__index__"))
+        raise error(f"{what} must be integers, got {bad!r}") from None
 
 
 def _multiplicity(g: Graph) -> int:

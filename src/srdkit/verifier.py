@@ -1,17 +1,13 @@
 """Decide whether an edge-colored graph has rainbow (minimum) cuts for
 every vertex pair.
 
-``is_srd_coloring`` and ``is_rd_coloring`` test the n - 1 cuts of one
-Gomory-Hu cut tree for rainbowness and run the rainbow-cut search
-``_dfs_rainbow_cut`` for each pair that no tree cut settles, capped at
-λ(u, v) for a rainbow minimum cut (srd) and at the number of colors for a
-rainbow cut of any size (rd); ``find_rainbow_min_cut`` runs it for one
-pair, handed the pair's max flow.  Once a search holds a flow whose value
-is its cap, ``_search_walks`` picks one edge per flow walk, up to the
-walk's first edge into the flow's sink side, and prunes a state unless
-one matching gives its open walks distinct unused colors
-(``_walks_matched``).  Each rainbow edge subset is
-visited at most once: with k colors in classes of sizes s_1..s_k, at most
+``is_srd_coloring`` and ``is_rd_coloring`` read every pair's λ(u, v) off
+one Gomory-Hu cut tree and test its n - 1 cuts for rainbowness; an srd
+pair no tree cut settles tries its endpoints' stars.  Every other pair,
+and ``find_rainbow_min_cut``'s one pair, runs ``_rainbow_cut``, capped at
+λ for a rainbow minimum cut (srd) and at the number of colors for a
+rainbow cut of any size (rd).  Each rainbow edge subset is visited at most
+once: with k colors in classes of sizes s_1..s_k, at most
 prod(s_i + 1) <= sum_{l<=k} C(m, l) states, polynomial for fixed k.
 """
 
@@ -39,7 +35,7 @@ from .graph import Graph, _bfs, _open_arcs, is_connected
 class SearchStats:
     """Mutable counters a caller can pass in to observe search effort."""
 
-    nodes: int = 0  # DFS states visited
+    nodes: int = 0  # search states visited
     settled: int = 0  # pairs a cut of the verifier's cut tree settled
     enumerated: int = 0  # stays 0: no pair search lists minimum cuts
 
@@ -103,34 +99,15 @@ def _augment(i, wanted, owner, held) -> bool:
     return False
 
 
-def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
-    """Complete search for a rainbow u-v cut of at most ``cap`` edges: with
-    ``cap`` = λ(u, v) every cut found is a minimum cut, and with ``cap`` =
-    the number of colors any rainbow cut fits.  ``node_budget`` bounds the
-    states (BudgetExceededError); λ(u, v) = 0 raises GraphStructureError.
-
-    A state branches over the unused-color edges of a live shortest path,
-    excluding its earlier siblings; every edge of an inclusion-minimal cut
-    lies on a live path, so this is complete.  A state whose λ(G - chosen)
-    exceeds its room ``cap`` - |chosen| has no completion.  While the
-    smaller degree of u and v in G - chosen, a bound on that λ, is within
-    the room, the state needs no flow.  The first state where it is not
-    takes G's max flow, and the root takes ``flow`` = (value, residual) if
-    handed one; no search runs a second.  A value above ``cap`` prunes the
-    state, as λ(G - chosen) ≥ λ - |chosen| > room.  A value equal to
-    ``cap``, as in every srd search, hands the state to ``_search_walks``
-    with the flow's sink side, walked once per search.  Below ``cap`` (rd)
-    the states go on by their degrees, and one with no room left whose
-    path walk reaches v is pruned.  An explicit stack of [branch, next
-    index] frames keeps clear of the recursion limit.
-    """
-    colors = c.colors
-    edges = g.edges
-    chosen, used, excluded = set(), set(), set()
-    open_arcs = _open_arcs(g)
-    degree = [len(arcs) for arcs in g.adj]
-    sink = None  # T0 of the flow, once a walk search needs it
-    stack = []
+def _rainbow_cut(g, c, u, v, lam, cap, stats, node_budget=None, flow=None):
+    """The first rainbow u-v cut of at most ``cap`` edges, or None after a
+    complete search, for a pair with λ(u, v) = ``lam``, by a search chosen
+    once from ``lam`` against ``cap``.  Above the cap no cut fits and the
+    root is pruned.  At the cap every cut that fits is a minimum cut, and
+    ``_search_walks`` runs on G's max flow, ``flow`` = (value, residual) if
+    handed one.  Below it ``_dfs_rainbow_cut`` runs.  ``node_budget``
+    bounds the states (BudgetExceededError); λ = 0 raises
+    GraphStructureError."""
 
     def count():
         stats.nodes += 1
@@ -139,27 +116,37 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
                 f"rainbow min-cut search exceeded {node_budget} states"
             )
 
+    count()  # the root
+    if lam == 0:
+        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
+    if lam > cap:
+        return None
+    if lam == cap:
+        return _search_walks(g, c.colors, u, v, flow or _max_flow(g, u, v)[:2], count)
+    return _dfs_rainbow_cut(g, c.colors, u, v, cap, count)
+
+
+def _dfs_rainbow_cut(g, colors, u, v, cap, count):
+    """``_rainbow_cut``'s search below the cap, where λ(u, v) < ``cap``;
+    ``count`` counts each state below the root.  A state branches over the
+    unused-color edges of a live shortest path, excluding its earlier
+    siblings; every edge of an inclusion-minimal cut lies on a live path,
+    so this is complete.  No state takes a flow, as λ(G - chosen) ≥
+    λ - |chosen| stays under its room ``cap`` - |chosen|: the one prune is
+    a state with no room left whose path walk reaches v.  An explicit
+    stack of [branch, next index] frames keeps clear of the recursion
+    limit; the chosen edges are the frames' current children."""
+    edges = g.edges
+    used, excluded = set(), set()
+    open_arcs = _open_arcs(g)
+    stack = []
+
     def enter():
-        """Count a state; return its cut, or push a frame if it branches."""
-        nonlocal flow, sink
-        count()
-        room = cap - len(chosen)
-        bound = min(degree[u], degree[v])  # λ(G - chosen) is at most this
-        if bound > room or flow is not None and not chosen:
-            if flow is None:
-                flow = _max_flow(g, u, v)[:2]
-            if flow[0] > cap:  # λ(G - chosen) ≥ λ - |chosen| > room
-                return None
-            if flow[0] == cap:
-                if sink is None:
-                    sink = _sink_side(g, v, flow[1])
-                return _search_walks(
-                    g, colors, u, v, flow, sink, chosen, used, excluded, count
-                )
-        tree = None if bound == 0 else _bfs(g, u, open_arcs, target=v)
-        if tree is None or tree[v] is None:  # λ(G - chosen) = 0
-            return frozenset(chosen)
-        if room == 0:  # λ(G - chosen) > 0 = room
+        """Return the state's cut, or push a frame if it branches."""
+        tree = _bfs(g, u, open_arcs, target=v)
+        if tree[v] is None:  # λ(G - chosen) = 0
+            return frozenset(branch[i - 1] for branch, i in stack)
+        if len(stack) == cap:  # λ(G - chosen) > 0, and no room is left
             return None
         branch = []
         x = v
@@ -179,72 +166,57 @@ def _dfs_rainbow_cut(g, c, u, v, cap, stats, node_budget=None, flow=None):
         branch, i = frame
         if i:  # the previous child is done: drop it and exclude it
             prev = branch[i - 1]
-            chosen.discard(prev)
             open_arcs[2 * prev] = open_arcs[2 * prev + 1] = 1
             used.discard(colors[prev])
             excluded.add(prev)
-            a, b = edges[prev]
-            degree[a] += 1
-            degree[b] += 1
         if i == len(branch):
             stack.pop()
             excluded.difference_update(branch)
             continue
         e = branch[i]
         frame[1] = i + 1
-        chosen.add(e)
         open_arcs[2 * e] = open_arcs[2 * e + 1] = 0
         used.add(colors[e])
-        a, b = edges[e]
-        degree[a] -= 1
-        degree[b] -= 1
+        count()
         hit = enter()
-    if hit == frozenset():  # λ = 0 at the root
-        raise GraphStructureError(f"vertices {u} and {v} are disconnected")
     return hit
 
 
-def _search_walks(g, colors, u, v, flow, sink, chosen, used, excluded, count):
-    """The first rainbow minimum u-v cut that holds ``chosen`` and avoids
-    ``excluded``, or None, which leaves the sets as they were: the search
-    below a state of ``_dfs_rainbow_cut`` that holds G's max flow ``flow``
-    of value λ and its sink side ``sink`` (``_sink_side``).  ``count``
-    counts each pick that the closure accepts.
-
-    A minimum cut D ⊇ ``chosen`` is δ(S) for S closed in the residual
+def _search_walks(g, colors, u, v, flow, count):
+    """``_rainbow_cut``'s search at the cap λ(u, v), on G's max flow
+    ``flow`` = (λ, residual); ``count`` counts each pick that the closure
+    accepts.  A minimum cut D is δ(S) for S closed in the residual
     (Picard-Queyranne), so each of the flow's λ walks (``_flow_walks``)
     crosses D once, on an edge whose head lies outside S ⊇ R, the reach of
-    a ``_CutClosure`` over ``chosen``, and whose tail lies in S, so outside
-    T0 = ``sink``.  No flow leaves T0, so the walks stop at their first
-    edge into T0, and the closure fails a pick as soon as R touches T0.
-    So a rainbow D clear of ``excluded`` crosses each walk without a
-    chosen edge on a candidate: an edge with its head outside R and an
-    unused color that is not excluded.  A state is pruned unless its open
-    walks can each take a candidate color of their own, which one matching
-    over the candidates decides (``_walks_matched``).  It branches on the
-    candidates of the open walk with the fewest, the lowest on a tie, in
-    walk order (fail-first: Haralick and Elliott 1980).  Every cut below it
+    a ``_CutClosure`` over the picks, and whose tail lies in S, so outside
+    the sink side T0 (``_sink_side``).  No flow leaves T0, so the walks
+    stop at their first edge into T0, and the closure fails a pick as soon
+    as R touches T0.  So a rainbow D crosses each walk without a pick on a
+    candidate: an edge with its head outside R and an unused color.  A
+    state is pruned unless its open walks can each take a candidate color
+    of their own, which one matching decides (``_walks_matched``).  It
+    branches on the candidates of the open walk with the fewest, the lowest
+    on a tie (fail-first: Haralick and Elliott 1980); every cut below it
     holds one of them, so no sibling is excluded.  Once every walk has a
-    pick, the λ picks lie in a minimum cut of λ edges: they are that cut.
+    pick, the λ picks are a minimum cut.
     """
+    sink = _sink_side(g, v, flow[1])
     closure = _CutClosure(g, u, sink, flow[1])
-    if not all(closure.add(e, []) for e in chosen):
-        return None
-    paths, walk_of = _flow_walks(g, u, sink, flow[1], flow[0])
-    closed = {walk_of[e] for e in chosen}
-    walks = [  # None for a walk with a pick
-        None if w in closed else [(e, h, colors[e]) for e, h in p if e not in excluded]
-        for w, p in enumerate(paths)
+    walks = [
+        [(e, h, colors[e]) for e, h in p]
+        for p in _flow_walks(g, u, sink, flow[1], flow[0])[0]
     ]
+    used = set()
     reach = closure.reach
     stack = []  # [candidates below, branch, next index, undo] per branching state
 
     def enter(above):
         """Return the state's cut, or push a frame if it branches.  ``above``
         holds each walk's candidates at the state above, None for a walk
-        with a pick; a walk's candidates here are among those there."""
-        if len(chosen) == len(walks):  # every walk has its pick
-            return frozenset(chosen)
+        with a pick; a walk's candidates here are among those there.  The
+        picks are the frames' current children."""
+        if len(stack) == len(walks):  # every walk has its pick
+            return frozenset(f[1][f[2] - 1] for f in stack)
         cands = [
             c and [t for t in c if reach[t[1]] is None and t[2] not in used]
             for c in above
@@ -267,14 +239,12 @@ def _search_walks(g, colors, u, v, flow, sink, chosen, used, excluded, count):
         if i:  # the previous pick is done
             prev = branch[i - 1]
             closure.remove(undo)
-            chosen.discard(prev)
             used.discard(colors[prev])
         if i == len(branch):
             stack.pop()
             continue
         e = branch[i]
         frame[2] = i + 1
-        chosen.add(e)
         used.add(colors[e])
         if closure.add(e, undo):
             count()
@@ -292,7 +262,7 @@ def find_rainbow_min_cut(
     node_budget: int | None = None,
 ) -> CutCertificate | None:
     """A rainbow u-v cut of size exactly λ(u, v), or None after a complete
-    search: ``_search_walks`` from the root, handed the max flow that gives
+    search: ``_search_walks`` from the root, on the one max flow that gives
     λ.  Its candidates stop at the sink side T0 of that flow, all that
     reaches v in the residual; on the 3-SAT reduction T0 takes in t, the
     padding clique and the clause hubs, so no clique edge is tried.
@@ -302,11 +272,10 @@ def find_rainbow_min_cut(
     _check_pair(g, u, v)
     stats = stats if stats is not None else SearchStats()
     flow = _max_flow(g, u, v)[:2]
-    cut = _dfs_rainbow_cut(g, c, u, v, flow[0], stats, node_budget, flow)
+    cut = _rainbow_cut(g, c, u, v, flow[0], flow[0], stats, node_budget, flow)
     if cut is None:
         return None
-    # a cut within the cap λ has exactly λ edges
-    return CutCertificate(pair=(u, v), cut=cut, value=len(cut))
+    return CutCertificate(pair=(u, v), cut=cut, value=flow[0])
 
 
 def _cut_tree_with_cuts(g: Graph):
@@ -323,14 +292,15 @@ def _verify_pairs(
     for srd, and report the first pair without one; on success every pair
     carries its cut as a certificate.
 
-    The n - 1 cuts of one Gomory-Hu cut tree, ``tree`` from
-    ``_cut_tree_with_cuts`` or built here, are tested for rainbowness
-    first.  A pair is settled by the first rainbow tree cut on its tree
-    path, seen from the smaller vertex, that for srd is also of least
-    weight there, so of λ(u, v) edges.  Every other pair runs the DFS,
-    capped at λ(u, v) for srd and at the number of colors for rd.  A
-    settled pair has a cut, so the pair reported as failing is the first
-    one whose DFS finds none."""
+    One Gomory-Hu cut tree, ``tree`` from ``_cut_tree_with_cuts`` or built
+    here, gives every pair's λ(u, v) and n - 1 cuts, each tested for
+    rainbowness once.  A pair is settled by the first rainbow tree cut on
+    its tree path, seen from the smaller vertex, that for srd is also of
+    least weight there, so of λ edges; an srd pair that none settles tries
+    u's star, then v's, which settles it when rainbow and of λ edges.  The
+    other pairs run ``_rainbow_cut``, capped at λ for srd and at the number
+    of colors for rd, so the failing pair is the first whose search finds
+    none."""
     check_coloring_fits(g, c)
     if not is_connected(g):
         raise GraphStructureError("graph must be connected")
@@ -338,18 +308,26 @@ def _verify_pairs(
     n = g.vertex_count
     parent, weight, cuts = tree or _cut_tree_with_cuts(g)
     rainbow = [is_rainbow(c, cut) for cut in cuts]
-    if not srd:
-        # any rainbow cut on the path will do: let every tree edge be least
-        cap = len(c.distinct_colors())  # a rainbow cut has one edge per color
-        weight = [0] * n
+    # rd: any rainbow cut on the path will do, so let every tree edge be least
+    rows = _lambda_rows(parent, weight if srd else [0] * n, rainbow)
+    cap = len(c.distinct_colors())  # a rainbow cut has one edge per color
     witnesses = {}
-    for u, (low, first) in zip(range(n - 1), _lambda_rows(parent, weight, rainbow)):
+    for u, (low, first) in zip(range(n - 1), rows):
         for v in range(u + 1, n):
             if first[v] is not None:
                 stats.settled += 1
                 cut = cuts[first[v]]
             else:
-                cut = _dfs_rainbow_cut(g, c, u, v, low[v] if srd else cap, stats)
+                if not low[v]:  # an rd row has no λ: take u's row of λ once
+                    low = next(_lambda_rows(parent, weight, rainbow, (u,)))[0]
+                stars = (
+                    frozenset(e for _, e in g.adj[x])
+                    for x in (u, v)
+                    if srd and len(g.adj[x]) == low[v]
+                )
+                cut = next((s for s in stars if is_rainbow(c, s)), None)
+                if cut is None:
+                    cut = _rainbow_cut(g, c, u, v, low[v], low[v] if srd else cap, stats)
                 if cut is None:
                     return VerificationReport(
                         verdict=False, witnesses=witnesses, failing_pair=(u, v)
@@ -364,12 +342,10 @@ def is_srd_coloring(
     """Does every vertex pair have a rainbow minimum cut?
 
     Pairs are scanned in lexicographic order and the first failing pair is
-    reported; on success every pair carries its witness certificate.  One
-    Gomory-Hu cut tree of n - 1 max flows gives every pair's λ(u, v) and
-    n - 1 minimum cuts; a pair whose tree path has a rainbow one among its
-    least-weight edges takes it as its witness.  Only the other pairs run
-    the DFS capped at λ(u, v), which takes G's flow for a pair only where
-    the degrees leave a prune open.
+    reported; on success every pair carries its witness certificate.  A
+    rainbow least-weight cut on a pair's path in one Gomory-Hu cut tree, or
+    a rainbow endpoint star of λ(u, v) edges, is its witness; the other
+    pairs run the walk search on the pair's max flow.
     """
     return _verify_pairs(g, c, True, stats)
 
@@ -380,6 +356,6 @@ def is_rd_coloring(
     """Does every vertex pair have a rainbow cut of some size?
 
     As ``is_srd_coloring``, but any rainbow tree cut on a pair's tree path
-    settles it, and the DFS for the other pairs is capped at the number of
-    colors instead of λ(u, v)."""
+    settles it, no star is tried, and the search for the other pairs is
+    capped at the number of colors instead of λ(u, v)."""
     return _verify_pairs(g, c, False, stats)

@@ -52,6 +52,24 @@ def path5_file(tmp_path):
     return str(p)
 
 
+def _grid_reports(rows, cols) -> bytes:
+    """The grid's coloring by ``color``, then ``verify`` in srd and rd mode,
+    in text and with --json: each report after a "# <argv> exit <code>"
+    line.  Runs in the current directory."""
+    code, _ = run(
+        ["color", "--family", "grid", "--rows", str(rows), "--cols", str(cols),
+         "--graph-out", "grid.graph", "--out", "grid.col"]
+    )
+    assert code == 0
+    chunks = []
+    for mode in ("srd", "rd"):
+        for extra in ([], ["--json"]):
+            argv = ["verify", "grid.graph", "grid.col", "--mode", mode, *extra]
+            code, text = run(argv)
+            chunks.append(f"# {' '.join(argv)} exit {code}\n{text}")
+    return "".join(chunks).encode()
+
+
 class TestPlumbing:
     def test_help_exits_zero(self):
         code, _ = run(["--help"])
@@ -344,10 +362,10 @@ class TestVerify:
     def test_rd_report_below_flowed_states_is_the_recorded_one(
         self, tmp_path, monkeypatch
     ):
-        # the cut tree settles three pairs; the DFS of the other three visits
-        # 12 states, some below a state that took G's flow, of a value below
-        # the cap of 3 colors.  verify_rd_flowed.json is the report recorded
-        # while such states still repaired that flow.
+        # the cut tree settles three pairs; the other three have λ below the
+        # cap of 3 colors, so the path DFS runs, with no flow, in 12 states.
+        # verify_rd_flowed.json is the report recorded while states below
+        # one that took G's flow still repaired that flow.
         monkeypatch.chdir(tmp_path)
         Path("g4.graph").write_text("4 5\n1 2\n0 2\n0 3\n2 3\n1 3\n")
         Path("g4.col").write_text("1\n3\n3\n2\n1\n")
@@ -363,19 +381,17 @@ class TestVerify:
         # report, for srd and rd, in text and with --json, recorded while
         # every pair's cut was rendered on its own.
         monkeypatch.chdir(tmp_path)
-        code, _ = run(
-            ["color", "--family", "grid", "--rows", "4", "--cols", "5",
-             "--graph-out", "grid.graph", "--out", "grid.col"]
-        )
-        assert code == 0
-        chunks = []
-        for mode in ("srd", "rd"):
-            for extra in ([], ["--json"]):
-                argv = ["verify", "grid.graph", "grid.col", "--mode", mode, *extra]
-                code, text = run(argv)
-                chunks.append(f"# {' '.join(argv)} exit {code}\n{text}")
         recorded = (Path(__file__).parent / "verify_grid_4x5.txt").read_bytes()
-        assert "".join(chunks).encode() == recorded
+        assert _grid_reports(4, 5) == recorded
+
+    def test_grid_3x5_reports_are_the_recorded_ones(self, tmp_path, monkeypatch):
+        # the tree settles 101 of the 105 pairs in each mode; srd settles
+        # the other four with two endpoint stars and two walk searches, rd
+        # with four walk searches at λ = 3 colors.  verify_grid_3x5.txt
+        # was recorded while the search chose its path state by state.
+        monkeypatch.chdir(tmp_path)
+        recorded = (Path(__file__).parent / "verify_grid_3x5.txt").read_bytes()
+        assert _grid_reports(3, 5) == recorded
 
     @pytest.mark.parametrize("colors", ["1\n2\n3\n3\n2\n1\n", "1\n1\n1\n1\n1\n1\n"])
     def test_each_report_form_is_built_alone(self, k4_file, tmp_path, colors):
@@ -610,6 +626,23 @@ class TestReduce:
         assert code == 0
         assert (tmp_path / "phi.graph").exists()
         assert (tmp_path / "phi.roles").exists()
+
+    @pytest.mark.parametrize(
+        "name, prefix", [("phi.graph", None), ("phi.roles", None), ("in.colors", "sub/../in")]
+    )
+    def test_refuses_to_overwrite_the_cnf(self, tmp_path, monkeypatch, name, prefix):
+        # the default prefix of phi.graph is phi, so its .graph output would
+        # replace the formula; --out-prefix sub/../in names in.colors once
+        # normalized.  Nothing is written, and the check does not run.
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(FIG_CNF)
+        argv = ["reduce-3sat", name, "--check"]
+        if prefix is not None:
+            argv += ["--out-prefix", prefix]
+        code, text = run(argv)
+        assert (code, text) == (2, f"error: an output file would overwrite the CNF file {name}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        assert Path(name).read_text() == FIG_CNF
 
     def test_check_consistent(self, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -72,6 +72,13 @@ class TestColoringIO:
         assert EdgeColoring((5, 1)).num_colors == 5
         assert EdgeColoring((5, 1)).distinct_colors() == frozenset({1, 5})
 
+    @pytest.mark.parametrize("colors, shown", [((1.7, 2.2), "1.7"), ((1, "2"), "'2'"), ((None,), "None")])
+    def test_rejects_non_integral_colors(self, colors, shown):
+        # int() would make (1.7, 2.2) the coloring (1, 2); ints and bools pass
+        with pytest.raises(ColoringError, match=f"must be integers, got {shown}$"):
+            EdgeColoring(colors)
+        assert EdgeColoring([True, 2]).colors == (1, 2)
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -368,6 +375,11 @@ class TestFamilySchemes:
         with pytest.raises(ColoringError):
             color_complete_multipartite((4,))
 
+    @pytest.mark.parametrize("sizes, shown", [((1, 2.9), "2.9"), (("2", 3), "'2'"), ((None, 3), "None")])
+    def test_multipartite_rejects_non_integral_sizes(self, sizes, shown):
+        with pytest.raises(ColoringError, match=f"must be integers, got {shown}$"):
+            color_complete_multipartite(sizes)
+
     @pytest.mark.parametrize(
         "m,n,expected",
         [(1, 2, 1), (1, 9, 1), (2, 2, 2), (2, 3, 3), (2, 7, 3), (3, 4, 3), (3, 3, 3), (4, 4, 4), (4, 6, 4)],
@@ -396,6 +408,12 @@ class TestFamilySchemes:
     def test_grid_too_small(self):
         with pytest.raises(ColoringError):
             color_grid(1, 1)
+
+    @pytest.mark.parametrize("m, n, shown", [(2.9, 3, "2.9"), (2, "3", "'3'"), (None, 3, "None")])
+    def test_grid_rejects_non_integral_sides(self, m, n, shown):
+        # int() would make 2.9 x 3 the 2 x 3 grid
+        with pytest.raises(ColoringError, match=f"must be integers, got {shown}$"):
+            color_grid(m, n)
 
     @pytest.mark.parametrize(
         "g,chi",

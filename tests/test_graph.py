@@ -68,6 +68,16 @@ class TestConstruction:
         with pytest.raises(GraphStructureError):
             Graph(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "n, edges, shown",
+        [(3, [(0, 1.9)], "1.9"), (2.5, [], "2.5"), (None, [], "None"), (2, [("0", 1)], "'0'")],
+    )
+    def test_rejects_non_integral_ids(self, n, edges, shown):
+        # int() would truncate 1.9 to 1 and parse "0"; ints and bools pass
+        with pytest.raises(GraphStructureError, match=f"must be integers, got {shown}$"):
+            Graph(n, edges)
+        assert Graph(2, [(False, True)]).edges == ((0, 1),)
+
     def test_immutable(self):
         g = path_graph(3)
         with pytest.raises(AttributeError):

@@ -215,6 +215,26 @@ class TestRdNumber:
         for g in (cycle_graph(4), complete_graph(4), BOWTIE, grid_graph(2, 3)):
             assert rd_number(g).value <= srd_number(g).value
 
+    def test_tableless_solve_verifies_each_leaf(self, monkeypatch):
+        # C15 with the chords (0, 7) and (3, 11): 2^14 vertex sides exceed
+        # DEFAULT_THRESHOLD, so no rd tables are built and each of the 311
+        # candidates of level 3 goes to the verifier.  With the threshold
+        # raised past 2^14 the bond tables exist and give the same solve.
+        g = Graph(15, [(i, (i + 1) % 15) for i in range(15)] + [(0, 7), (3, 11)])
+        assert _pair_cut_tables(g, "rd", {}) is None
+        leaves = []
+        real = solver._verify_pairs
+        monkeypatch.setattr(
+            solver, "_verify_pairs", lambda *args: leaves.append(1) or real(*args)
+        )
+        res = rd_number(g, max_edges=17)
+        assert (res.value, res.colorings_tested, len(leaves)) == (3, 311, 311)
+        assert is_rd_coloring(g, res.witness).verdict
+        monkeypatch.setattr(solver, "DEFAULT_THRESHOLD", 2**14)
+        assert _pair_cut_tables(g, "rd", {}) is not None
+        assert rd_number(g, max_edges=17) == res
+        assert len(leaves) == 311
+
 
 class TestOracleAgreement:
     def test_exhaustive_on_four_vertices(self):
