@@ -39,10 +39,39 @@ def _max_flow(g: Graph, s: int, t: int):
     are the source side of a minimum cut.  No search runs a flow of G less
     some edges: whether removing them lowers λ by their count is a closure
     test on this one (``_CutClosure``).
+
+    The paths of one and two edges are routed by one scan of ``_arcs[s]``
+    before any BFS, exactly as Edmonds and Karp's FIFO BFS would route
+    them, so the value, the residual and the last tree are theirs; the
+    min-cut walks and the truncated cut lists follow the residual.  That
+    BFS first takes the open arcs s -> t, in ``_arcs[s]`` order.  Then it
+    takes the first open arc s -> x, in ``_arcs[s]`` order, whose x still
+    has an open arc x -> t, together with x's first such arc in ``_arcs[x]``
+    order, which is EdgeId order, as the arcs t -> x stand in ``_arcs[t]``.
+    In these two phases every arc leaving s or entering t carries 0 or 1,
+    so a used arc never reopens and no reverse arc makes a path of two
+    edges or fewer; an arc s -> x that the scan passes while x has no open
+    arc to t is thus never used in them.  The two phases use disjoint arcs,
+    so one scan serves both.  The distances of Edmonds-Karp never fall, so
+    a BFS runs only for the paths of three or more edges.
     """
-    edges = g.edges
+    edges, arcs = g.edges, g._arcs
     residual = _open_arcs(g)
+    to_t = {}  # x -> its arcs x -> t, last EdgeId first
+    for x, a in reversed(arcs[t]):
+        to_t.setdefault(x, []).append(a ^ 1)
     value = 0
+    for x, a in arcs[s]:
+        if x != t:  # s -> x -> t on x's next unused arc to t, if any
+            left = to_t.get(x)
+            if not left:
+                continue
+            b = left.pop()
+            residual[b] = 0
+            residual[b ^ 1] = 2
+        residual[a] = 0
+        residual[a ^ 1] = 2
+        value += 1
     while True:
         tree = _bfs(g, s, residual, target=t)
         if tree[t] is None:
@@ -311,7 +340,10 @@ def _lambda_rows(parent, weight, marked, sources=None):
     ``_cut_tree``'s tree, and first[v] is the first tree edge on that path,
     seen from u, that has that least weight and is marked, or None.  A tree
     edge is named by its child end s, so it is (s, parent[s]), and
-    marked[s] says whether it is marked.  low[u] and first[u] are None."""
+    marked[s] says whether it is marked.  low[u] and first[u] are None.
+    The walk is breadth first and writes each vertex's entries from its
+    tree neighbour's as it reaches it: they depend only on its tree path,
+    and a set low[y] (or y = u) marks y as reached."""
     n = len(parent)
     links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s in range(1, n):
@@ -319,20 +351,20 @@ def _lambda_rows(parent, weight, marked, sources=None):
         links[parent[s]].append((s, s))
     for u in range(n) if sources is None else sources:
         low, first = [None] * n, [None] * n
-        stack = [(u, -1, None, None)]  # vertex, the one it came from, low, first
-        while stack:
-            x, prev, least, edge = stack.pop()
-            low[x], first[x] = least, edge
+        queue = [u]
+        for x in queue:  # the queue grows while it is read
+            least, edge = low[x], first[x]
             for y, s in links[x]:
-                if y == prev:
+                if low[y] is not None or y == u:  # where the walk came from
                     continue
                 w = weight[s]
                 if least is None or w < least:
-                    stack.append((y, x, w, s if marked[s] else None))
+                    low[y], first[y] = w, s if marked[s] else None
                 elif w == least and edge is None and marked[s]:
-                    stack.append((y, x, least, s))
+                    low[y], first[y] = least, s
                 else:
-                    stack.append((y, x, least, edge))
+                    low[y], first[y] = least, edge
+                queue.append(y)
         yield low, first
 
 

@@ -313,11 +313,12 @@ def _verify_pairs(
     cap = len(c.distinct_colors())  # a rainbow cut has one edge per color
     witnesses = {}
     for u, (low, first) in zip(range(n - 1), rows):
+        searched = 0  # the pairs of this row that no tree cut settled
         for v in range(u + 1, n):
             if first[v] is not None:
-                stats.settled += 1
                 cut = cuts[first[v]]
             else:
+                searched += 1
                 if not low[v]:  # an rd row has no λ: take u's row of λ once
                     low = next(_lambda_rows(parent, weight, rainbow, (u,)))[0]
                 stars = (
@@ -329,10 +330,13 @@ def _verify_pairs(
                 if cut is None:
                     cut = _rainbow_cut(g, c, u, v, low[v], low[v] if srd else cap, stats)
                 if cut is None:
+                    stats.settled += v - u - searched
                     return VerificationReport(
                         verdict=False, witnesses=witnesses, failing_pair=(u, v)
                     )
-            witnesses[(u, v)] = CutCertificate(pair=(u, v), cut=cut, value=len(cut))
+            pair = (u, v)
+            witnesses[pair] = CutCertificate(pair, cut, len(cut))
+        stats.settled += n - 1 - u - searched
     return VerificationReport(verdict=True, witnesses=witnesses)
 
 

@@ -24,7 +24,9 @@ without orbit marking, ``reference_canonical_colorings`` and
 search written as recursions, ``reference_min_nontrivial_pair_cut``, the
 construction's cut choice with a λ flow for every pair before its
 enumeration, ``reference_bfs``, the graph walk that keeps its tree in a
-dict, ``reference_walk_min_cuts``, the min-cut walk over the closed sets
+dict, ``reference_max_flow``, Edmonds-Karp with a BFS for every path,
+the short ones included, ``reference_lambda_rows``, the cut tree's λ rows
+by a stack of per-vertex entries, ``reference_walk_min_cuts``, the min-cut walk over the closed sets
 of the residual's strongly connected components (``_tarjan_scc``) instead
 of over the flow's walks, ``reference_bond_tables``, the solver's rd bond
 sweep on vertex sets with ``_crossing_edges`` and two walks of their own
@@ -794,6 +796,54 @@ def reference_bfs(g, start, capacity, target=None):
                 return tree
             queue.append(w)
     return tree
+
+
+def reference_max_flow(g, s, t):
+    """``connectivity._max_flow`` as plain Edmonds-Karp: one BFS per
+    augmenting path, the paths of one and two edges included.  Returns
+    (value, residual, tree) alike."""
+    edges = g.edges
+    residual = _open_arcs(g)
+    value = 0
+    while True:
+        tree = _bfs(g, s, residual, target=t)
+        if tree[t] is None:
+            return value, residual, tree
+        x = t
+        while x != s:  # send one unit along the walk's path
+            arc = tree[x]
+            residual[arc] -= 1
+            residual[arc ^ 1] += 1
+            x = edges[arc >> 1][arc & 1]
+        value += 1
+
+
+def reference_lambda_rows(parent, weight, marked, sources=None):
+    """``connectivity._lambda_rows`` by a stack that carries each vertex's
+    (low, first) entries with it, rather than a queue that writes them in
+    place.  Yields (low, first) per source alike."""
+    n = len(parent)
+    links = [[] for _ in range(n)]
+    for s in range(1, n):
+        links[s].append((parent[s], s))
+        links[parent[s]].append((s, s))
+    for u in range(n) if sources is None else sources:
+        low, first = [None] * n, [None] * n
+        stack = [(u, -1, None, None)]  # vertex, the one it came from, low, first
+        while stack:
+            x, prev, least, edge = stack.pop()
+            low[x], first[x] = least, edge
+            for y, s in links[x]:
+                if y == prev:
+                    continue
+                w = weight[s]
+                if least is None or w < least:
+                    stack.append((y, x, w, s if marked[s] else None))
+                elif w == least and edge is None and marked[s]:
+                    stack.append((y, x, least, s))
+                else:
+                    stack.append((y, x, least, edge))
+        yield low, first
 
 
 def _tarjan_scc(n, succ):

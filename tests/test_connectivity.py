@@ -30,6 +30,7 @@ from srdkit.graph import (
     _bfs,
     _open_arcs,
     complete_graph,
+    complete_multipartite_graph,
     contract,
     cycle_graph,
     grid_graph,
@@ -47,6 +48,8 @@ from oracles import (
     oracle_lambda,
     oracle_separates,
     reference_edge_connectivity,
+    reference_lambda_rows,
+    reference_max_flow,
     reference_upper_edge_connectivity,
     reference_walk_min_cuts,
 )
@@ -455,6 +458,63 @@ def tree_multigraphs(draw):
     return Graph(n, edges)
 
 
+def _same_flows(g):
+    """``_max_flow`` and plain Edmonds-Karp agree on the value, the residual
+    bytes and the last tree, for every ordered pair of G."""
+    for s in range(g.vertex_count):
+        for t in range(g.vertex_count):
+            if s != t:  # the residuals are bytearrays, compared byte by byte
+                assert _max_flow(g, s, t) == reference_max_flow(g, s, t), (g.edges, s, t)
+
+
+class TestShortPathScan:
+    """``_max_flow`` routes the paths of one and two edges by one scan and
+    runs a BFS only for longer ones; it must route them as Edmonds-Karp's
+    BFS does (``reference_max_flow``), since the min-cut walks and the
+    truncated cut lists follow the residual."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_connected_graph(self, n):
+        for g in all_connected_graphs(n):
+            _same_flows(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [pytest.param(complete_graph(n), id=f"K{n}") for n in range(2, 13)]
+        + [
+            pytest.param(complete_multipartite_graph(p), id="K" + ",".join(map(str, p)))
+            for p in [(1, 3), (2, 2, 2), (1, 2, 3), (3, 4)]
+        ]
+        # bundles of 3 and 2 parallel edges, listed both ways round: each
+        # end's scan leaves some arcs of the larger bundle unused
+        + [
+            pytest.param(
+                Graph(4, [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2), (3, 0)]), id="bundles"
+            )
+        ],
+    )
+    def test_dense_graphs_and_parallel_bundles(self, g):
+        _same_flows(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_multigraphs())
+    def test_multigraphs_with_parallel_edges_and_isolated_parts(self, g):
+        _same_flows(g)
+
+    def test_k24_runs_one_bfs(self, monkeypatch):
+        # the direct edge and the 22 two-edge paths are a maximum flow, so
+        # the one BFS is the one that fails
+        walks = []
+
+        def counted(g, start, capacity, target=None, real=connectivity._bfs):
+            walks.append((start, target))
+            return real(g, start, capacity, target)
+
+        monkeypatch.setattr(connectivity, "_bfs", counted)
+        assert _max_flow(complete_graph(24), 0, 1)[0] == 23
+        assert walks == [(0, 1)]
+
+
 def _lambda_table(g):
     """λ(u, ·) for every u, read off ``_cut_tree``'s tree."""
     parent, weight = _cut_tree(g)
@@ -556,6 +616,23 @@ class TestFlowTree:
                     want = [s for s in edges if weight[s] == least and marked[s]]
                     assert low[v] == least
                     assert first[v] == (want[0] if want else None), (parent, u, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 14), st.randoms(use_true_random=False), st.booleans())
+    def test_rows_match_the_stack_walk(self, n, rng, all_sources):
+        # a random tree rooted at 0 with its other labels shuffled, as the
+        # cut tree's re-hanging leaves them, with weights in 0..2 so that
+        # ties are common
+        order = [0] + rng.sample(range(1, n), n - 1)
+        parent = [0] * n
+        for i in range(1, n):
+            parent[order[i]] = order[rng.randrange(i)]
+        weight = [rng.randint(0, 2) for _ in range(n)]
+        marked = [rng.random() < 0.5 for _ in range(n)]
+        sources = None if all_sources else [rng.randrange(n) for _ in range(3)]
+        assert list(_lambda_rows(parent, weight, marked, sources)) == list(
+            reference_lambda_rows(parent, weight, marked, sources)
+        )
 
     def test_the_swap_keeps_the_root(self):
         # 1 = 2 - 0: the flow for 1 against 0 reaches X = {1, 2}, so 2 moves

@@ -483,8 +483,9 @@ class TestFlowsPerSearch:
     def test_an_end_without_edges_is_a_cut_without_a_walk(self, monkeypatch):
         # handed the flow, the root is a walk search: its one flow walk 0-1-2
         # has both edges as candidates, and the first, {edge 0}, is a cut.
-        # The root walks no path toward v: past the flow's two passes from
-        # 0 to 2, the one walk is T0's, from 2 with no target
+        # The root walks no path toward v: the flow routes 0-1-2 by its
+        # scan, so its one pass from 0 to 2 is the one that fails, and the
+        # only other walk is T0's, from 2 with no target
         walks = []
         for module in (connectivity, verifier):
 
@@ -497,8 +498,7 @@ class TestFlowsPerSearch:
         cert = find_rainbow_min_cut(path_graph(3), EdgeColoring((1, 1)), 0, 2, stats=st)
         assert cert.cut == frozenset({0})
         assert st.nodes == 2
-        flow = [("srdkit.connectivity", 0, 2)] * 2
-        assert walks == flow + [("srdkit.connectivity", 2, None)]
+        assert walks == [("srdkit.connectivity", 0, 2), ("srdkit.connectivity", 2, None)]
 
     def test_any_size_search_above_lambda_runs_no_flow(self, flow_calls):
         # λ(0, 3) = 2 in C6 with 3 colors: the path DFS runs
